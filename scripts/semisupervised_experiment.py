@@ -47,7 +47,7 @@ def main():
         task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"),
         RandomToken(args.seed),
     )
-    oracle = logistic_oracle(f_task, h_task, batch_size=args.batch_size, hessian_gap=0.0)
+    oracle = logistic_oracle(f_task, h_task, batch_size=args.batch_size)
     x0 = np.zeros(oracle.dim)
 
     # AuxMOM spends one f-minus-h draw per cycle; SGDm gets the same number of

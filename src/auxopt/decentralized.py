@@ -70,9 +70,9 @@ def decentralized_cycle(
     """One cycle: sampled helpers refresh momenta and run K inner steps from x;
     the next snapshot is the average of their final iterates.
 
-    The f-gradient inside g_{f-h} is shared by all sampled helpers, so the
-    cycle is billed one f-minus-h draw (two for the MVR variant) regardless
-    of S.  Mutates the sampled helpers' momenta; returns (x', sampled).
+    Each sampled helper draws its own g_{f-h} under its own token, so the
+    cycle is billed one f-minus-h draw per sampled helper (two for the MVR
+    variant).  Mutates the sampled helpers' momenta; returns (x', sampled).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -99,7 +99,7 @@ def decentralized_cycle(
             y = y - cfg.eta * (gh + m)
         finals.append(y)
         helpers.calls_h += cfg.K
-    helpers.calls_fmh += 1 if variant == "AuxMOM" else 2
+    helpers.calls_fmh += len(sampled) * (1 if variant == "AuxMOM" else 2)
     return np.mean(finals, axis=0), sampled
 
 

@@ -180,7 +180,13 @@ def load_config_file(path: str) -> ExperimentConfig:
 
 
 def build_oracle(cfg: ExperimentConfig) -> OraclePair:
-    """Instantiate the problem named by the config."""
+    """Instantiate the problem named by the config.
+
+    Reads only ``cfg.problem``, ``cfg.noise`` and ``cfg.seed``.  Logistic
+    pairs carry no analytic Hessian gap: every helper kind is built from
+    other rows than f (random labels use the unlabeled part), so
+    ||H_f - H_h|| is not zero in general.
+    """
     tag = next(iter(cfg.problem))
     body = cfg.problem[tag]
     if tag == "toy":
@@ -209,10 +215,7 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     f_task, h_task, _ = problems.build_semisupervised(
         task, split, helper, RandomToken(cfg.seed)
     )
-    gap = 0.0 if helper.kind == "random_labels" and f_task.l2_reg == h_task.l2_reg else None
-    return problems.logistic_oracle(
-        f_task, h_task, batch_size=body.get("batch_size"), hessian_gap=gap
-    )
+    return problems.logistic_oracle(f_task, h_task, batch_size=body.get("batch_size"))
 
 
 def theory_params_for(cfg: ExperimentConfig, oracle: OraclePair,
@@ -293,18 +296,23 @@ def trajectory_from_csv(text: str) -> Trajectory:
 
 
 def _aggregate(trajectories: Sequence[Trajectory]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+    """Per-row mean over repeats; a cell is empty when any repeat lacks it.
+
+    Each column is reduced as a C-ordered (rows x repeats) array along its
+    last axis, which sums every row in the same order as ``np.mean`` of that
+    row alone, so the bytes match a per-cell mean for any repeat count.
+    """
     n_rows = min(len(t.rows) for t in trajectories)
-    for i in range(n_rows):
-        rows = [t.rows[i] for t in trajectories]
-        cells = [str(rows[0].t), str(rows[0].k)]
-        for attr in ("f_value", "grad_norm_sq", "E_t", "Delta_t"):
-            vals = [getattr(r, attr) for r in rows]
-            cells.append("" if any(v is None for v in vals)
-                         else format(float(np.mean(vals)), ".17g"))
-        for attr in ("calls_f", "calls_h", "calls_fmh"):
-            cells.append(format(float(np.mean([getattr(r, attr) for r in rows])), ".17g"))
-        lines.append(",".join(cells))
+    by_row = list(zip(*(t.rows[:n_rows] for t in trajectories)))
+    columns = [[str(rows[0].t) for rows in by_row], [str(rows[0].k) for rows in by_row]]
+    for attr in CSV_COLUMNS[2:]:
+        vals = [[getattr(r, attr) for r in rows] for rows in by_row]
+        missing = [any(v is None for v in row) for row in vals]
+        means = np.array([[0.0 if v is None else v for v in row] for row in vals],
+                         dtype=np.float64).mean(axis=1).tolist()
+        columns.append(["" if miss else format(m, ".17g")
+                        for miss, m in zip(missing, means)])
+    lines = [",".join(CSV_COLUMNS)] + [",".join(cells) for cells in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -312,13 +320,16 @@ def _aggregate(trajectories: Sequence[Trajectory]) -> str:
 # Experiment execution
 # ---------------------------------------------------------------------------
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> list[Trajectory]:
+def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
+                   oracle: Optional[OraclePair] = None) -> list[Trajectory]:
     """Run ``repeats`` independent runs with forked seeds and persist CSVs.
 
-    On divergence the partial trajectory is persisted before the error
-    propagates.
+    ``oracle`` must be ``build_oracle(cfg)`` or an equal build; it is built
+    here when omitted.  On divergence the partial trajectory is persisted
+    before the error propagates.
     """
-    oracle = build_oracle(cfg)
+    if oracle is None:
+        oracle = build_oracle(cfg)
     x0 = np.asarray(cfg.x0, dtype=np.float64) if cfg.x0 is not None else np.ones(oracle.dim)
     opt_cfg, resolve_meta = resolve_params(cfg, oracle, x0)
 
@@ -377,6 +388,11 @@ def run_sweep(
 ) -> list[dict]:
     """One run_experiment per axis value; returns summary rows.
 
+    The oracle is built for the first value and rebuilt only when a value
+    changes a field ``build_oracle`` reads (``problem``, ``noise`` or
+    ``seed``), so a sweep over ``algorithm.*`` or ``repeats`` builds it once.
+    Only the current build is kept, and none outlives the call.
+
     Each summary reports the final per-cycle gradient average, the cycles
     needed to push ||grad f||^2 below ``threshold``, and the gradient-call
     budget so same-work comparisons against baselines stay checkable.
@@ -386,6 +402,7 @@ def run_sweep(
         raise ConfigError(axis, "sweep axis must name a numeric field")
 
     summaries = []
+    oracle, oracle_key = None, None
     for value in values:
         raw = copy.deepcopy(base_cfg.raw)
         cast = int(value) if isinstance(current, int) and float(value).is_integer() else value
@@ -394,7 +411,11 @@ def run_sweep(
         sub_dir = None
         if out_dir is not None:
             sub_dir = str(Path(out_dir) / f"{axis.replace('.', '_')}_{cast}")
-        trajs = run_experiment(cfg, sub_dir)
+        key = (cfg.problem, cfg.noise, cfg.seed)
+        if key != oracle_key:
+            oracle = None  # free the previous build before making the next
+            oracle, oracle_key = build_oracle(cfg), key
+        trajs = run_experiment(cfg, sub_dir, oracle=oracle)
         g_means = [t.cycle_grad_means() for t in trajs]
         final_g = (float(np.mean([g[-1] for g in g_means]))
                    if all(g for g in g_means) else None)

@@ -214,6 +214,11 @@ class LogisticTask:
             if not math.isclose(float(w.sum()), 1.0, rel_tol=1e-9):
                 raise ValueError("weights must sum to one")
             object.__setattr__(self, "weights", w)
+        # Not dataclass fields: the weights with the uniform default built
+        # once, and a one-entry memo (x copy, margins) that loss and grad share.
+        object.__setattr__(self, "_w", self.weights if self.weights is not None
+                           else np.full(y.shape[0], 1.0 / y.shape[0]))
+        object.__setattr__(self, "_margin_memo", None)
 
     @property
     def n_samples(self) -> int:
@@ -223,20 +228,26 @@ class LogisticTask:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def _w(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
-        return np.full(self.n_samples, 1.0 / self.n_samples)
+    def _margins(self, x: Array) -> np.ndarray:
+        """labels * (features @ x), reused while x keeps the same values.
+
+        The memo keeps its own copy of x and compares by value, so changing
+        the caller's array in place never returns stale margins.
+        """
+        memo = self._margin_memo
+        if memo is not None and np.array_equal(memo[0], x):
+            return memo[1]
+        margins = self.labels * (self.features @ x)
+        object.__setattr__(self, "_margin_memo", (np.array(x), margins))
+        return margins
 
     def loss(self, x: Array) -> float:
-        margins = self.labels * (self.features @ x)
         # log(1 + exp(-m)) computed stably
-        losses = np.logaddexp(0.0, -margins)
-        return float(self._w() @ losses) + 0.5 * self.l2_reg * float(x @ x)
+        losses = np.logaddexp(0.0, -self._margins(x))
+        return float(self._w @ losses) + 0.5 * self.l2_reg * float(x @ x)
 
     def grad(self, x: Array) -> Array:
-        margins = self.labels * (self.features @ x)
-        coef = -self.labels * _sigmoid(-margins) * self._w()
+        coef = -self.labels * _sigmoid(-self._margins(x)) * self._w
         return self.features.T @ coef + self.l2_reg * x
 
     def grad_minibatch(self, x: Array, idx: np.ndarray) -> Array:
@@ -249,17 +260,14 @@ class LogisticTask:
 
     def smoothness(self) -> float:
         """Upper bound on the loss Hessian spectral norm (at sigma(1-sigma) <= 1/4)."""
-        a = self.features * np.sqrt(self._w())[:, None]
+        a = self.features * np.sqrt(self._w)[:, None]
         return 0.25 * float(np.linalg.norm(a, 2)) ** 2 + self.l2_reg
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: exp only ever sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def exact_hessian_logistic(task: LogisticTask, x: Array) -> np.ndarray:
@@ -269,7 +277,7 @@ def exact_hessian_logistic(task: LogisticTask, x: Array) -> np.ndarray:
     """
     x = as_vector(x, task.dim)
     s = _sigmoid(task.features @ x)
-    d = s * (1.0 - s) * task._w()
+    d = s * (1.0 - s) * task._w
     return (task.features * d[:, None]).T @ task.features + task.l2_reg * np.eye(task.dim)
 
 

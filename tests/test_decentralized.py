@@ -107,16 +107,16 @@ class TestDecentralizedCycle:
             else:
                 assert not np.array_equal(hs.momenta[i], before[i])
 
-    def test_budget_one_fmh_per_cycle(self):
+    def test_budget_one_fmh_per_sampled_helper(self):
         oracles = [make_toy_pair(0.3, 1.0) for _ in range(4)]
         cfg = OptimizerConfig("AuxMOM", eta=0.1, a=0.5, K=3, T=1)
         hs = HelperSet(oracles=oracles, s=3)
         decentralized_cycle(np.array([1.0]), hs, cfg, TOK)
-        assert hs.calls_fmh == 1
+        assert hs.calls_fmh == 3
         assert hs.calls_h == 9
         hs_mvr = HelperSet(oracles=oracles, s=3)
         decentralized_cycle(np.array([1.0]), hs_mvr, cfg, TOK, variant="AuxMVR")
-        assert hs_mvr.calls_fmh == 2
+        assert hs_mvr.calls_fmh == 6
 
     def test_merged_helpers_match_single_run(self):
         # S = N identical helpers on the same token lane == one helper

@@ -3,16 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from auxopt import cli
+from auxopt import cli, harness
+from auxopt.core import RandomToken, rng_from_token
 from auxopt.harness import (
+    CSV_COLUMNS,
     ConfigError,
+    _aggregate,
+    build_oracle,
     load_config,
     run_experiment,
     run_sweep,
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from auxopt.optimizers import DivergenceError
+from auxopt.optimizers import DivergenceError, Trajectory, TrajectoryRow
+from auxopt.problems import make_synthetic_classification, write_libsvm
 from auxopt.theory import TheoryParams, auxmom_params
 
 
@@ -25,6 +30,22 @@ def toy_config(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def logistic_config(tmp_path):
+    features, labels = make_synthetic_classification(90, 8, RandomToken(3), n_groups=4)
+    data = tmp_path / "data.libsvm"
+    data.write_text(write_libsvm(features, labels))
+    return {
+        "version": 1,
+        "problem": {"logistic": {"path": str(data), "helper": {"kind": "random_labels"},
+                                 "batch_size": 16}},
+        "algorithm": {"name": "AuxMOM", "eta": 0.5, "a": 0.1, "K": 2, "T": 4},
+        "seed": 5,
+        "repeats": 2,
+        "x0": [0.0] * 8,
+        "diagnostics": True,
+    }
 
 
 class TestLoadConfig:
@@ -112,6 +133,34 @@ class TestCsv:
             want = np.mean([t.rows[i].f_value for t in trajs])
             assert abs(row.f_value - want) < 1e-12
 
+    @pytest.mark.parametrize("repeats", [1, 2, 3, 8, 10, 17])
+    def test_aggregate_bytes_match_per_cell_mean(self, repeats):
+        def reference(trajectories):
+            lines = [",".join(CSV_COLUMNS)]
+            for i in range(min(len(t.rows) for t in trajectories)):
+                rows = [t.rows[i] for t in trajectories]
+                cells = [str(rows[0].t), str(rows[0].k)]
+                for attr in CSV_COLUMNS[2:]:
+                    vals = [getattr(r, attr) for r in rows]
+                    cells.append("" if any(v is None for v in vals)
+                                 else format(float(np.mean(vals)), ".17g"))
+                lines.append(",".join(cells))
+            return "\n".join(lines) + "\n"
+
+        rng = rng_from_token(RandomToken(repeats))
+        trajectories = []
+        for r in range(repeats):
+            traj = Trajectory()
+            for i in range(40 + r):  # ragged: the aggregate stops at the shortest
+                scale = 10.0 ** rng.integers(-8, 8, 4)
+                f, g, e, d = (float(v) for v in rng.standard_normal(4) * scale)
+                traj.rows.append(TrajectoryRow(
+                    i // 4, i % 4, f, abs(g), None if i == 0 else e,
+                    None if i % 7 == 3 and r == repeats - 1 else d,
+                    int(rng.integers(0, 10**6)), i, 3 * i))
+            trajectories.append(traj)
+        assert _aggregate(trajectories) == reference(trajectories)
+
     def test_run_experiment_deterministic_bytes(self, tmp_path):
         cfg = load_config(json.dumps(toy_config(
             repeats=2, noise={"sigma_f": 1.0, "sigma_h": 1.0, "rho": 0.3})))
@@ -196,6 +245,48 @@ class TestRunSweep:
         assert summaries[0]["calls_fmh"] == 6  # T cycles + one init sample
         assert summaries[1]["calls_fmh"] == 11
 
+    def test_k_axis_builds_oracle_once(self, tmp_path, monkeypatch):
+        builds = []
+        real = harness.build_oracle
+        monkeypatch.setattr(harness, "build_oracle",
+                            lambda cfg: builds.append(cfg.algorithm.K) or real(cfg))
+        cfg = load_config(json.dumps(logistic_config(tmp_path)))
+        run_sweep(cfg, "algorithm.K", [1, 3, 5], str(tmp_path / "sweep"))
+        assert builds == [1]
+        builds.clear()
+        run_sweep(cfg, "seed", [1, 2])
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("axis, values", [
+        ("problem.toy.zeta", [1.0, 3.0, 10.0]),
+        ("seed", [7, 8, 9]),
+        ("noise.sigma_f", [0.5, 1.0, 2.0]),
+        ("algorithm.K", [1, 4, 10]),
+    ])
+    def test_per_value_csvs_match_standalone_runs(self, tmp_path, axis, values):
+        raw = toy_config(noise={"sigma_f": 1.0, "sigma_h": 1.0, "rho": 0.5},
+                         repeats=2, diagnostics=True)
+        raw["algorithm"]["T"] = 20
+        self._check_against_standalone(tmp_path, raw, axis, values)
+
+    @pytest.mark.parametrize("axis, values", [("algorithm.K", [1, 3]), ("seed", [5, 6])])
+    def test_logistic_per_value_csvs_match_standalone_runs(self, tmp_path, axis, values):
+        self._check_against_standalone(tmp_path, logistic_config(tmp_path), axis, values)
+
+    @staticmethod
+    def _check_against_standalone(tmp_path, raw, axis, values):
+        run_sweep(load_config(json.dumps(raw)), axis, values, str(tmp_path / "sweep"))
+        for value in values:
+            one = json.loads(json.dumps(raw))
+            harness._set_by_path(one, axis, value)
+            alone = tmp_path / f"alone_{value}"
+            run_experiment(load_config(json.dumps(one)), str(alone))
+            swept = tmp_path / "sweep" / f"{axis.replace('.', '_')}_{value}"
+            names = sorted(p.name for p in alone.iterdir())
+            assert names == sorted(p.name for p in swept.iterdir())
+            for name in names:
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), (value, name)
+
     def test_invalid_axis(self):
         cfg = load_config(json.dumps(toy_config()))
         with pytest.raises(ConfigError):
@@ -269,6 +360,20 @@ class TestCli:
                          "--values", "1,2", "--out", str(tmp_path / "sw")])
         assert code == 0
         assert (tmp_path / "sw" / "sweep_summary.csv").exists()
+
+    def test_random_label_helper_has_no_analytic_gap(self, tmp_path, capsys):
+        raw = logistic_config(tmp_path)
+        assert build_oracle(load_config(json.dumps(raw))).hessian_gap is None
+        path = self._write(tmp_path, raw)
+        assert cli.main(["check", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "estimated Hessian-gap delta" in out and "analytic delta" not in out
+        assert cli.main(["params", "--config", path]) == 2
+        assert "params_mode" in capsys.readouterr().err
+        raw["params_mode"] = "theorem"
+        del raw["algorithm"]["eta"]
+        assert cli.main(["run", "--config", self._write(tmp_path, raw)]) == 2
+        assert "params_mode" in capsys.readouterr().err
 
     def test_sweep_bad_values_exit_2(self, tmp_path):
         path = self._write(tmp_path, toy_config())

@@ -8,6 +8,7 @@ from auxopt.problems import (
     HelperBuild,
     LibsvmParseError,
     LogisticTask,
+    _sigmoid,
     build_coreset_helper,
     build_semisupervised,
     exact_hessian_logistic,
@@ -225,6 +226,45 @@ class TestLogisticTask:
         x = rng.standard_normal(4)
         full = task.grad_minibatch(x, np.arange(50))
         assert np.allclose(full, task.grad(x), atol=1e-12)
+
+    def test_grad_after_in_place_change_is_fresh(self):
+        # loss and grad share one margin vector per x; changing the caller's
+        # array in place must not return the margins of the old values
+        rng = rng_from_token(RandomToken(14))
+        features = rng.standard_normal((30, 5))
+        labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+        task = LogisticTask(features, labels, l2_reg=0.1)
+        x = rng.standard_normal(5)
+        task.loss(x)
+        x[2] += 1.0
+        fresh = LogisticTask(features, labels, l2_reg=0.1)
+        assert np.array_equal(task.grad(x), fresh.grad(x))
+        assert task.loss(x) == fresh.loss(x)
+
+
+def _masked_sigmoid(z):
+    """The earlier two-branch formula, kept here as the reference bits."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_formula_bitwise(self):
+        grid = np.concatenate([
+            np.linspace(-800.0, 800.0, 160_001),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 709.8, -709.8, 745.2],
+            rng_from_token(RandomToken(16)).normal(0.0, 50.0, 100_000),
+        ])
+        assert np.array_equal(_sigmoid(grid), _masked_sigmoid(grid), equal_nan=True)
+
+    def test_no_overflow_warning(self):
+        with np.errstate(over="raise"):
+            out = _sigmoid(np.array([-1000.0, 1000.0]))
+        assert out.tolist() == [0.0, 1.0]
 
 
 class TestSemisupervised:
