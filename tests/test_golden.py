@@ -1,0 +1,146 @@
+"""Byte-level pins of the program's outputs.
+
+Each digest is the SHA-256 of files or arrays the program writes for a fixed
+input.  Only 1-D problems are used, so no BLAS reduction order enters a
+digest: a digest moves only when the arithmetic or the random streams do.
+A change that alters output bytes on purpose must update the digests here
+and say so in CHANGES.md.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from auxopt.core import NoiseSpec, RandomToken
+from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
+from auxopt.harness import load_config, run_experiment
+from auxopt.optimizers import ALGORITHMS, OptimizerConfig
+from auxopt.problems import make_toy_pair
+
+M0_MODES = ("single_sample", "zero", "big_batch")
+NOISY = {"sigma_f": 1.0, "sigma_h": 0.8, "rho": 0.5}
+
+
+def toy_config(algorithm: str, m0_mode: str, noise: dict) -> dict:
+    return {
+        "version": 1,
+        "problem": {"toy": {"delta": 0.5, "zeta": 2.0}},
+        "algorithm": {"name": algorithm, "eta": 0.05, "a": 0.3, "K": 4, "T": 12,
+                      "m0_mode": m0_mode},
+        "noise": noise,
+        "seed": 7,
+        "repeats": 2,
+        "x0": [1.5],
+        "diagnostics": True,
+        "output_path": "golden",
+    }
+
+
+def csv_digest(raw: dict, out_dir) -> str:
+    """SHA-256 over the names and bytes of every file ``run_experiment`` writes."""
+    run_experiment(load_config(json.dumps(raw)), str(out_dir))
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def decentralized_digest(variant: str) -> str:
+    """SHA-256 over the snapshots, sampled sets and final momenta of a run."""
+    noise = NoiseSpec(**NOISY)
+    helpers = HelperSet([make_toy_pair(0.3, z, noise) for z in (0.5, 1.0, 2.0, 4.0)], s=2)
+    cfg = OptimizerConfig(variant, eta=0.05, a=0.3, K=3, T=10)
+    traj = run_decentralized(np.array([1.5]), helpers, cfg, RandomToken(9), variant=variant)
+    h = hashlib.sha256()
+    h.update(np.stack(traj.snapshots).tobytes())
+    h.update(repr(traj.sampled).encode())
+    h.update(np.stack(helpers.momenta).tobytes())
+    return h.hexdigest()
+
+
+NOISY_CSV = {
+    ("Naive", "single_sample"):
+        "570b15c3758ab91eff0d004bf5a5f9f9b286d4d12e6846b25aed69114870db32",
+    ("Naive", "zero"):
+        "570b15c3758ab91eff0d004bf5a5f9f9b286d4d12e6846b25aed69114870db32",
+    ("Naive", "big_batch"):
+        "570b15c3758ab91eff0d004bf5a5f9f9b286d4d12e6846b25aed69114870db32",
+    ("AuxMOM", "single_sample"):
+        "52f0000ab3fcee0ec6d2e9a5537f79596135775aaed85877139e7c602380667d",
+    ("AuxMOM", "zero"):
+        "24d6c2d47ec875bebf4055261f55d26203371ac2af0b5a8d3d34cbbce68fa440",
+    ("AuxMOM", "big_batch"):
+        "56f09fd71e5c31ed9532dcdda60a8c2e3ce57983f06d2e10a530fd45ccaed709",
+    ("AuxMOM_V0", "single_sample"):
+        "65e64b031005fce15dfdb60e55af4cea79b56e823642f4f157a07dc8560706f1",
+    ("AuxMOM_V0", "zero"):
+        "e081cb23b7bc4c7d48e04dc494a2bcbd39e5e70f1dbf175a60e84e67bfa36557",
+    ("AuxMOM_V0", "big_batch"):
+        "51fa8151d17f00732e181e3fa29e89ff1fa18997cf15570786e8910117c1379c",
+    ("AuxMVR", "single_sample"):
+        "9cd077dbdea39833e32e2cb227410eb6a7f86796c1c015071438445ba3a5038b",
+    ("AuxMVR", "zero"):
+        "df514003dec6b40acffd5ef75fa68718056f783d80211fd1a96673cc721a47fd",
+    ("AuxMVR", "big_batch"):
+        "6da212335264657f2ac6f7f78b993fa05a1e0cdedd0bf40387ecb4c061fee5ae",
+    ("SGDm", "single_sample"):
+        "c302a5220e864b8e155553aa7cfba82c20a627baeb0c833c63603d8eb832408b",
+    ("SGDm", "zero"):
+        "b5845df788324314eecf0c37781c39d04e1a9c17f258c387951d86dba5bec421",
+    ("SGDm", "big_batch"):
+        "3154845b2e1daa35504e712a1a2f2ecb5365a3b422aa8f8a7004ecafa9120e47",
+    ("MVR", "single_sample"):
+        "bbf4d0a85ef5caad56f27bf2b8ec6453dd3cba357d17915b22de6c6a0a4510ff",
+    ("MVR", "zero"):
+        "cff00baec9dd5651001857f46efc7ff46c0778af67e8ae8782c8c833fd290840",
+    ("MVR", "big_batch"):
+        "d6f488b6223e9cace50c1e83ab7692aaa2d895eaef2f8916e74d037974cd911c",
+    ("GD", "single_sample"):
+        "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
+    ("GD", "zero"):
+        "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
+    ("GD", "big_batch"):
+        "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
+    ("FineTune", "single_sample"):
+        "1be9c44cdd6db80fc5740cae79c853abe111d48c0c5a20302c1f7c9395682a8e",
+    ("FineTune", "zero"):
+        "1be9c44cdd6db80fc5740cae79c853abe111d48c0c5a20302c1f7c9395682a8e",
+    ("FineTune", "big_batch"):
+        "1be9c44cdd6db80fc5740cae79c853abe111d48c0c5a20302c1f7c9395682a8e",
+}
+
+EXACT_CSV = {
+    "Naive": "d48c748da16a8e403b406f7fcf1548a68ce968df3a8664e8070fe71a399add74",
+    "AuxMOM": "8a5bcb4e92d35e8c795b09fb5a9541188ce2d98a13dd93f076ebd14086b4d244",
+    "AuxMOM_V0": "ed03452063bd43b574d2f0fea9ccbd091b280ae24cdb31b5606f7891939a5831",
+    "AuxMVR": "8a9f7b1085015694b83abee4f6bf0ad6dde68822c0e5e616a3852887b30032c0",
+    "SGDm": "0901f66995ebf716e3fb3720689c71594acaa6eb88dd3a3cc7084a9e185ff9bc",
+    "MVR": "30c87e2291b94d2905b17e557a030ce2924c8b60bc6e832706fe342807d30a8b",
+    "GD": "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
+    "FineTune": "54c4acaa2595c17cdc275f69d04ab7c8cebb59dc9793f8f76e1eec4290e54273",
+}
+
+DECENTRALIZED = {
+    "AuxMOM": "a7042cbdd122a89f5c53bd11d099fe8b33833afc8366d8c765350bc6bca34ccb",
+    "AuxMVR": "2f18217c23b41427d870482fe390565e87adca4a35df53e3ff029222f4289ca4",
+}
+
+
+@pytest.mark.parametrize("m0_mode", M0_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_noisy_toy_csvs(algorithm, m0_mode, tmp_path):
+    raw = toy_config(algorithm, m0_mode, NOISY)
+    assert csv_digest(raw, tmp_path) == NOISY_CSV[algorithm, m0_mode]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_noise_free_toy_csvs(algorithm, tmp_path):
+    raw = toy_config(algorithm, "single_sample", {})
+    assert csv_digest(raw, tmp_path) == EXACT_CSV[algorithm]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decentralized_snapshots(variant):
+    assert decentralized_digest(variant) == DECENTRALIZED[variant]
