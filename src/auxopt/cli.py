@@ -132,9 +132,7 @@ def _cmd_check(args) -> int:
 def _cmd_params(args) -> int:
     cfg = _load(args.config)
     oracle = harness.build_oracle(cfg)
-    x0 = (np.asarray(cfg.x0, dtype=np.float64) if cfg.x0 is not None
-          else np.ones(oracle.dim))
-    p = harness.theory_params_for(cfg, oracle, x0)
+    p = harness.theory_params_for(cfg, oracle, harness.initial_point(cfg, oracle))
     eta_mom, a_mom, beta = theory.auxmom_params(p)
     eta_mvr, a_mvr = theory.auxmvr_params(p)
     print(json.dumps({

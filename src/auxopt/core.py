@@ -173,17 +173,28 @@ def gaussian_oracle(
     dim: int,
     **extras,
 ) -> OraclePair:
-    """Build an OraclePair by adding correlated Gaussian noise to exact gradients."""
+    """Build an OraclePair by adding correlated Gaussian noise to exact gradients.
+
+    With a deterministic ``noise_spec`` the stochastic gradients are the exact
+    ones and nothing is drawn: the draws would be multiplied by zero.
+    """
+    exact = noise_spec.is_deterministic
 
     def grad_f(x: Array, token: RandomToken) -> Array:
+        if exact:
+            return exact_grad_f(x)
         nf, _ = draw_gaussian_noise(noise_spec, token, dim)
         return exact_grad_f(x) + nf
 
     def grad_h(x: Array, token: RandomToken) -> Array:
+        if exact:
+            return exact_grad_h(x)
         _, nh = draw_gaussian_noise(noise_spec, token, dim)
         return exact_grad_h(x) + nh
 
     def grad_f_minus_h(x: Array, token: RandomToken) -> Array:
+        if exact:
+            return exact_grad_f(x) - exact_grad_h(x)
         nf, nh = draw_gaussian_noise(noise_spec, token, dim)
         return exact_grad_f(x) - exact_grad_h(x) + (nf - nh)
 

@@ -1,14 +1,14 @@
-"""Multi-helper orchestration: sample S of N helpers, run per-helper momentum
-and inner loops, average the returned iterates."""
+"""Multi-helper orchestration: sample S of N helpers, run one optimizer cycle
+per sampled helper, average the returned iterates."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import Array, OraclePair, RandomToken, rng_from_token, stream_fork
-from .optimizers import OptimizerConfig
+from .optimizers import OptimizerConfig, OptimizerState, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
 
@@ -67,39 +67,29 @@ def decentralized_cycle(
     variant: str = "AuxMOM",
     x_prev: Optional[Array] = None,
 ) -> tuple[Array, list[int]]:
-    """One cycle: sampled helpers refresh momenta and run K inner steps from x;
-    the next snapshot is the average of their final iterates.
+    """One cycle: each sampled helper runs one ``cycle`` of ``variant`` from x
+    with its own momentum; the next snapshot is the average of their final
+    iterates.
 
-    Each sampled helper draws its own g_{f-h} under its own token, so the
-    cycle is billed one f-minus-h draw per sampled helper (two for the MVR
-    variant).  Mutates the sampled helpers' momenta; returns (x', sampled).
+    Helper i draws under ``stream_fork(stream_fork(token, 1), label_i)``,
+    the token layout of a single-helper cycle, and is billed what that cycle
+    bills.  Mutates the sampled helpers' momenta; returns (x', sampled).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "AuxMVR" and x_prev is None:
-        x_prev = x
+    cfg = replace(cfg, algorithm=variant)
+    x_prev = x if x_prev is None else x_prev
     sampled = sample_helpers(stream_fork(token, 0), helpers.n, helpers.s)
+    lanes = stream_fork(token, 1)
     finals = []
     for i in sampled:
-        oracle = helpers.oracles[i]
-        htok = stream_fork(stream_fork(token, 1), helpers.token_labels[i])
-        mom_tok = stream_fork(htok, 0)
-        if variant == "AuxMOM":
-            g = oracle.grad_f_minus_h(x, mom_tok)
-            m = (1.0 - cfg.a) * helpers.momenta[i] + cfg.a * g
-        else:
-            g_now = oracle.grad_f_minus_h(x, mom_tok)
-            g_prev = oracle.grad_f_minus_h(x_prev, mom_tok)
-            m = ((1.0 - cfg.a) * helpers.momenta[i] + cfg.a * g_now
-                 + (1.0 - cfg.a) * (g_now - g_prev))
-        helpers.momenta[i] = m
-        y = x.copy()
-        for k in range(1, cfg.K + 1):
-            gh = oracle.grad_h(y, stream_fork(htok, k))
-            y = y - cfg.eta * (gh + m)
-        finals.append(y)
-        helpers.calls_h += cfg.K
-    helpers.calls_fmh += len(sampled) * (1 if variant == "AuxMOM" else 2)
+        state = OptimizerState(x_prev=x_prev, x=x, y=x, m=helpers.momenta[i])
+        new = cycle(state, helpers.oracles[i], cfg,
+                    stream_fork(lanes, helpers.token_labels[i])).state
+        helpers.momenta[i] = new.m
+        helpers.calls_h += new.calls_h
+        helpers.calls_fmh += new.calls_fmh
+        finals.append(new.x)
     return np.mean(finals, axis=0), sampled
 
 

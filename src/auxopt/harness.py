@@ -4,15 +4,17 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from . import problems, theory
-from .core import NoiseSpec, OraclePair, RandomToken, stream_fork
+from .core import NoiseSpec, OraclePair, RandomToken, as_vector, stream_fork
 from .optimizers import (
+    ALGORITHMS,
     DivergenceError,
     OptimizerConfig,
     Trajectory,
@@ -39,6 +41,23 @@ class ConfigError(ValueError):
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(path, message)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    """A JSON number in the finite float range; booleans are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _at(path: str, fn, *args):
+    """``fn(*args)``, with a bad-input error reported as a ConfigError at ``path``."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _check_keys(obj: dict, allowed: set, required: set, path: str):
@@ -81,7 +100,7 @@ def load_config(text: str) -> ExperimentConfig:
                       "repeats", "output_path", "x0", "diagnostics"},
                 {"problem", "algorithm", "seed"}, "")
     if "version" in raw:
-        _require(raw["version"] == SCHEMA_VERSION, "version",
+        _require(_integer(raw["version"]) and raw["version"] == SCHEMA_VERSION, "version",
                  f"unsupported schema version {raw['version']}")
 
     problem = raw["problem"]
@@ -99,20 +118,19 @@ def load_config(text: str) -> ExperimentConfig:
              "must be 'manual' or 'theorem'")
     if params_mode == "manual":
         _require("eta" in alg_raw, "algorithm.eta", "required in manual params mode")
-    from .optimizers import ALGORITHMS
-
     _require(alg_raw["name"] in ALGORITHMS, "algorithm.name",
              f"must be one of {ALGORITHMS}")
-    _require(isinstance(alg_raw["K"], int) and alg_raw["K"] >= 1,
+    _require(_integer(alg_raw["K"]) and alg_raw["K"] >= 1,
              "algorithm.K", "must be an integer >= 1")
-    _require(isinstance(alg_raw["T"], int) and alg_raw["T"] >= 1,
+    _require(_integer(alg_raw["T"]) and alg_raw["T"] >= 1,
              "algorithm.T", "must be an integer >= 1")
     eta = alg_raw.get("eta", 1.0)  # placeholder when theorem mode resolves it
-    _require(isinstance(eta, (int, float)) and eta > 0, "algorithm.eta",
-             "must be positive")
+    _require(_number(eta) and eta > 0, "algorithm.eta", "must be a finite positive number")
     a = alg_raw.get("a", 1.0)
-    _require(isinstance(a, (int, float)) and 0 < a <= 1, "algorithm.a",
+    _require(_number(a) and 0 < a <= 1, "algorithm.a",
              "must lie in (0, 1]")
+    _require(_number(alg_raw.get("split_fraction", 0.5)), "algorithm.split_fraction",
+             "must be a number")
     try:
         algorithm = OptimizerConfig(
             algorithm=alg_raw["name"],
@@ -128,6 +146,8 @@ def load_config(text: str) -> ExperimentConfig:
 
     noise_raw = raw.get("noise", {})
     _check_keys(noise_raw, {"sigma_f", "sigma_h", "rho"}, set(), "noise")
+    for key, value in noise_raw.items():
+        _require(_number(value), f"noise.{key}", "must be a finite number")
     try:
         noise = NoiseSpec(
             sigma_f=noise_raw.get("sigma_f", 0.0),
@@ -138,9 +158,17 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError("noise", str(exc)) from None
 
     seed = raw["seed"]
-    _require(isinstance(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")
+    _require(_integer(seed) and seed >= 0, "seed", "must be a nonnegative integer")
     repeats = raw.get("repeats", 1)
-    _require(isinstance(repeats, int) and repeats >= 1, "repeats", "must be an integer >= 1")
+    _require(_integer(repeats) and repeats >= 1, "repeats", "must be an integer >= 1")
+    x0 = raw.get("x0")
+    _require(x0 is None or isinstance(x0, list) and all(map(_number, x0)), "x0",
+             "must be a list of finite numbers")
+    _require(isinstance(raw.get("diagnostics", False), bool), "diagnostics",
+             "must be true or false")
+    output_path = raw.get("output_path", "experiment")
+    _require(isinstance(output_path, str) and "\0" not in output_path, "output_path",
+             "must be a string without NUL characters")
 
     return ExperimentConfig(
         raw=raw,
@@ -150,9 +178,9 @@ def load_config(text: str) -> ExperimentConfig:
         seed=seed,
         params_mode=params_mode,
         repeats=repeats,
-        output_path=raw.get("output_path", "experiment"),
-        x0=raw.get("x0"),
-        diagnostics=bool(raw.get("diagnostics", False)),
+        output_path=output_path,
+        x0=x0,
+        diagnostics=raw.get("diagnostics", False),
     )
 
 
@@ -160,12 +188,18 @@ def _validate_problem(tag: str, body: Any):
     path = f"problem.{tag}"
     if tag == "toy":
         _check_keys(body, {"delta", "zeta"}, {"delta", "zeta"}, path)
-        _require(body["delta"] >= 0, f"{path}.delta", "must be nonnegative")
+        _require(_number(body["delta"]) and body["delta"] >= 0, f"{path}.delta",
+                 "must be a finite nonnegative number")
+        _require(_number(body["zeta"]), f"{path}.zeta", "must be a finite number")
     elif tag == "quadratic_nd":
         _check_keys(body, {"a_f", "a_h", "b_h"}, {"a_f", "a_h", "b_h"}, path)
     else:
         _check_keys(body, {"path", "split", "helper", "l2_reg", "batch_size"},
                     {"path", "helper"}, path)
+        _require(isinstance(body["path"], str), f"{path}.path", "must be a string")
+        batch = body.get("batch_size")
+        _require(batch is None or _integer(batch) and batch >= 1, f"{path}.batch_size",
+                 "must be null or an integer >= 1")
         helper = body["helper"]
         _check_keys(helper, {"kind", "fraction", "indices"}, {"kind"}, f"{path}.helper")
         _require(helper["kind"] in ("random_labels", "coreset", "subset_batch"),
@@ -191,31 +225,37 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     body = cfg.problem[tag]
     if tag == "toy":
         return problems.make_toy_pair(body["delta"], body["zeta"], cfg.noise)
+    path = f"problem.{tag}"
     if tag == "quadratic_nd":
-        return problems.make_quadratic_nd(
-            np.asarray(body["a_f"]), np.asarray(body["a_h"]), np.asarray(body["b_h"]),
-            cfg.noise,
-        )
+        a_f = _at(f"{path}.a_f", problems.check_symmetric_psd, body["a_f"], "a_f")
+        a_h = _at(f"{path}.a_h", problems.check_symmetric_psd, body["a_h"], "a_h")
+        _require(a_h.shape == a_f.shape, f"{path}.a_h", "must have the shape of a_f")
+        b_h = _at(f"{path}.b_h", as_vector, body["b_h"], a_f.shape[0])
+        return problems.make_quadratic_nd(a_f, a_h, b_h, cfg.noise)
     data_path = Path(body["path"])
-    if not data_path.exists():
-        raise ConfigError("problem.logistic.path", f"dataset file not found: {data_path}")
-    features, labels = problems.parse_libsvm(data_path.read_text())
-    task = problems.LogisticTask(
-        features.toarray(),
-        problems.map_labels_to_pm1(labels),
-        l2_reg=body.get("l2_reg", 0.0),
-    )
+    if not data_path.is_file():
+        raise ConfigError(f"{path}.path", f"dataset file not found: {data_path}")
+    features, labels = _at(f"{path}.path", problems.parse_libsvm, data_path.read_bytes())
+    labels = _at(f"{path}.path", problems.map_labels_to_pm1, labels)
+    task = _at(path, problems.LogisticTask, features.toarray(), labels, body.get("l2_reg", 0.0))
     helper_raw = body["helper"]
     helper = problems.HelperBuild(
         kind=helper_raw["kind"],
         fraction=helper_raw.get("fraction", 1.0),
         indices=helper_raw.get("indices"),
     )
-    split = tuple(body.get("split", (1 / 3, 1 / 3, 1 / 3)))
-    f_task, h_task, _ = problems.build_semisupervised(
-        task, split, helper, RandomToken(cfg.seed)
-    )
+    split = body.get("split", (1 / 3, 1 / 3, 1 / 3))
+    f_task, h_task, _ = _at(path, problems.build_semisupervised,
+                            task, split, helper, RandomToken(cfg.seed))
     return problems.logistic_oracle(f_task, h_task, batch_size=body.get("batch_size"))
+
+
+def initial_point(cfg: ExperimentConfig, oracle: OraclePair) -> np.ndarray:
+    """``cfg.x0`` as a vector of the problem's dimension; all ones when unset."""
+    if cfg.x0 is None:
+        return np.ones(oracle.dim)
+    _require(len(cfg.x0) == oracle.dim, "x0", f"expected {oracle.dim} entries")
+    return np.asarray(cfg.x0, dtype=np.float64)
 
 
 def theory_params_for(cfg: ExperimentConfig, oracle: OraclePair,
@@ -251,11 +291,7 @@ def resolve_params(cfg: ExperimentConfig, oracle: OraclePair,
         eta, a, beta = theory.auxmom_params(p)
         meta["beta"] = beta
     meta.update({"theorem_eta": eta, "theorem_a": a})
-    return OptimizerConfig(
-        algorithm=cfg.algorithm.algorithm, eta=eta, a=a, K=cfg.algorithm.K,
-        T=cfg.algorithm.T, m0_mode=cfg.algorithm.m0_mode,
-        split_fraction=cfg.algorithm.split_fraction,
-    ), meta
+    return replace(cfg.algorithm, eta=eta, a=a), meta
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +366,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     """
     if oracle is None:
         oracle = build_oracle(cfg)
-    x0 = np.asarray(cfg.x0, dtype=np.float64) if cfg.x0 is not None else np.ones(oracle.dim)
+    x0 = initial_point(cfg, oracle)
     opt_cfg, resolve_meta = resolve_params(cfg, oracle, x0)
 
     out = Path(out_dir) if out_dir is not None else None

@@ -2,8 +2,9 @@
 
 Each algorithm proceeds in T cycles; a cycle refreshes a momentum estimate of
 grad(f - h) (or of grad f for the baselines) from the current snapshot x and
-then takes K inner steps driven by gradients of the helper h.  Cycle
-functions are pure: state in, new state out.
+then takes K inner steps driven by gradients of the helper h.  One pure
+function, :func:`cycle`, runs a cycle of every algorithm: state in, new
+state out.  The momentum methods are rows of the MOMENTUM table.
 """
 from __future__ import annotations
 
@@ -15,10 +16,6 @@ import numpy as np
 from .core import Array, OraclePair, RandomToken, as_vector, stream_fork
 
 ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "FineTune")
-
-# Momentum of f - h (bias correction) vs momentum of f.
-_FMH_MOMENTUM = ("AuxMOM", "AuxMVR")
-_F_MOMENTUM = ("AuxMOM_V0", "SGDm", "MVR")
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -112,11 +109,28 @@ class Trajectory:
         return [float(np.mean(sums[t])) for t in sorted(sums)]
 
 
-def _momentum_target_gradient(oracle: OraclePair, cfg: OptimizerConfig):
-    """The stochastic gradient the momentum tracks: g_{f-h} or g_f."""
-    if cfg.algorithm in _FMH_MOMENTUM:
-        return oracle.grad_f_minus_h, "fmh"
-    return oracle.grad_f, "f"
+@dataclass(frozen=True)
+class Momentum:
+    """A momentum method, given by the three axes along which they differ."""
+
+    fmh: bool  # tracks g_{f-h} (bias correction) rather than g_f
+    storm: bool  # STORM: adds (1-a)(g(x) - g(x_prev)), one sample, to the EMA
+    # None: one step along m; "h": K steps along g_h(y) + m; "svrg": K steps
+    # along g_h(y) - g_h(x) + m, both h-gradients on one sample
+    inner: Optional[str]
+
+    def target(self, oracle: OraclePair):
+        """The stochastic gradient the momentum tracks."""
+        return oracle.grad_f_minus_h if self.fmh else oracle.grad_f
+
+
+MOMENTUM = {
+    "AuxMOM": Momentum(fmh=True, storm=False, inner="h"),
+    "AuxMVR": Momentum(fmh=True, storm=True, inner="h"),
+    "AuxMOM_V0": Momentum(fmh=False, storm=False, inner="svrg"),
+    "SGDm": Momentum(fmh=False, storm=False, inner=None),
+    "MVR": Momentum(fmh=False, storm=True, inner=None),
+}
 
 
 def init_state(
@@ -125,25 +139,26 @@ def init_state(
     """Initial state; m0 per cfg.m0_mode (zero, one sample, or a T-times batch)."""
     x0 = as_vector(x0, oracle.dim)
     m = np.zeros(oracle.dim)
-    calls = {"f": 0, "fmh": 0}
-    no_momentum = cfg.algorithm in ("Naive", "GD", "FineTune")
-    if cfg.m0_mode != "zero" and not no_momentum:
-        grad, kind = _momentum_target_gradient(oracle, cfg)
+    spec = MOMENTUM.get(cfg.algorithm)
+    draws = 0
+    if cfg.m0_mode != "zero" and spec is not None:
+        grad = spec.target(oracle)
         init_token = stream_fork(token, 0)
         if cfg.m0_mode == "single_sample":
             m = grad(x0, init_token)
-            calls[kind] = 1
+            draws = 1
         else:  # big_batch: mean of T independent samples
-            draws = [grad(x0, stream_fork(init_token, j)) for j in range(cfg.T)]
-            m = np.mean(draws, axis=0)
-            calls[kind] = cfg.T
+            samples = [grad(x0, stream_fork(init_token, j)) for j in range(cfg.T)]
+            m = np.mean(samples, axis=0)
+            draws = cfg.T
+    fmh = spec is not None and spec.fmh
     return OptimizerState(
         x_prev=x0.copy(),
         x=x0.copy(),
         y=x0.copy(),
         m=m,
-        calls_f=calls["f"],
-        calls_fmh=calls["fmh"],
+        calls_f=0 if fmh else draws,
+        calls_fmh=draws if fmh else 0,
     )
 
 
@@ -155,182 +170,84 @@ def local_update_step(y: Array, x_snapshot: Array, oracle: OraclePair, eta: floa
     return y - eta * d
 
 
-def naive_cycle(
+def cycle(
     state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
 ) -> CycleResult:
-    """One f-gradient step followed by K-1 raw h-gradient steps, no correction."""
-    x = state.x
-    y = x.copy()
-    ys = []
-    m = oracle.grad_f(x, stream_fork(token, 0))
-    calls_h = 0
-    for k in range(cfg.K):
-        d = m if k == 0 else oracle.grad_h(y, stream_fork(token, k))
-        calls_h += k > 0
-        y = y - cfg.eta * d
+    """One cycle of ``cfg.algorithm`` from the snapshot ``state.x``.
+
+    A MOMENTUM method refreshes m from draws at the snapshot under label 0
+    of ``token``, then takes its inner steps under labels 1..K.  Naive, GD
+    and FineTune are written out.  The next snapshot is the last iterate.
+    """
+    x, a, eta = state.x, cfg.a, cfg.eta
+    m, ys = state.m, []
+    calls_f = calls_h = calls_fmh = 0
+    spec = MOMENTUM.get(cfg.algorithm)
+    if spec is not None:
+        grad, tok = spec.target(oracle), stream_fork(token, 0)
+        g = grad(x, tok)
+        m = (1.0 - a) * m + a * g
+        if spec.storm:
+            m = m + (1.0 - a) * (g - grad(state.x_prev, tok))
+        draws = 1 + spec.storm
+        calls_fmh, calls_f = (draws, 0) if spec.fmh else (0, draws)
+        if spec.inner is None:
+            ys.append(x - eta * m)
+        else:
+            y = x.copy()
+            for k in range(1, cfg.K + 1):
+                tok = stream_fork(token, k)
+                d = oracle.grad_h(y, tok)
+                if spec.inner == "svrg":
+                    d = d - oracle.grad_h(x, tok)
+                y = y - eta * (d + m)
+                ys.append(y)
+            calls_h = cfg.K * (2 if spec.inner == "svrg" else 1)
+    elif cfg.algorithm == "Naive":
+        # One f-gradient step followed by K-1 raw h-gradient steps, no correction.
+        m = oracle.grad_f(x, stream_fork(token, 0))
+        y = x - eta * m
         ys.append(y)
-    new = replace(
-        state,
-        x_prev=x,
-        x=y,
-        y=y,
-        m=m,
-        t=state.t + 1,
-        k=cfg.K,
-        calls_f=state.calls_f + 1,
-        calls_h=state.calls_h + calls_h,
-    )
-    return CycleResult(new, tuple(ys))
-
-
-def _inner_loop(x: Array, m: Array, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken):
-    y = x.copy()
-    ys = []
-    for k in range(1, cfg.K + 1):
-        gh = oracle.grad_h(y, stream_fork(token, k))
-        y = y - cfg.eta * (gh + m)
-        ys.append(y)
-    return y, ys
-
-
-def auxmom_cycle(
-    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
-) -> CycleResult:
-    """Classical momentum of g_{f-h} at the snapshot, then K corrected h-steps."""
-    x = state.x
-    g = oracle.grad_f_minus_h(x, stream_fork(token, 0))
-    m = (1.0 - cfg.a) * state.m + cfg.a * g
-    y, ys = _inner_loop(x, m, oracle, cfg, token)
-    new = replace(
-        state,
-        x_prev=x,
-        x=y,
-        y=y,
-        m=m,
-        t=state.t + 1,
-        k=cfg.K,
-        calls_h=state.calls_h + cfg.K,
-        calls_fmh=state.calls_fmh + 1,
-    )
-    return CycleResult(new, tuple(ys))
-
-
-def auxmvr_cycle(
-    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
-) -> CycleResult:
-    """STORM-style momentum of g_{f-h}: same-sample correction at x and x_prev."""
-    x, x_prev = state.x, state.x_prev
-    tok = stream_fork(token, 0)
-    g_now = oracle.grad_f_minus_h(x, tok)
-    g_prev = oracle.grad_f_minus_h(x_prev, tok)  # shared sample
-    m = (1.0 - cfg.a) * state.m + cfg.a * g_now + (1.0 - cfg.a) * (g_now - g_prev)
-    y, ys = _inner_loop(x, m, oracle, cfg, token)
-    new = replace(
-        state,
-        x_prev=x,
-        x=y,
-        y=y,
-        m=m,
-        t=state.t + 1,
-        k=cfg.K,
-        calls_h=state.calls_h + cfg.K,
-        calls_fmh=state.calls_fmh + 2,
-    )
-    return CycleResult(new, tuple(ys))
-
-
-def auxmom_v0_cycle(
-    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
-) -> CycleResult:
-    """Momentum on f only; inner steps carry an SVRG-style h-difference."""
-    x = state.x
-    gf = oracle.grad_f(x, stream_fork(token, 0))
-    m = (1.0 - cfg.a) * state.m + cfg.a * gf
-    y = x.copy()
-    ys = []
-    for k in range(1, cfg.K + 1):
-        tok = stream_fork(token, k)
-        d = oracle.grad_h(y, tok) - oracle.grad_h(x, tok) + m  # shared sample
-        y = y - cfg.eta * d
-        ys.append(y)
-    new = replace(
-        state,
-        x_prev=x,
-        x=y,
-        y=y,
-        m=m,
-        t=state.t + 1,
-        k=cfg.K,
-        calls_f=state.calls_f + 1,
-        calls_h=state.calls_h + 2 * cfg.K,
-    )
-    return CycleResult(new, tuple(ys))
-
-
-def baseline_cycle(
-    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
-) -> CycleResult:
-    """SGDm / MVR / GD take one f-step per cycle; FineTune takes K phase steps."""
-    x, x_prev = state.x, state.x_prev
-    alg = cfg.algorithm
-    if alg == "GD":
+        for k in range(1, cfg.K):
+            y = y - eta * oracle.grad_h(y, stream_fork(token, k))
+            ys.append(y)
+        calls_f, calls_h = 1, cfg.K - 1
+    elif cfg.algorithm == "GD":
         if oracle.exact_grad_f is None:
             raise ValueError("GD requires an exact gradient of f")
-        y = x - cfg.eta * oracle.exact_grad_f(x)
-        new = replace(state, x_prev=x, x=y, y=y, t=state.t + 1, k=1,
-                      calls_f=state.calls_f + 1)
-        return CycleResult(new, (y,))
-    if alg == "SGDm":
-        m = (1.0 - cfg.a) * state.m + cfg.a * oracle.grad_f(x, stream_fork(token, 0))
-        y = x - cfg.eta * m
-        new = replace(state, x_prev=x, x=y, y=y, m=m, t=state.t + 1, k=1,
-                      calls_f=state.calls_f + 1)
-        return CycleResult(new, (y,))
-    if alg == "MVR":
-        tok = stream_fork(token, 0)
-        g_now = oracle.grad_f(x, tok)
-        g_prev = oracle.grad_f(x_prev, tok)
-        m = (1.0 - cfg.a) * state.m + cfg.a * g_now + (1.0 - cfg.a) * (g_now - g_prev)
-        y = x - cfg.eta * m
-        new = replace(state, x_prev=x, x=y, y=y, m=m, t=state.t + 1, k=1,
-                      calls_f=state.calls_f + 2)
-        return CycleResult(new, (y,))
-    if alg == "FineTune":
+        ys.append(x - eta * oracle.exact_grad_f(x))
+        calls_f = 1
+    else:  # FineTune
         # First split_fraction * (T*K) global steps run SGDm on h, the rest on f.
         # The momentum buffer is reset when the phase flips.
         switch = cfg.split_fraction * cfg.T * cfg.K
         y = x.copy()
-        m = state.m
-        ys = []
-        calls_f = calls_h = 0
         for k in range(1, cfg.K + 1):
             step = state.t * cfg.K + k
             on_h = step <= switch
-            if not on_h and state.t * cfg.K + k - 1 <= switch:
+            if not on_h and step - 1 <= switch:
                 m = np.zeros_like(m)  # phase switch
             tok = stream_fork(token, k)
             g = oracle.grad_h(y, tok) if on_h else oracle.grad_f(y, tok)
             calls_h += on_h
             calls_f += not on_h
-            m = (1.0 - cfg.a) * m + cfg.a * g
-            y = y - cfg.eta * m
+            m = (1.0 - a) * m + a * g
+            y = y - eta * m
             ys.append(y)
-        new = replace(state, x_prev=x, x=y, y=y, m=m, t=state.t + 1, k=cfg.K,
-                      calls_f=state.calls_f + calls_f, calls_h=state.calls_h + calls_h)
-        return CycleResult(new, tuple(ys))
-    raise ValueError(f"{alg} is not a baseline algorithm")
-
-
-_CYCLE_FNS = {
-    "Naive": naive_cycle,
-    "AuxMOM": auxmom_cycle,
-    "AuxMOM_V0": auxmom_v0_cycle,
-    "AuxMVR": auxmvr_cycle,
-    "SGDm": baseline_cycle,
-    "MVR": baseline_cycle,
-    "GD": baseline_cycle,
-    "FineTune": baseline_cycle,
-}
+    y = ys[-1]
+    new = replace(
+        state,
+        x_prev=x,
+        x=y,
+        y=y,
+        m=m,
+        t=state.t + 1,
+        k=len(ys),
+        calls_f=state.calls_f + calls_f,
+        calls_h=state.calls_h + calls_h,
+        calls_fmh=state.calls_fmh + calls_fmh,
+    )
+    return CycleResult(new, tuple(ys))
 
 
 def run(
@@ -349,8 +266,9 @@ def run(
     if x0 is None:
         x0 = np.ones(oracle.dim)
     state = init_state(x0, oracle, cfg, token)
-    cycle_fn = _CYCLE_FNS[cfg.algorithm]
     exact = oracle.has_exact_gradients
+    spec = MOMENTUM.get(cfg.algorithm)
+    track_e = diagnostics_on and exact and spec is not None and spec.fmh
 
     traj = Trajectory(metadata={"algorithm": cfg.algorithm, "eta": cfg.eta, "a": cfg.a,
                                 "K": cfg.K, "T": cfg.T})
@@ -365,11 +283,11 @@ def run(
                                    state.calls_f, state.calls_h, state.calls_fmh))
 
     for t in range(1, cfg.T + 1):
-        result = cycle_fn(state, oracle, cfg, stream_fork(token, t))
+        result = cycle(state, oracle, cfg, stream_fork(token, t))
         snapshot = state.x
         new = result.state
         e_t = None
-        if diagnostics_on and exact and cfg.algorithm in _FMH_MOMENTUM:
+        if track_e:
             e_t = float(np.sum((new.m - oracle.exact_grad_f_minus_h(snapshot)) ** 2))
         for k, y in enumerate(result.inner_iterates, start=1):
             if not np.all(np.isfinite(y)):

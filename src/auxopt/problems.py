@@ -60,7 +60,7 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
     )
 
 
-def _check_symmetric_psd(a: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
+def check_symmetric_psd(a: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
@@ -83,8 +83,8 @@ def make_quadratic_nd(
     analytically; the gradient bias and the curvature gap are independent
     knobs (b_h shifts gradients without touching Hessians).
     """
-    a_f = _check_symmetric_psd(a_f, "a_f")
-    a_h = _check_symmetric_psd(a_h, "a_h")
+    a_f = check_symmetric_psd(a_f, "a_f")
+    a_h = check_symmetric_psd(a_h, "a_h")
     if a_f.shape != a_h.shape:
         raise ValueError("a_f and a_h must have the same shape")
     dim = a_f.shape[0]

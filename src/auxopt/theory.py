@@ -1,4 +1,4 @@
-"""Prescribed hyperparameter formulas, similarity/bias estimators, diagnostics.
+"""Prescribed hyperparameter formulas and similarity/bias estimators.
 
 The step-size and momentum formulas carry explicit numeric constants; a
 tighter variant of the same derivation yields slightly different values,
@@ -12,8 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Array, OraclePair, RandomToken, rng_from_token, stream_fork
-from .optimizers import OptimizerState
+from .core import Array, RandomToken, rng_from_token, stream_fork
 
 # The formulas below use these constants; a tighter variant of the same
 # derivation gives the alternate values noted per entry.
@@ -55,11 +54,6 @@ class BiasEstimate:
     zeta_sq: float
 
 
-def _safe_min(*branches: float) -> float:
-    # Degenerate branches (division by zero) enter the min as +inf.
-    return min(b for b in branches)
-
-
 def auxmom_beta(p: TheoryParams) -> float:
     """Variance inflation factor of the momentum method's dominant term."""
     sf2 = p.sigma_f**2
@@ -86,7 +80,7 @@ def auxmom_params(p: TheoryParams) -> tuple[float, float, float]:
         branch = math.sqrt(p.F0 / var_denom)
         if branch > 0:  # guard against underflow of tiny F0 / huge denom
             branches.append(branch)
-    eta = _safe_min(*branches)
+    eta = min(branches)
     a = max(1.0 / p.T, CONSTANTS["mom_a"] * p.delta * p.K * eta)
     return eta, min(a, 1.0), beta
 
@@ -110,7 +104,7 @@ def auxmvr_params(p: TheoryParams) -> tuple[float, float]:
         branch = math.sqrt(p.F0 / (p.K * p.T * (p.L / 2 + 8 * p.delta * p.K)))
         if branch > 0:  # guard against underflow of tiny F0
             branches.append(branch)
-    eta = _safe_min(*branches)
+    eta = min(branches)
     a = max(1.0 / p.T, CONSTANTS["mvr_a"] * p.delta**2 * p.K**2 * eta**2)
     return eta, min(a, 1.0)
 
@@ -205,22 +199,3 @@ def estimate_bias(
     zeta_sq = float(np.max(b - m * g, initial=0.0))
     return BiasEstimate(m=m, zeta_sq=max(zeta_sq, 0.0))
 
-
-def diagnostics(
-    state: OptimizerState,
-    oracle: OraclePair,
-    inner_iterates: Optional[Sequence[Array]] = None,
-) -> tuple[float, float, float]:
-    """Momentum error E^t, cycle displacement Delta^t, and gradient average G^t.
-
-    E^t compares the momentum against the exact (grad f - grad h) at the
-    previous snapshot; G^t averages ||grad f||^2 over the inner iterates
-    (falling back to the current iterate when they are not supplied).
-    """
-    if not oracle.has_exact_gradients:
-        raise ValueError("diagnostics require exact gradients")
-    e_t = float(np.sum((state.m - oracle.exact_grad_f_minus_h(state.x_prev)) ** 2))
-    delta_t = float(np.sum((state.x - state.x_prev) ** 2))
-    ys = inner_iterates if inner_iterates is not None else [state.y]
-    g_t = float(np.mean([np.sum(oracle.exact_grad_f(y) ** 2) for y in ys]))
-    return e_t, delta_t, g_t

@@ -287,7 +287,7 @@ def test_criterion_10_semisupervised_logistic():
                 task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"),
                 RandomToken(seed),
             )
-            oracle = logistic_oracle(f_task, h_task, batch_size=128, hessian_gap=0.0)
+            oracle = logistic_oracle(f_task, h_task, batch_size=128)
             x0 = np.zeros(oracle.dim)
             aux = run(oracle, OptimizerConfig("AuxMOM", eta=0.5, a=0.1, K=10, T=40),
                       RandomToken(seed), x0=x0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auxopt import core
 from auxopt.core import (
     NoiseSpec,
     RandomToken,
@@ -161,6 +162,18 @@ class TestGaussianOracle:
         tok = RandomToken(7, 2)
         diff = oracle.grad_f_minus_h(x, tok)
         assert np.allclose(diff, oracle.grad_f(x, tok) - oracle.grad_h(x, tok), atol=1e-15)
+
+    def test_deterministic_spec_draws_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("noise drawn for a deterministic spec")
+
+        monkeypatch.setattr(core, "draw_gaussian_noise", no_draw)
+        oracle = self._oracle(NoiseSpec())
+        x = np.array([1.0, -0.0, 3.0])
+        tok = RandomToken(7, 2)
+        assert np.array_equal(oracle.grad_f(x, tok), x)
+        assert np.array_equal(oracle.grad_h(x, tok), 2 * x)
+        assert np.array_equal(oracle.grad_f_minus_h(x, tok), -x)
 
     def test_exact_gradients_exposed(self):
         oracle = self._oracle(NoiseSpec())

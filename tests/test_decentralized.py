@@ -9,7 +9,7 @@ from auxopt.decentralized import (
     run_decentralized,
     sample_helpers,
 )
-from auxopt.optimizers import OptimizerConfig, auxmom_cycle, init_state
+from auxopt.optimizers import OptimizerConfig, cycle, init_state
 from auxopt.problems import make_toy_pair
 
 TOK = RandomToken(0)
@@ -69,9 +69,9 @@ class TestDecentralizedCycle:
         x_dec, sampled = decentralized_cycle(x, hs, cfg, TOK)
         assert sampled == [0]
         state = init_state(x, oracle, cfg, TOK)
-        x_single = auxmom_cycle(state, oracle, cfg, TOK).state.x
+        x_single = cycle(state, oracle, cfg, TOK).state.x
         assert np.allclose(x_dec, x_single, atol=1e-15)
-        assert np.allclose(hs.momenta[0], auxmom_cycle(state, oracle, cfg, TOK).state.m)
+        assert np.allclose(hs.momenta[0], cycle(state, oracle, cfg, TOK).state.m)
 
     def test_averaging(self):
         # two deterministic helpers whose inner loops end at different points:

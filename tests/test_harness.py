@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auxopt import cli, harness
 from auxopt.core import RandomToken, rng_from_token
@@ -379,3 +385,80 @@ class TestCli:
         path = self._write(tmp_path, toy_config())
         assert cli.main(["sweep", "--config", path, "--axis", "algorithm.K",
                          "--values", "1,banana"]) == 2
+
+
+def _set_field(raw: dict, path: str, value):
+    *parents, last = path.split(".")
+    for part in parents:
+        raw = raw[part]
+    raw[last] = value
+
+
+def _main_quietly(args):
+    """cli.main with stdout dropped; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, err.getvalue()
+
+
+NON_SYMMETRIC = {"quadratic_nd": {"a_f": [[1.0, 0.5], [0.0, 1.0]],
+                                  "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0, 1.0]}}
+
+FUZZ_FIELDS = ("version", "problem", "problem.toy", "problem.toy.delta", "problem.toy.zeta",
+               "algorithm", "algorithm.name", "algorithm.eta", "algorithm.a", "algorithm.K",
+               "algorithm.T", "algorithm.m0_mode", "algorithm.split_fraction", "noise",
+               "noise.sigma_f", "noise.sigma_h", "noise.rho", "seed", "params_mode",
+               "repeats", "output_path", "x0", "diagnostics")
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("field,value,where", [
+        ("algorithm.K", True, "algorithm.K"),
+        ("algorithm.T", True, "algorithm.T"),
+        ("seed", True, "seed"),
+        ("repeats", True, "repeats"),
+        ("diagnostics", "no", "diagnostics"),
+        ("algorithm.eta", 1e400, "algorithm.eta"),
+        ("problem.toy.delta", "big", "problem.toy.delta"),
+        ("problem.toy.zeta", "big", "problem.toy.zeta"),
+        ("noise", {"sigma_f": "big"}, "noise.sigma_f"),
+        ("problem", NON_SYMMETRIC, "problem.quadratic_nd.a_f"),
+        ("x0", [1.0, 2.0], "x0"),
+        ("x0", ["one"], "x0"),
+        ("output_path", "a\0b", "output_path"),
+    ])
+    def test_exit_2_names_field(self, tmp_path, field, value, where):
+        raw = toy_config()
+        _set_field(raw, field, value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["run", "--config", str(path)])
+        assert code == 2
+        assert err.startswith(f"config error: {where}: ")
+
+    def test_malformed_libsvm_exit_2(self, tmp_path):
+        raw = logistic_config(tmp_path)
+        (tmp_path / "data.libsvm").write_text("1 1:1 3:1\n2 3:1 2:1\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["run", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("config error: problem.logistic.path: line 2")
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(FUZZ_FIELDS),
+           value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                           st.lists(st.floats(), max_size=2), st.just(1e400)))
+    def test_fuzzed_field_exits_cleanly(self, field, value):
+        raw = toy_config(noise={"sigma_f": 1.0, "sigma_h": 0.5, "rho": 0.2},
+                         params_mode="manual", repeats=1, output_path="fuzz", x0=[1.0],
+                         diagnostics=True)
+        raw["algorithm"].update(K=2, T=2, m0_mode="single_sample", split_fraction=0.5)
+        _set_field(raw, field, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(raw))
+            code, err = _main_quietly(["run", "--config", str(path), "--out", tmp])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err

@@ -7,7 +7,7 @@ from auxopt.core import NoiseSpec, RandomToken
 from auxopt.optimizers import (
     DivergenceError,
     OptimizerConfig,
-    auxmvr_cycle,
+    cycle,
     init_state,
     local_update_step,
     run,
@@ -150,7 +150,7 @@ class TestEquivalences:
         x0 = np.array([1.0])
         state = init_state(x0, oracle, cfg, TOK)
         assert np.allclose(state.m, oracle.exact_grad_f_minus_h(x0))
-        result = auxmvr_cycle(state, oracle, cfg, TOK)
+        result = cycle(state, oracle, cfg, TOK)
         assert np.allclose(result.state.m, oracle.exact_grad_f_minus_h(x0), atol=1e-15)
 
 

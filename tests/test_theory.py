@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auxopt.core import RandomToken, rng_from_token
-from auxopt.optimizers import OptimizerConfig, OptimizerState, run
+from auxopt.optimizers import OptimizerConfig, run
 from auxopt.problems import (
     HelperBuild,
     LogisticTask,
@@ -21,7 +21,6 @@ from auxopt.theory import (
     auxmom_params,
     auxmvr_params,
     default_probe_points,
-    diagnostics,
     estimate_bias,
     estimate_delta,
 )
@@ -221,28 +220,32 @@ class TestEstimateBias:
 
 
 class TestDiagnostics:
+    """E^t, Delta^t and G^t as ``run`` records them with diagnostics on."""
+
     def test_e_zero_for_exact_momentum(self):
+        # AuxMVR from m0 = (grad f - grad h)(x0) with x_prev = x0 keeps m1 = m0
+        # exactly when a = 1/2, so the first cycle's momentum error is zero.
         oracle = make_toy_pair(0.5, 2.0)
-        x = np.array([1.0])
-        state = OptimizerState(x_prev=x, x=x, y=x, m=oracle.exact_grad_f_minus_h(x))
-        e_t, _, _ = diagnostics(state, oracle)
-        assert e_t == 0.0
+        cfg = OptimizerConfig("AuxMVR", eta=0.1, a=0.5, K=3, T=2)
+        traj = run(oracle, cfg, RandomToken(0), diagnostics_on=True, x0=np.array([1.0]))
+        first = [row.E_t for row in traj.rows if row.t == 1]
+        assert first == [0.0] * 3
 
     def test_no_movement(self):
+        # x0 = 0 is the fixed point of f = x^2/2 with h = (x - 1)^2/2
         oracle = make_toy_pair(0.0, 1.0)
-        x = np.array([2.0])
-        state = OptimizerState(x_prev=x, x=x, y=x, m=np.zeros(1))
-        _, delta_t, g_t = diagnostics(state, oracle)
-        assert delta_t == 0.0
-        assert g_t == pytest.approx(4.0)
+        cfg = OptimizerConfig("AuxMOM", eta=0.5, a=1.0, K=2, T=3)
+        traj = run(oracle, cfg, RandomToken(0), diagnostics_on=True, x0=np.array([0.0]))
+        assert all(row.Delta_t == 0.0 for row in traj.rows if row.t > 0)
+        assert traj.cycle_grad_means() == [0.0] * 3
 
     def test_g_averages_inner_iterates(self):
+        # h == f: Naive halves x on every step, 1 -> 0.5 -> 0.25 in cycle one
         oracle = make_toy_pair(0.0, 0.0)
-        x = np.array([0.0])
-        state = OptimizerState(x_prev=x, x=x, y=x, m=np.zeros(1))
-        ys = [np.array([1.0]), np.array([2.0])]
-        _, _, g_t = diagnostics(state, oracle, inner_iterates=ys)
-        assert g_t == pytest.approx(2.5)
+        cfg = OptimizerConfig("Naive", eta=0.5, K=2, T=1)
+        traj = run(oracle, cfg, RandomToken(0), diagnostics_on=True, x0=np.array([1.0]))
+        assert traj.cycle_grad_means() == [pytest.approx((0.25 + 0.0625) / 2)]
+        assert [row.Delta_t for row in traj.rows[1:]] == [0.25, 0.5625]
 
 
 class TestTheoremGuidedRun:
