@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,27 @@ from auxopt.core import (
     rng_from_token,
     stream_fork,
 )
+
+
+def tuple_entropy_fork(parent: RandomToken, label: int) -> RandomToken:
+    """``stream_fork`` as first written: SeedSequence over a tuple of Python ints."""
+    ss = np.random.SeedSequence(entropy=(
+        parent.stream_id & ((1 << 128) - 1),
+        parent.draw_index & ((1 << 64) - 1),
+        int(label) & ((1 << 64) - 1),
+    ))
+    return RandomToken(int.from_bytes(ss.generate_state(4, np.uint32).tobytes(), "little"), 0)
+
+
+def two_call_noise(spec: NoiseSpec, token: RandomToken, dim: int, n=None):
+    """The correlated pair from two ``standard_normal`` calls on a fresh generator."""
+    rng = rng_from_token(token)
+    shape = (dim,) if n is None else (n, dim)
+    z1 = rng.standard_normal(shape)
+    z2 = rng.standard_normal(shape)
+    scale = 1.0 / math.sqrt(dim)
+    return (spec.sigma_f * scale * z1,
+            spec.sigma_h * scale * (spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2))
 
 
 class TestRandomToken:
@@ -63,6 +86,14 @@ class TestStreamFork:
     def test_fork_total_and_stable(self, sid, label):
         parent = RandomToken(sid)
         assert stream_fork(parent, label) == stream_fork(parent, label)
+
+    @given(st.integers(min_value=0, max_value=2**160),
+           st.integers(min_value=0, max_value=2**70),
+           st.integers(min_value=-1, max_value=2**70))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_entropy_formula(self, sid, draw, label):
+        parent = RandomToken(sid, draw)
+        assert stream_fork(parent, label) == tuple_entropy_fork(parent, label)
 
 
 class TestNoiseSpec:
@@ -124,6 +155,45 @@ class TestDrawGaussianNoise:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             draw_gaussian_noise(NoiseSpec(), RandomToken(0), 0)
+
+    @given(st.integers(min_value=1, max_value=64),
+           st.sampled_from([None, 1, 3]),
+           st.floats(min_value=-1, max_value=1),
+           st.integers(min_value=0, max_value=2**160),
+           st.integers(min_value=0, max_value=2**70))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_draws_on_fresh_generator(self, dim, n, rho, sid, draw):
+        spec = NoiseSpec(sigma_f=1.3, sigma_h=0.7, rho=rho)
+        token = RandomToken(sid, draw)
+        got = draw_gaussian_noise(spec, token, dim, n)
+        want = two_call_noise(spec, token, dim, n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_threads_draw_what_a_serial_run_draws(self):
+        spec = NoiseSpec(sigma_f=1.0, sigma_h=0.5, rho=0.3)
+        jobs = [[(RandomToken(1000 * w + i, i % 7), 1 + (i * 5 + w) % 9, (None, 2)[i % 2])
+                 for i in range(200)] for w in range(4)]
+        serial = [[draw_gaussian_noise(spec, *job) for job in lane] for lane in jobs]
+        threaded = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(w):
+            start.wait()
+            threaded[w] = [draw_gaussian_noise(spec, *job) for job in jobs[w]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for lane_s, lane_t in zip(serial, threaded):
+            for (sf, sh), (tf, th) in zip(lane_s, lane_t):
+                assert np.array_equal(sf, tf) and np.array_equal(sh, th)
 
 
 class TestGaussianOracle:

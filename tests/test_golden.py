@@ -1,8 +1,9 @@
 """Byte-level pins of the program's outputs.
 
 Each digest is the SHA-256 of files or arrays the program writes for a fixed
-input.  Only 1-D problems are used, so no BLAS reduction order enters a
-digest: a digest moves only when the arithmetic or the random streams do.
+input.  Only 1-D problems and raw noise arrays are used, so no BLAS
+reduction order enters a digest: a digest moves only when the arithmetic or
+the random streams do.
 A change that alters output bytes on purpose must update the digests here
 and say so in CHANGES.md.
 """
@@ -12,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from auxopt.core import NoiseSpec, RandomToken
+from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork
 from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
 from auxopt.harness import load_config, run_experiment
 from auxopt.optimizers import ALGORITHMS, OptimizerConfig
@@ -59,6 +60,49 @@ def decentralized_digest(variant: str) -> str:
     h.update(np.stack(helpers.momenta).tobytes())
     return h.hexdigest()
 
+
+FORK_BITS = (0, 1, 31, 32, 33, 64, 96, 127, 128)
+FORK_DRAWS = (0, 1, 2**32, 2**64 - 1)
+FORK_LABELS = (0, 1, 10, 2**32, 2**64 - 1, -1)
+PATTERN = 0x9E3779B97F4A7C15F39CC0605CEDC834  # fills the bits below the top one
+
+
+def stream_id_of_bits(bits: int) -> int:
+    """A stream id whose bit length is exactly ``bits``."""
+    if bits == 0:
+        return 0
+    return (1 << (bits - 1)) | (PATTERN & ((1 << (bits - 1)) - 1))
+
+
+def fork_digest() -> str:
+    """SHA-256 over the child stream ids of a grid of parents and labels."""
+    h = hashlib.sha256()
+    for bits in FORK_BITS:
+        for draw in FORK_DRAWS:
+            for label in FORK_LABELS:
+                child = stream_fork(RandomToken(stream_id_of_bits(bits), draw), label)
+                h.update(child.stream_id.to_bytes(16, "little"))
+                h.update(child.draw_index.to_bytes(8, "little"))
+    return h.hexdigest()
+
+
+def noise_digest() -> str:
+    """SHA-256 over raw ``draw_gaussian_noise`` pairs across shapes, rho and tokens."""
+    h = hashlib.sha256()
+    for dim in (1, 2, 7, 64):
+        for n in (None, 5):
+            for rho in (0.0, 0.5, -1.0):
+                for draw in (0, 3):
+                    spec = NoiseSpec(sigma_f=1.0, sigma_h=0.8, rho=rho)
+                    token = RandomToken(stream_id_of_bits(128), draw)
+                    nf, nh = draw_gaussian_noise(spec, token, dim, n)
+                    h.update(nf.tobytes())
+                    h.update(nh.tobytes())
+    return h.hexdigest()
+
+
+FORKS = "61dad9ff430891cc18feecdfa3cac58da52a00e5a5a9a4dff05762898cd63675"
+NOISE = "0f1c3bf20b2e309323a5b4bb9a076ebf486530bf9ad17353d02dd06e15c10b1d"
 
 NOISY_CSV = {
     ("Naive", "single_sample"):
@@ -144,3 +188,11 @@ def test_noise_free_toy_csvs(algorithm, tmp_path):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_decentralized_snapshots(variant):
     assert decentralized_digest(variant) == DECENTRALIZED[variant]
+
+
+def test_stream_fork_children():
+    assert fork_digest() == FORKS
+
+
+def test_draw_gaussian_noise_arrays():
+    assert noise_digest() == NOISE
