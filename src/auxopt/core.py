@@ -4,10 +4,17 @@ Parameters, gradients, and momenta are plain 1-D float64 numpy arrays.  All
 stochastic draws are keyed by a :class:`RandomToken`, so the same token always
 reproduces the same noise realization and independent runs never share RNG
 state.
+
+Generators are owned or borrowed.  :func:`rng_from_token` returns a fresh
+generator that the caller owns and may keep.  :func:`draw_gaussian_noise`
+borrows the calling thread's one Philox generator, sets its state from the
+token, draws and drops it before returning; a function may borrow only in
+that way, never holding the borrowed generator across another call.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,6 +24,7 @@ Array = np.ndarray
 
 _KEY_MASK = (1 << 128) - 1
 _COUNTER_MASK = (1 << 64) - 1
+_WORD_MASK = (1 << 32) - 1
 
 
 def as_vector(x, dim: Optional[int] = None) -> Array:
@@ -47,15 +55,61 @@ class RandomToken:
         return RandomToken(self.stream_id, self.draw_index + 1)
 
 
-def rng_from_token(token: RandomToken) -> np.random.Generator:
-    """Counter-based generator keyed by (stream_id, draw_index).
+def _philox_key_counter(token: RandomToken) -> tuple[int, int]:
+    """Philox key and counter word of a token.
 
-    Distinct draw indices use disjoint Philox counter blocks, so draws from
-    different indices of the same stream never overlap.
+    The counter is ``[0, 0, word, 0]``, so distinct draw indices use disjoint
+    counter blocks and draws from different indices never overlap.
     """
-    key = token.stream_id & _KEY_MASK
-    counter = (token.draw_index & _COUNTER_MASK) << 128
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return token.stream_id & _KEY_MASK, token.draw_index & _COUNTER_MASK
+
+
+def rng_from_token(token: RandomToken) -> np.random.Generator:
+    """A fresh counter-based generator keyed by (stream_id, draw_index).
+
+    The caller owns it and may hold it across other calls.
+    """
+    key, word = _philox_key_counter(token)
+    return np.random.Generator(np.random.Philox(key=key, counter=word << 128))
+
+
+class _ThreadPhilox(threading.local):
+    """One Philox generator per thread, borrowed by :func:`draw_gaussian_noise`."""
+
+    def __init__(self):
+        self.bit_generator = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self.bit_generator)
+
+
+_THREAD_PHILOX = _ThreadPhilox()
+
+
+def _borrow_generator(token: RandomToken) -> np.random.Generator:
+    """This thread's generator, in the state ``rng_from_token(token)`` starts in."""
+    key, word = _philox_key_counter(token)
+    local = _THREAD_PHILOX
+    local.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, word, 0), "key": (key & _COUNTER_MASK, key >> 64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return local.generator
+
+
+def _uint32_words(*values: int) -> Array:
+    """The uint32 array SeedSequence makes of a tuple of nonnegative ints: the
+    little-endian 32-bit words of each, at least one word per int."""
+    words = []
+    for v in values:
+        words.append(v & _WORD_MASK)
+        v >>= 32
+        while v:
+            words.append(v & _WORD_MASK)
+            v >>= 32
+    return np.array(words, dtype=np.uint32)
 
 
 def stream_fork(parent: RandomToken, label: int) -> RandomToken:
@@ -64,13 +118,11 @@ def stream_fork(parent: RandomToken, label: int) -> RandomToken:
     Distinct labels give statistically independent streams; the same
     (parent, label) always gives the same child.
     """
-    ss = np.random.SeedSequence(
-        entropy=(
-            parent.stream_id & _KEY_MASK,
-            parent.draw_index & _COUNTER_MASK,
-            int(label) & _COUNTER_MASK,
-        )
-    )
+    ss = np.random.SeedSequence(entropy=_uint32_words(
+        parent.stream_id & _KEY_MASK,
+        parent.draw_index & _COUNTER_MASK,
+        int(label) & _COUNTER_MASK,
+    ))
     child_id = int.from_bytes(ss.generate_state(4, np.uint32).tobytes(), "little")
     return RandomToken(child_id, 0)
 
@@ -112,14 +164,13 @@ def draw_gaussian_noise(
 
     Per-coordinate variances are sigma^2/dim so the expected squared norm of
     each vector equals sigma^2.  With ``n`` set, returns ``(n, dim)`` arrays
-    of independent paired draws from the same stream.
+    of independent paired draws from the same stream.  The draws are those of
+    two ``standard_normal(shape)`` calls on ``rng_from_token(token)``.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = rng_from_token(token)
     shape = (dim,) if n is None else (n, dim)
-    z1 = rng.standard_normal(shape)
-    z2 = rng.standard_normal(shape)
+    z1, z2 = _borrow_generator(token).standard_normal((2,) + shape)
     scale = 1.0 / math.sqrt(dim)
     noise_f = spec.sigma_f * scale * z1
     noise_h = spec.sigma_h * scale * (spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2)

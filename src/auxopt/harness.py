@@ -109,6 +109,8 @@ def load_config(text: str) -> ExperimentConfig:
     tag = next(iter(problem))
     _require(tag in _PROBLEM_TYPES, f"problem.{tag}", "unknown problem type")
     _validate_problem(tag, problem[tag])
+    _require(tag != "logistic" or "noise" not in raw, "noise",
+             "logistic gradients are minibatch estimates; a noise block has no effect")
 
     alg_raw = raw["algorithm"]
     _check_keys(alg_raw, {"name", "eta", "a", "K", "T", "m0_mode", "split_fraction"},
@@ -200,10 +202,31 @@ def _validate_problem(tag: str, body: Any):
         batch = body.get("batch_size")
         _require(batch is None or _integer(batch) and batch >= 1, f"{path}.batch_size",
                  "must be null or an integer >= 1")
+        l2_reg = body.get("l2_reg", 0.0)
+        _require(_number(l2_reg) and l2_reg >= 0, f"{path}.l2_reg",
+                 "must be a finite nonnegative number")
+        split = body.get("split", [1 / 3, 1 / 3, 1 / 3])
+        _require(isinstance(split, list) and len(split) == 3
+                 and all(_number(f) and f > 0 for f in split)
+                 and math.isclose(sum(split), 1.0, rel_tol=1e-9), f"{path}.split",
+                 "must be three positive numbers that sum to 1")
         helper = body["helper"]
         _check_keys(helper, {"kind", "fraction", "indices"}, {"kind"}, f"{path}.helper")
-        _require(helper["kind"] in ("random_labels", "coreset", "subset_batch"),
+        kind = helper["kind"]
+        _require(kind in ("random_labels", "coreset", "subset_batch"),
                  f"{path}.helper.kind", "unknown helper kind")
+        if "fraction" in helper:
+            _require(kind == "coreset", f"{path}.helper.fraction", "only a coreset helper has one")
+            fraction = helper["fraction"]
+            _require(_number(fraction) and 0 < fraction <= 1, f"{path}.helper.fraction",
+                     "must lie in (0, 1]")
+        if kind == "subset_batch" or "indices" in helper:
+            _require(kind == "subset_batch", f"{path}.helper.indices",
+                     "only a subset_batch helper has them")
+            indices = helper.get("indices")
+            _require(isinstance(indices, list) and indices
+                     and all(_integer(i) and i >= 0 for i in indices),
+                     f"{path}.helper.indices", "must be a nonempty list of train-part row numbers")
 
 
 def load_config_file(path: str) -> ExperimentConfig:

@@ -275,7 +275,7 @@ def run(
 
     def observe(x: Array):
         f_val = oracle.f_value(x) if oracle.f_value is not None else None
-        g_sq = float(np.sum(oracle.exact_grad_f(x) ** 2)) if exact else None
+        g_sq = float((oracle.exact_grad_f(x) ** 2).sum()) if exact else None
         return f_val, g_sq
 
     f0, g0 = observe(state.x)
@@ -288,14 +288,14 @@ def run(
         new = result.state
         e_t = None
         if track_e:
-            e_t = float(np.sum((new.m - oracle.exact_grad_f_minus_h(snapshot)) ** 2))
+            e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot)) ** 2).sum())
         for k, y in enumerate(result.inner_iterates, start=1):
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise DivergenceError(f"non-finite iterate at cycle {t}, step {k}", traj)
             f_val, g_sq = observe(y)
             if f_val is not None and f_val > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"f exceeded {DIVERGENCE_LIMIT:g} at cycle {t}", traj)
-            delta = float(np.sum((y - snapshot) ** 2)) if diagnostics_on else None
+            delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
             traj.rows.append(TrajectoryRow(t, k, f_val, g_sq, e_t, delta,
                                            new.calls_f, new.calls_h, new.calls_fmh))
         state = new

@@ -29,6 +29,14 @@ from .core import (
 # Quadratic pairs
 # ---------------------------------------------------------------------------
 
+def _square(v: float) -> float:
+    """``v ** 2`` by Python's float pow, or inf where that overflows."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> OraclePair:
     """1-D pair f(x) = x^2/2 helped by h(x) = (1+delta)/2 (x - zeta/(1+delta))^2.
 
@@ -50,12 +58,12 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
         grad_h,
         noise,
         dim=1,
-        f_value=lambda x: 0.5 * float(x[0]) ** 2,
-        h_value=lambda x: 0.5 * (1.0 + delta) * (float(x[0]) - zeta / (1.0 + delta)) ** 2,
+        f_value=lambda x: 0.5 * _square(float(x[0])),
+        h_value=lambda x: 0.5 * (1.0 + delta) * _square(float(x[0]) - zeta / (1.0 + delta)),
         lipschitz=1.0 + delta,
         hessian_gap=delta,
-        bias_m=2.0 * delta**2,
-        bias_zeta_sq=2.0 * zeta**2,
+        bias_m=2.0 * _square(delta),
+        bias_zeta_sq=2.0 * _square(zeta),
         f_star=0.0,
     )
 

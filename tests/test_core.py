@@ -188,9 +188,10 @@ class TestDrawGaussianNoise:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         for lane_s, lane_t in zip(serial, threaded):
             for (sf, sh), (tf, th) in zip(lane_s, lane_t):
                 assert np.array_equal(sf, tf) and np.array_equal(sh, th)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auxopt import cli, harness
@@ -402,6 +402,16 @@ def _main_quietly(args):
     return code, err.getvalue()
 
 
+def logistic_block(kind="random_labels", **fields) -> dict:
+    """A logistic problem block with one helper kind and extra fields; its data
+    file does not exist, so only load-time checks can reject it."""
+    helper = {"kind": kind}
+    for key in ("fraction", "indices"):
+        if key in fields:
+            helper[key] = fields.pop(key)
+    return {"logistic": {"path": "missing.libsvm", "helper": helper, **fields}}
+
+
 NON_SYMMETRIC = {"quadratic_nd": {"a_f": [[1.0, 0.5], [0.0, 1.0]],
                                   "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0, 1.0]}}
 
@@ -427,6 +437,24 @@ class TestInputErrors:
         ("x0", [1.0, 2.0], "x0"),
         ("x0", ["one"], "x0"),
         ("output_path", "a\0b", "output_path"),
+        ("problem", logistic_block(l2_reg="x"), "problem.logistic.l2_reg"),
+        ("problem", logistic_block(l2_reg=-1.0), "problem.logistic.l2_reg"),
+        ("problem", logistic_block(split="x"), "problem.logistic.split"),
+        ("problem", logistic_block(split=[0.5, 0.5]), "problem.logistic.split"),
+        ("problem", logistic_block(split=[0.5, 0.6, -0.1]), "problem.logistic.split"),
+        ("problem", logistic_block(kind="coreset", fraction="x"),
+         "problem.logistic.helper.fraction"),
+        ("problem", logistic_block(kind="coreset", fraction=0),
+         "problem.logistic.helper.fraction"),
+        ("problem", logistic_block(fraction=0.5), "problem.logistic.helper.fraction"),
+        ("problem", logistic_block(kind="subset_batch"), "problem.logistic.helper.indices"),
+        ("problem", logistic_block(kind="subset_batch", indices="x"),
+         "problem.logistic.helper.indices"),
+        ("problem", logistic_block(kind="subset_batch", indices=[0, -1]),
+         "problem.logistic.helper.indices"),
+        ("problem", logistic_block(kind="subset_batch", indices=[1.5]),
+         "problem.logistic.helper.indices"),
+        ("problem", logistic_block(indices=[0]), "problem.logistic.helper.indices"),
     ])
     def test_exit_2_names_field(self, tmp_path, field, value, where):
         raw = toy_config()
@@ -436,6 +464,25 @@ class TestInputErrors:
         code, err = _main_quietly(["run", "--config", str(path)])
         assert code == 2
         assert err.startswith(f"config error: {where}: ")
+
+    def test_noise_on_logistic_exit_2(self, tmp_path):
+        raw = logistic_config(tmp_path)
+        raw["noise"] = {"sigma_f": 5.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["run", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("config error: noise: ")
+
+    def test_huge_toy_bias_exits_3_with_partial_csv(self, tmp_path):
+        raw = toy_config(problem={"toy": {"delta": 1.0, "zeta": 1e300}})
+        raw["algorithm"]["name"] = "Naive"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "Traceback" not in err
+        assert (tmp_path / "experiment_rep0_partial.csv").exists()
 
     def test_malformed_libsvm_exit_2(self, tmp_path):
         raw = logistic_config(tmp_path)
@@ -449,7 +496,9 @@ class TestInputErrors:
     @settings(max_examples=60, deadline=None)
     @given(field=st.sampled_from(FUZZ_FIELDS),
            value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),
-                           st.lists(st.floats(), max_size=2), st.just(1e400)))
+                           st.lists(st.floats(), max_size=2), st.just(1e400),
+                           st.just(1e300), st.just(-1e300)))
+    @example(field="problem.toy.zeta", value=1e300)
     def test_fuzzed_field_exits_cleanly(self, field, value):
         raw = toy_config(noise={"sigma_f": 1.0, "sigma_h": 0.5, "rho": 0.2},
                          params_mode="manual", repeats=1, output_path="fuzz", x0=[1.0],

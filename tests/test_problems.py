@@ -54,6 +54,29 @@ class TestToyPair:
         with pytest.raises(ValueError):
             make_toy_pair(-0.1, 0.0)
 
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_values_are_python_pow_or_inf(self, x, delta, zeta):
+        def pow_or_inf(v):
+            try:
+                return v**2
+            except OverflowError:
+                return float("inf")
+
+        oracle = make_toy_pair(delta, zeta)
+        c = 1.0 + delta
+        assert oracle.f_value(np.array([x])) == 0.5 * pow_or_inf(x)
+        assert oracle.h_value(np.array([x])) == 0.5 * c * pow_or_inf(x - zeta / c)
+        assert oracle.bias_m == 2.0 * pow_or_inf(delta)
+        assert oracle.bias_zeta_sq == 2.0 * pow_or_inf(zeta)
+
+    def test_huge_constants_give_inf(self):
+        oracle = make_toy_pair(1e300, -1e300)
+        assert oracle.bias_m == oracle.bias_zeta_sq == float("inf")
+        assert oracle.f_value(np.array([1e200])) == float("inf")
+
     def test_bias_bound_witness(self):
         # ||grad f - grad h||^2 <= 2 delta^2 ||grad f||^2 + 2 zeta^2 everywhere
         delta, zeta = 0.7, 3.0
