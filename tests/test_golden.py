@@ -13,10 +13,11 @@ import json
 import numpy as np
 import pytest
 
+from auxopt import cli
 from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork
 from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
-from auxopt.harness import load_config, run_experiment
-from auxopt.optimizers import ALGORITHMS, OptimizerConfig
+from auxopt.harness import load_config, run_experiment, run_sweep
+from auxopt.optimizers import ALGORITHMS, DivergenceError, OptimizerConfig
 from auxopt.problems import make_toy_pair
 
 M0_MODES = ("single_sample", "zero", "big_batch")
@@ -38,14 +39,48 @@ def toy_config(algorithm: str, m0_mode: str, noise: dict) -> dict:
     }
 
 
+def tree_digest(out_dir) -> str:
+    """SHA-256 over the relative names and bytes of every file under ``out_dir``."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        h.update(path.relative_to(out_dir).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def csv_digest(raw: dict, out_dir) -> str:
     """SHA-256 over the names and bytes of every file ``run_experiment`` writes."""
     run_experiment(load_config(json.dumps(raw)), str(out_dir))
-    h = hashlib.sha256()
-    for path in sorted(out_dir.iterdir()):
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    return tree_digest(out_dir)
+
+
+SWEEP_K = (1, 3, 17)  # K = 17 puts more than 8 steps into each per-cycle mean
+
+
+def sweep_config(noisy: bool = True) -> dict:
+    """Three repeats of AuxMOM; noise-free with a larger step, some K reach the
+    sweep threshold, so ``iters_to_threshold`` has both empty and set cells."""
+    raw = toy_config("AuxMOM", "single_sample", NOISY if noisy else {})
+    raw["repeats"] = 3
+    if not noisy:
+        raw["algorithm"].update(eta=0.4, a=1.0)
+    return raw
+
+
+def diverging_config() -> dict:
+    raw = toy_config("GD", "single_sample", {})
+    raw["algorithm"]["eta"] = 50.0
+    return raw
+
+
+def cli_stdout_digest(args: list, raw: dict, tmp_path, capsys) -> str:
+    """SHA-256 of ``cli.main`` stdout on ``raw``, with the output directory masked."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([args[0], "--config", str(config), *args[1:], "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    return hashlib.sha256(stdout.encode()).hexdigest()
 
 
 def decentralized_digest(variant: str) -> str:
@@ -166,6 +201,17 @@ EXACT_CSV = {
     "FineTune": "54c4acaa2595c17cdc275f69d04ab7c8cebb59dc9793f8f76e1eec4290e54273",
 }
 
+SWEEP_FILES = {
+    True: "58bbdeabcd8567c90b1370c27a6d5b6794f292af2b23c73a5b5978c36f4ceed2",
+    False: "18c51e3e9b576735e1b575b185174bc278ebe6f6fb5f9a32af7b9c17ca1ffd53",
+}
+DIVERGING_PARTIAL = "d94890bd3324a4e97091ad86cab2de9a7c5d3955750dc27e111a47ae4781c2d5"
+CLI_RUN = "09cb8725414cbccac90dccefbb2f91833b18bad01ffe42412c09650d33212d7d"
+CLI_SWEEP = {
+    True: "4f0576bef3486657a0ba250c6d3c1b5aef9a59fd2866cfbec25fcb0c8a8737f9",
+    False: "69ab59f0ce076c8f940d3f731433f08ad43f581e36234e0ad0360bdc8289db27",
+}
+
 DECENTRALIZED = {
     "AuxMOM": "a7042cbdd122a89f5c53bd11d099fe8b33833afc8366d8c765350bc6bca34ccb",
     "AuxMVR": "2f18217c23b41427d870482fe390565e87adca4a35df53e3ff029222f4289ca4",
@@ -188,6 +234,31 @@ def test_noise_free_toy_csvs(algorithm, tmp_path):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_decentralized_snapshots(variant):
     assert decentralized_digest(variant) == DECENTRALIZED[variant]
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_sweep_files(noisy, tmp_path):
+    cfg = load_config(json.dumps(sweep_config(noisy)))
+    run_sweep(cfg, "algorithm.K", SWEEP_K, str(tmp_path))
+    assert (tmp_path / "sweep_summary.csv").exists()
+    assert tree_digest(tmp_path) == SWEEP_FILES[noisy]
+
+
+def test_diverging_partial_csv(tmp_path):
+    with pytest.raises(DivergenceError):
+        run_experiment(load_config(json.dumps(diverging_config())), str(tmp_path))
+    partial = tmp_path / "golden_rep0_partial.csv"
+    assert hashlib.sha256(partial.read_bytes()).hexdigest() == DIVERGING_PARTIAL
+
+
+def test_cli_run_stdout(tmp_path, capsys):
+    assert cli_stdout_digest(["run"], sweep_config(), tmp_path, capsys) == CLI_RUN
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_cli_sweep_stdout(noisy, tmp_path, capsys):
+    args = ["sweep", "--axis", "algorithm.K", "--values", ",".join(map(str, SWEEP_K))]
+    assert cli_stdout_digest(args, sweep_config(noisy), tmp_path, capsys) == CLI_SWEEP[noisy]
 
 
 def test_stream_fork_children():

@@ -130,6 +130,14 @@ class TestCsv:
             assert a.grad_norm_sq == b.grad_norm_sq
             assert (a.calls_f, a.calls_h, a.calls_fmh) == (b.calls_f, b.calls_h, b.calls_fmh)
 
+    def test_round_trip_hand_written_bytes(self):
+        text = ("t,k,f_value,grad_norm_sq,E_t,Delta_t,calls_f,calls_h,calls_fmh\n"
+                "0,0,inf,-0,,,0,0,1\n"
+                "1,1,-inf,4.9406564584124654e-324,0.10000000000000001,,1,10,2\n"
+                "1,2,-0,0.10000000000000001,,2.5,1,20,2\n"
+                "2,1,,,-2.5,4.9406564584124654e-324,123456789,30,3\n")
+        assert trajectory_to_csv(trajectory_from_csv(text)) == text
+
     def test_aggregate_is_mean_of_repeats(self, tmp_path):
         cfg = load_config(json.dumps(toy_config(
             repeats=3, noise={"sigma_f": 1.0, "sigma_h": 1.0})))
