@@ -61,7 +61,7 @@ def main():
     for name, traj in (("AuxMOM", aux), ("SGDm", sgd)):
         x_final = np.asarray(traj.metadata["final_x"])
         last = traj.rows[-1]
-        print(f"{name:7}: f-budget={last.calls_f + last.calls_fmh:4d}  "
+        print(f"{name:7}: f-budget={int(last.calls_f + last.calls_fmh):4d}  "
               f"train loss={f_task.loss(x_final):.4f}  "
               f"test loss={test_task.loss(x_final):.4f}")
 

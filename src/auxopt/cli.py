@@ -70,11 +70,10 @@ def _cmd_run(args) -> int:
     last = trajectories[-1].rows[-1]
     print(f"completed {cfg.repeats} repeat(s) of {cfg.algorithm.algorithm}: "
           f"T={cfg.algorithm.T}, K={cfg.algorithm.K}")
-    if last.f_value is not None:
-        print(f"final f = {last.f_value:.6g}")
-    if last.grad_norm_sq is not None:
-        print(f"final ||grad f||^2 = {last.grad_norm_sq:.6g}")
-    print(f"gradient calls: f={last.calls_f} h={last.calls_h} f-h={last.calls_fmh}")
+    for name, label in (("f_value", "f"), ("grad_norm_sq", "||grad f||^2")):
+        if not np.isnan(last[name]):
+            print(f"final {label} = {last[name]:.6g}")
+    print(f"gradient calls: f={last.calls_f:.0f} h={last.calls_h:.0f} f-h={last.calls_fmh:.0f}")
     if args.out:
         print(f"wrote CSVs to {args.out}")
     return EXIT_OK

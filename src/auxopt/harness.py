@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 import math
 import sys
@@ -15,17 +16,16 @@ from . import problems, theory
 from .core import NoiseSpec, OraclePair, RandomToken, as_vector, stream_fork
 from .optimizers import (
     ALGORITHMS,
+    CSV_COLUMNS,
     DivergenceError,
     OptimizerConfig,
     Trajectory,
-    TrajectoryRow,
     run,
 )
 
 SCHEMA_VERSION = 1
 
-CSV_COLUMNS = ("t", "k", "f_value", "grad_norm_sq", "E_t", "Delta_t",
-               "calls_f", "calls_h", "calls_fmh")
+SUMMARY_COLUMNS = ("value", "final_G", "iters_to_threshold", "calls_f", "calls_h", "calls_fmh")
 
 GRAD_THRESHOLD = 1e-6  # sweep summary: cycles until ||grad f||^2 falls below
 
@@ -268,6 +268,10 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
         indices=helper_raw.get("indices"),
     )
     split = body.get("split", (1 / 3, 1 / 3, 1 / 3))
+    if helper.indices is not None:
+        n_train = problems.split_sizes(task.n_samples, split)[0]
+        _require(max(helper.indices) < n_train, f"{path}.helper.indices",
+                 f"must be below the train-part size {n_train}")
     f_task, h_task, _ = _at(path, problems.build_semisupervised,
                             task, split, helper, RandomToken(cfg.seed))
     return problems.logistic_oracle(f_task, h_task, batch_size=body.get("batch_size"))
@@ -321,58 +325,44 @@ def resolve_params(cfg: ExperimentConfig, oracle: OraclePair,
 # CSV persistence
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if v is None:
+def _cell(v) -> str:
+    """Empty for None or NaN, ``str`` for a Python int, ``.17g`` otherwise."""
+    if v is None or v != v:
         return ""
     if isinstance(v, int):
         return str(v)
-    return format(float(v), ".17g")
+    return format(v, ".17g")
+
+
+def _csv(header: Sequence[str], rows) -> str:
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in traj.rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.t, r.k, r.f_value, r.grad_norm_sq, r.E_t, r.Delta_t,
-            r.calls_f, r.calls_h, r.calls_fmh,
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_COLUMNS, traj.rows.tolist())
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
-    lines = text.strip().splitlines()
-    if lines[0] != ",".join(CSV_COLUMNS):
+    table = np.genfromtxt(io.StringIO(text), delimiter=",", names=True, ndmin=1)
+    if table.dtype.names != CSV_COLUMNS:
         raise ValueError("unexpected CSV header")
-    traj = Trajectory()
-    for line in lines[1:]:
-        cells = line.split(",")
-        opt = [None if c == "" else float(c) for c in cells[2:6]]
-        traj.rows.append(TrajectoryRow(
-            int(cells[0]), int(cells[1]), opt[0], opt[1], opt[2], opt[3],
-            int(cells[6]), int(cells[7]), int(cells[8]),
-        ))
-    return traj
+    return Trajectory(table.view(np.recarray))
 
 
 def _aggregate(trajectories: Sequence[Trajectory]) -> str:
-    """Per-row mean over repeats; a cell is empty when any repeat lacks it.
+    """Per-row mean over repeats, cut to the shortest; NaN (an empty cell)
+    wherever any repeat lacks the value.
 
-    Each column is reduced as a C-ordered (rows x repeats) array along its
-    last axis, which sums every row in the same order as ``np.mean`` of that
-    row alone, so the bytes match a per-cell mean for any repeat count.
+    The repeats are stacked as (rows x columns x repeats) and reduced along
+    the last, C-contiguous axis, which sums each cell in the same order as
+    ``np.mean`` of that cell alone, so the bytes match a per-cell mean for
+    any repeat count.
     """
     n_rows = min(len(t.rows) for t in trajectories)
-    by_row = list(zip(*(t.rows[:n_rows] for t in trajectories)))
-    columns = [[str(rows[0].t) for rows in by_row], [str(rows[0].k) for rows in by_row]]
-    for attr in CSV_COLUMNS[2:]:
-        vals = [[getattr(r, attr) for r in rows] for rows in by_row]
-        missing = [any(v is None for v in row) for row in vals]
-        means = np.array([[0.0 if v is None else v for v in row] for row in vals],
-                         dtype=np.float64).mean(axis=1).tolist()
-        columns.append(["" if miss else format(m, ".17g")
-                        for miss, m in zip(missing, means)])
-    lines = [",".join(CSV_COLUMNS)] + [",".join(cells) for cells in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    cells = np.stack([t.rows[:n_rows].view(np.float64).reshape(n_rows, -1)
+                      for t in trajectories], axis=-1)
+    return _csv(CSV_COLUMNS, cells.mean(axis=-1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -478,27 +468,22 @@ def run_sweep(
         g_means = [t.cycle_grad_means() for t in trajs]
         final_g = (float(np.mean([g[-1] for g in g_means]))
                    if all(g for g in g_means) else None)
-        iters = []
+        hits = []
         for traj in trajs:
-            hit = next((row.t for row in traj.cycle_ends()
-                        if row.grad_norm_sq is not None and row.grad_norm_sq < threshold),
-                       None)
-            iters.append(hit)
+            ends = traj.cycle_ends()
+            below = ends.t[ends.grad_norm_sq < threshold]
+            hits.append(below[0] if below.size else np.nan)
+        iters = float(np.mean(hits))
         last = trajs[0].rows[-1]
         summaries.append({
             "value": cast,
             "final_G": final_g,
-            "iters_to_threshold": (float(np.mean(iters))
-                                   if all(i is not None for i in iters) else None),
-            "calls_f": last.calls_f,
-            "calls_h": last.calls_h,
-            "calls_fmh": last.calls_fmh,
+            "iters_to_threshold": None if math.isnan(iters) else iters,
+            "calls_f": int(last.calls_f),
+            "calls_h": int(last.calls_h),
+            "calls_fmh": int(last.calls_fmh),
         })
     if out_dir is not None:
-        path = Path(out_dir) / "sweep_summary.csv"
-        header = ["value", "final_G", "iters_to_threshold", "calls_f", "calls_h", "calls_fmh"]
-        lines = [",".join(header)]
-        for s in summaries:
-            lines.append(",".join(_fmt(s[h]) for h in header))
-        path.write_text("\n".join(lines) + "\n")
+        (Path(out_dir) / "sweep_summary.csv").write_text(_csv(
+            SUMMARY_COLUMNS, ([s[h] for h in SUMMARY_COLUMNS] for s in summaries)))
     return summaries

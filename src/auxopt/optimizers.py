@@ -72,41 +72,38 @@ class CycleResult:
     inner_iterates: tuple[Array, ...]  # y^t_1 .. y^t_K (or the baseline steps)
 
 
-@dataclass
-class TrajectoryRow:
-    t: int
-    k: int
-    f_value: Optional[float]
-    grad_norm_sq: Optional[float]
-    E_t: Optional[float]
-    Delta_t: Optional[float]
-    calls_f: int
-    calls_h: int
-    calls_fmh: int
+CSV_COLUMNS = ("t", "k", "f_value", "grad_norm_sq", "E_t", "Delta_t",
+               "calls_f", "calls_h", "calls_fmh")
+
+
+def row_table(rows=()) -> np.recarray:
+    """Rows in ``CSV_COLUMNS`` order as a float64 record array; None becomes NaN."""
+    cells = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+    return cells.view([(name, np.float64) for name in CSV_COLUMNS])[:, 0].view(np.recarray)
 
 
 @dataclass
 class Trajectory:
-    rows: list[TrajectoryRow] = field(default_factory=list)
+    """One row per inner step, fields ``CSV_COLUMNS``; NaN marks an empty cell."""
+
+    rows: np.recarray = field(default_factory=row_table)
     metadata: dict = field(default_factory=dict)
 
     def final_grad_norm_sq(self) -> float:
-        return self.rows[-1].grad_norm_sq
+        return float(self.rows.grad_norm_sq[-1])
 
-    def cycle_ends(self) -> list[TrajectoryRow]:
-        by_t: dict[int, TrajectoryRow] = {}
-        for row in self.rows:
-            if row.t > 0:
-                by_t[row.t] = row
-        return [by_t[t] for t in sorted(by_t)]
+    def cycle_ends(self) -> np.recarray:
+        """The last row of each cycle t >= 1."""
+        t = self.rows.t
+        return self.rows[(np.diff(t, append=np.inf) != 0) & (t > 0)]
 
     def cycle_grad_means(self) -> list[float]:
         """G^t: per-cycle mean of ||grad f(y^t_k)||^2 over the inner steps."""
-        sums: dict[int, list[float]] = {}
-        for row in self.rows:
-            if row.t > 0 and row.grad_norm_sq is not None:
-                sums.setdefault(row.t, []).append(row.grad_norm_sq)
-        return [float(np.mean(sums[t])) for t in sorted(sums)]
+        t, g = self.rows.t, self.rows.grad_norm_sq
+        keep = (t > 0) & ~np.isnan(g)
+        t, g = t[keep], g[keep]
+        cycles = np.split(g, np.flatnonzero(np.diff(t)) + 1) if g.size else []
+        return [float(np.mean(c)) for c in cycles]
 
 
 @dataclass(frozen=True)
@@ -270,35 +267,40 @@ def run(
     spec = MOMENTUM.get(cfg.algorithm)
     track_e = diagnostics_on and exact and spec is not None and spec.fmh
 
-    traj = Trajectory(metadata={"algorithm": cfg.algorithm, "eta": cfg.eta, "a": cfg.a,
-                                "K": cfg.K, "T": cfg.T})
+    metadata = {"algorithm": cfg.algorithm, "eta": cfg.eta, "a": cfg.a, "K": cfg.K, "T": cfg.T}
 
     def observe(x: Array):
         f_val = oracle.f_value(x) if oracle.f_value is not None else None
         g_sq = float((oracle.exact_grad_f(x) ** 2).sum()) if exact else None
         return f_val, g_sq
 
-    f0, g0 = observe(state.x)
-    traj.rows.append(TrajectoryRow(0, 0, f0, g0, None, None,
-                                   state.calls_f, state.calls_h, state.calls_fmh))
+    rows = []
 
-    for t in range(1, cfg.T + 1):
-        result = cycle(state, oracle, cfg, stream_fork(token, t))
-        snapshot = state.x
-        new = result.state
-        e_t = None
-        if track_e:
-            e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot)) ** 2).sum())
-        for k, y in enumerate(result.inner_iterates, start=1):
-            if not np.isfinite(y).all():
-                raise DivergenceError(f"non-finite iterate at cycle {t}, step {k}", traj)
-            f_val, g_sq = observe(y)
-            if f_val is not None and f_val > DIVERGENCE_LIMIT:
-                raise DivergenceError(f"f exceeded {DIVERGENCE_LIMIT:g} at cycle {t}", traj)
-            delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
-            traj.rows.append(TrajectoryRow(t, k, f_val, g_sq, e_t, delta,
-                                           new.calls_f, new.calls_h, new.calls_fmh))
-        state = new
+    def diverged(message: str) -> DivergenceError:
+        return DivergenceError(message, Trajectory(row_table(rows), metadata))
 
-    traj.metadata["final_x"] = state.x.tolist()
-    return traj
+    # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows.append((0, 0, *observe(state.x), None, None,
+                     state.calls_f, state.calls_h, state.calls_fmh))
+        for t in range(1, cfg.T + 1):
+            result = cycle(state, oracle, cfg, stream_fork(token, t))
+            snapshot = state.x
+            new = result.state
+            e_t = None
+            if track_e:
+                e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot)) ** 2).sum())
+            for k, y in enumerate(result.inner_iterates, start=1):
+                if not np.isfinite(y).all():
+                    raise diverged(f"non-finite iterate at cycle {t}, step {k}")
+                f_val, g_sq = observe(y)
+                if f_val is not None and not f_val <= DIVERGENCE_LIMIT:
+                    raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
+                                   f"(limit {DIVERGENCE_LIMIT:g})")
+                delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
+                rows.append((t, k, f_val, g_sq, e_t, delta,
+                             new.calls_f, new.calls_h, new.calls_fmh))
+            state = new
+
+    metadata["final_x"] = state.x.tolist()
+    return Trajectory(row_table(rows), metadata)

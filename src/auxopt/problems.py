@@ -303,6 +303,13 @@ class HelperBuild:
             raise ValueError(f"unknown helper kind {self.kind!r}")
 
 
+def split_sizes(n: int, split) -> list[int]:
+    """Part sizes of ``n`` rows: floors of the fractions, the remainder to the first."""
+    sizes = [int(math.floor(f * n)) for f in split]
+    sizes[0] += n - sum(sizes)
+    return sizes
+
+
 def build_semisupervised(
     task: LogisticTask,
     split: tuple[float, float, float],
@@ -311,16 +318,14 @@ def build_semisupervised(
 ) -> tuple[LogisticTask, LogisticTask, LogisticTask]:
     """Split into (train, test, unlabeled) and build the helper over the last part.
 
-    Split sizes are floors of the fractions with the remainder going to the
-    train part; the shuffle and any random labels are deterministic in
-    ``seed``.
+    Split sizes come from :func:`split_sizes`; the shuffle and any random
+    labels are deterministic in ``seed``.
     """
     fr = tuple(float(f) for f in split)
     if len(fr) != 3 or any(f <= 0 for f in fr) or not math.isclose(sum(fr), 1.0, rel_tol=1e-9):
         raise ValueError("split fractions must be positive and sum to 1")
     n = task.n_samples
-    sizes = [int(math.floor(f * n)) for f in fr]
-    sizes[0] += n - sum(sizes)
+    sizes = split_sizes(n, fr)
     if any(s == 0 for s in sizes):
         raise ValueError("split produces an empty part")
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from auxopt.harness import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from auxopt.optimizers import DivergenceError, Trajectory, TrajectoryRow
+from auxopt.optimizers import DivergenceError, Trajectory, row_table
 from auxopt.problems import make_synthetic_classification, write_libsvm
 from auxopt.theory import TheoryParams, auxmom_params
 
@@ -153,10 +154,10 @@ class TestCsv:
             lines = [",".join(CSV_COLUMNS)]
             for i in range(min(len(t.rows) for t in trajectories)):
                 rows = [t.rows[i] for t in trajectories]
-                cells = [str(rows[0].t), str(rows[0].k)]
+                cells = [str(int(rows[0].t)), str(int(rows[0].k))]
                 for attr in CSV_COLUMNS[2:]:
                     vals = [getattr(r, attr) for r in rows]
-                    cells.append("" if any(v is None for v in vals)
+                    cells.append("" if any(np.isnan(v) for v in vals)
                                  else format(float(np.mean(vals)), ".17g"))
                 lines.append(",".join(cells))
             return "\n".join(lines) + "\n"
@@ -164,15 +165,15 @@ class TestCsv:
         rng = rng_from_token(RandomToken(repeats))
         trajectories = []
         for r in range(repeats):
-            traj = Trajectory()
+            rows = []
             for i in range(40 + r):  # ragged: the aggregate stops at the shortest
                 scale = 10.0 ** rng.integers(-8, 8, 4)
                 f, g, e, d = (float(v) for v in rng.standard_normal(4) * scale)
-                traj.rows.append(TrajectoryRow(
+                rows.append((
                     i // 4, i % 4, f, abs(g), None if i == 0 else e,
                     None if i % 7 == 3 and r == repeats - 1 else d,
                     int(rng.integers(0, 10**6)), i, 3 * i))
-            trajectories.append(traj)
+            trajectories.append(Trajectory(row_table(rows)))
         assert _aggregate(trajectories) == reference(trajectories)
 
     def test_run_experiment_deterministic_bytes(self, tmp_path):
@@ -412,7 +413,8 @@ def _main_quietly(args):
 
 def logistic_block(kind="random_labels", **fields) -> dict:
     """A logistic problem block with one helper kind and extra fields; its data
-    file does not exist, so only load-time checks can reject it."""
+    file does not exist unless ``path`` names one, so by default only
+    load-time checks can reject it."""
     helper = {"kind": kind}
     for key in ("fraction", "indices"):
         if key in fields:
@@ -463,8 +465,12 @@ class TestInputErrors:
         ("problem", logistic_block(kind="subset_batch", indices=[1.5]),
          "problem.logistic.helper.indices"),
         ("problem", logistic_block(indices=[0]), "problem.logistic.helper.indices"),
+        ("problem", logistic_block(kind="subset_batch", indices=[0, 1000000],
+                                   path="data.libsvm"), "problem.logistic.helper.indices"),
     ])
-    def test_exit_2_names_field(self, tmp_path, field, value, where):
+    def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
+        logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
+        monkeypatch.chdir(tmp_path)
         raw = toy_config()
         _set_field(raw, field, value)
         path = tmp_path / "cfg.json"
@@ -491,6 +497,28 @@ class TestInputErrors:
         assert code == 3
         assert "Traceback" not in err
         assert (tmp_path / "experiment_rep0_partial.csv").exists()
+
+    def test_huge_eta_prints_only_divergence(self, tmp_path):
+        raw = toy_config()
+        raw["algorithm"]["eta"] = 1e300
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert err.startswith("divergence: ") and err.count("\n") == 1
+
+    def test_nan_f_exits_3_with_partial_csv(self, tmp_path, monkeypatch):
+        def nan_f(cfg):
+            return replace(build_oracle(cfg), f_value=lambda x: float("nan"))
+
+        monkeypatch.setattr(harness, "build_oracle", nan_f)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(toy_config()))
+        code, err = _main_quietly(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert err.startswith("divergence: f = nan at cycle 1, step 1")
+        partial = trajectory_from_csv((tmp_path / "experiment_rep0_partial.csv").read_text())
+        assert len(partial.rows) == 1 and np.isnan(partial.rows[0].f_value)
 
     def test_malformed_libsvm_exit_2(self, tmp_path):
         raw = logistic_config(tmp_path)
