@@ -84,7 +84,8 @@ def row_table(rows=()) -> np.recarray:
 
 @dataclass
 class Trajectory:
-    """One row per inner step, fields ``CSV_COLUMNS``; NaN marks an empty cell."""
+    """Row 0 for the initial point, then one row per inner step, with fields
+    ``CSV_COLUMNS``; NaN marks an empty cell."""
 
     rows: np.recarray = field(default_factory=row_table)
     metadata: dict = field(default_factory=dict)
