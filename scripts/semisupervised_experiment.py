@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from auxopt import (
-    HelperBuild,
     LogisticTask,
     OptimizerConfig,
     RandomToken,
@@ -44,8 +43,7 @@ def main():
     task = LogisticTask(features, map_labels_to_pm1(labels))
 
     f_task, h_task, test_task = build_semisupervised(
-        task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"),
-        RandomToken(args.seed),
+        task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(args.seed)
     )
     oracle = logistic_oracle(f_task, h_task, batch_size=args.batch_size)
     x0 = np.zeros(oracle.dim)

@@ -6,10 +6,11 @@ reproduces the same noise realization and independent runs never share RNG
 state.
 
 Generators are owned or borrowed.  :func:`rng_from_token` returns a fresh
-generator that the caller owns and may keep.  :func:`draw_gaussian_noise`
-borrows the calling thread's one Philox generator, sets its state from the
-token, draws and drops it before returning; a function may borrow only in
-that way, never holding the borrowed generator across another call.
+generator that the caller owns and may keep.  :func:`borrow_generator`
+returns the calling thread's one Philox generator with its state set from the
+token; a caller that draws once and drops it (:func:`draw_gaussian_noise`,
+minibatch and helper sampling) borrows, and never holds the borrowed
+generator across another call.
 """
 from __future__ import annotations
 
@@ -51,9 +52,6 @@ class RandomToken:
     stream_id: int
     draw_index: int = 0
 
-    def next(self) -> "RandomToken":
-        return RandomToken(self.stream_id, self.draw_index + 1)
-
 
 def _philox_key_counter(token: RandomToken) -> tuple[int, int]:
     """Philox key and counter word of a token.
@@ -74,7 +72,7 @@ def rng_from_token(token: RandomToken) -> np.random.Generator:
 
 
 class _ThreadPhilox(threading.local):
-    """One Philox generator per thread, borrowed by :func:`draw_gaussian_noise`."""
+    """One Philox generator per thread, lent out by :func:`borrow_generator`."""
 
     def __init__(self):
         self.bit_generator = np.random.Philox(key=0)
@@ -84,8 +82,11 @@ class _ThreadPhilox(threading.local):
 _THREAD_PHILOX = _ThreadPhilox()
 
 
-def _borrow_generator(token: RandomToken) -> np.random.Generator:
-    """This thread's generator, in the state ``rng_from_token(token)`` starts in."""
+def borrow_generator(token: RandomToken) -> np.random.Generator:
+    """This thread's generator, in the state ``rng_from_token(token)`` starts in.
+
+    Draw from it and drop it before calling anything that may borrow again.
+    """
     key, word = _philox_key_counter(token)
     local = _THREAD_PHILOX
     local.bit_generator.state = {
@@ -170,7 +171,7 @@ def draw_gaussian_noise(
     if dim < 1:
         raise ValueError("dim must be >= 1")
     shape = (dim,) if n is None else (n, dim)
-    z1, z2 = _borrow_generator(token).standard_normal((2,) + shape)
+    z1, z2 = borrow_generator(token).standard_normal((2,) + shape)
     scale = 1.0 / math.sqrt(dim)
     noise_f = spec.sigma_f * scale * z1
     noise_h = spec.sigma_h * scale * (spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2)
@@ -187,8 +188,8 @@ class OraclePair:
     """Stochastic gradient sources for the target f and the helper h.
 
     The three stochastic gradients are unbiased.  When ``grad_f`` and
-    ``grad_h`` receive the same token their noise realizations are correlated
-    per ``noise_spec``.  Analytic constants (smoothness, Hessian gap, bias
+    ``grad_h`` receive the same token their noise realizations may be
+    correlated.  Analytic constants (smoothness, Hessian gap, bias
     bound, minimum value) are carried when the problem family knows them.
     """
 
@@ -196,7 +197,6 @@ class OraclePair:
     grad_f: GradFn
     grad_h: GradFn
     grad_f_minus_h: GradFn
-    noise_spec: NoiseSpec
     exact_grad_f: Optional[ExactGradFn] = None
     exact_grad_h: Optional[ExactGradFn] = None
     f_value: Optional[ValueFn] = None
@@ -254,7 +254,6 @@ def gaussian_oracle(
         grad_f=grad_f,
         grad_h=grad_h,
         grad_f_minus_h=grad_f_minus_h,
-        noise_spec=noise_spec,
         exact_grad_f=exact_grad_f,
         exact_grad_h=exact_grad_h,
         **extras,

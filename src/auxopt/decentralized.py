@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, OraclePair, RandomToken, rng_from_token, stream_fork
+from .core import Array, OraclePair, RandomToken, borrow_generator, rng_from_token, stream_fork
 from .optimizers import OptimizerConfig, OptimizerState, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
@@ -18,15 +18,12 @@ class HelperSet:
     """N helper oracles with persistent per-helper momenta.
 
     Momenta of unsampled helpers are left untouched by a cycle.  Each helper
-    draws noise from its own token lane; ``token_labels`` exists so tests can
-    force matched noise across helpers.
+    draws noise from its own token lane.
     """
 
     oracles: list[OraclePair]
     s: int
     momenta: list[Array] = field(default_factory=list)
-    token_labels: Optional[list[int]] = None
-    calls_f: int = 0
     calls_h: int = 0
     calls_fmh: int = 0
 
@@ -41,22 +38,16 @@ class HelperSet:
             raise ValueError("helpers must share the parameter dimension")
         if not self.momenta:
             self.momenta = [np.zeros(dim) for _ in range(n)]
-        if self.token_labels is None:
-            self.token_labels = list(range(n))
 
     @property
     def n(self) -> int:
         return len(self.oracles)
 
-    @property
-    def dim(self) -> int:
-        return self.oracles[0].dim
-
 
 def sample_helpers(token: RandomToken, n: int, s: int) -> list[int]:
     """Uniform sample of s helper indices without replacement, sorted."""
-    rng = rng_from_token(token)
-    return sorted(int(i) for i in rng.choice(n, size=s, replace=False))
+    chosen = borrow_generator(token).choice(n, size=s, replace=False)
+    return sorted(int(i) for i in chosen)
 
 
 def decentralized_cycle(
@@ -71,8 +62,8 @@ def decentralized_cycle(
     with its own momentum; the next snapshot is the average of their final
     iterates.
 
-    Helper i draws under ``stream_fork(stream_fork(token, 1), label_i)``,
-    the token layout of a single-helper cycle, and is billed what that cycle
+    Helper i draws under ``stream_fork(stream_fork(token, 1), i)``, the
+    token layout of a single-helper cycle, and is billed what that cycle
     bills.  Mutates the sampled helpers' momenta; returns (x', sampled).
     """
     if variant not in VARIANTS:
@@ -83,9 +74,8 @@ def decentralized_cycle(
     lanes = stream_fork(token, 1)
     finals = []
     for i in sampled:
-        state = OptimizerState(x_prev=x_prev, x=x, y=x, m=helpers.momenta[i])
-        new = cycle(state, helpers.oracles[i], cfg,
-                    stream_fork(lanes, helpers.token_labels[i])).state
+        state = OptimizerState(x_prev=x_prev, x=x, m=helpers.momenta[i])
+        new = cycle(state, helpers.oracles[i], cfg, stream_fork(lanes, i)).state
         helpers.momenta[i] = new.m
         helpers.calls_h += new.calls_h
         helpers.calls_fmh += new.calls_fmh

@@ -131,8 +131,12 @@ def load_config(text: str) -> ExperimentConfig:
     a = alg_raw.get("a", 1.0)
     _require(_number(a) and 0 < a <= 1, "algorithm.a",
              "must lie in (0, 1]")
-    _require(_number(alg_raw.get("split_fraction", 0.5)), "algorithm.split_fraction",
-             "must be a number")
+    m0_mode = alg_raw.get("m0_mode", "single_sample")
+    _require(m0_mode in ("zero", "single_sample", "big_batch"), "algorithm.m0_mode",
+             f"unknown m0_mode {m0_mode!r}")
+    split_fraction = alg_raw.get("split_fraction", 0.5)
+    _require(_number(split_fraction) and 0 <= split_fraction <= 1, "algorithm.split_fraction",
+             "must lie in [0, 1]")
     try:
         algorithm = OptimizerConfig(
             algorithm=alg_raw["name"],
@@ -140,8 +144,8 @@ def load_config(text: str) -> ExperimentConfig:
             a=a,
             K=alg_raw["K"],
             T=alg_raw["T"],
-            m0_mode=alg_raw.get("m0_mode", "single_sample"),
-            split_fraction=alg_raw.get("split_fraction", 0.5),
+            m0_mode=m0_mode,
+            split_fraction=split_fraction,
         )
     except ValueError as exc:
         raise ConfigError("algorithm", str(exc)) from None
@@ -150,6 +154,8 @@ def load_config(text: str) -> ExperimentConfig:
     _check_keys(noise_raw, {"sigma_f", "sigma_h", "rho"}, set(), "noise")
     for key, value in noise_raw.items():
         _require(_number(value), f"noise.{key}", "must be a finite number")
+        _require(key == "rho" or value >= 0, f"noise.{key}", "must be nonnegative")
+    _require(-1 <= noise_raw.get("rho", 0.0) <= 1, "noise.rho", "must lie in [-1, 1]")
     try:
         noise = NoiseSpec(
             sigma_f=noise_raw.get("sigma_f", 0.0),
@@ -261,19 +267,15 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     features, labels = _at(f"{path}.path", problems.parse_libsvm, data_path.read_bytes())
     labels = _at(f"{path}.path", problems.map_labels_to_pm1, labels)
     task = _at(path, problems.LogisticTask, features.toarray(), labels, body.get("l2_reg", 0.0))
-    helper_raw = body["helper"]
-    helper = problems.HelperBuild(
-        kind=helper_raw["kind"],
-        fraction=helper_raw.get("fraction", 1.0),
-        indices=helper_raw.get("indices"),
-    )
+    helper = body["helper"]
+    indices = helper.get("indices")
     split = body.get("split", (1 / 3, 1 / 3, 1 / 3))
-    if helper.indices is not None:
+    if indices is not None:
         n_train = problems.split_sizes(task.n_samples, split)[0]
-        _require(max(helper.indices) < n_train, f"{path}.helper.indices",
+        _require(max(indices) < n_train, f"{path}.helper.indices",
                  f"must be below the train-part size {n_train}")
-    f_task, h_task, _ = _at(path, problems.build_semisupervised,
-                            task, split, helper, RandomToken(cfg.seed))
+    f_task, h_task, _ = _at(path, problems.build_semisupervised, task, split, helper["kind"],
+                            RandomToken(cfg.seed), helper.get("fraction", 1.0), indices)
     return problems.logistic_oracle(f_task, h_task, batch_size=body.get("batch_size"))
 
 
@@ -317,7 +319,6 @@ def resolve_params(cfg: ExperimentConfig, oracle: OraclePair,
     else:
         eta, a, beta = theory.auxmom_params(p)
         meta["beta"] = beta
-    meta.update({"theorem_eta": eta, "theorem_a": a})
     return replace(cfg.algorithm, eta=eta, a=a), meta
 
 
@@ -400,8 +401,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             raise
         traj.metadata.update(resolve_meta)
         traj.metadata["config"] = copy.deepcopy(cfg.raw)
-        traj.metadata["resolved_eta"] = opt_cfg.eta
-        traj.metadata["resolved_a"] = opt_cfg.a
         traj.metadata["repeat"] = r
         trajectories.append(traj)
         if out is not None:
@@ -433,7 +432,6 @@ def run_sweep(
     axis: str,
     values: Sequence[float],
     out_dir: Optional[str] = None,
-    threshold: float = GRAD_THRESHOLD,
 ) -> list[dict]:
     """One run_experiment per axis value; returns summary rows.
 
@@ -443,7 +441,7 @@ def run_sweep(
     Only the current build is kept, and none outlives the call.
 
     Each summary reports the final per-cycle gradient average, the cycles
-    needed to push ||grad f||^2 below ``threshold``, and the gradient-call
+    needed to push ||grad f||^2 below ``GRAD_THRESHOLD``, and the gradient-call
     budget so same-work comparisons against baselines stay checkable.
     """
     current = _get_by_path(base_cfg.raw, axis)
@@ -471,7 +469,7 @@ def run_sweep(
         hits = []
         for traj in trajs:
             ends = traj.cycle_ends()
-            below = ends.t[ends.grad_norm_sq < threshold]
+            below = ends.t[ends.grad_norm_sq < GRAD_THRESHOLD]
             hits.append(below[0] if below.size else np.nan)
         iters = float(np.mean(hits))
         last = trajs[0].rows[-1]

@@ -57,10 +57,8 @@ class OptimizerConfig:
 class OptimizerState:
     x_prev: Array  # snapshot two cycles back (AuxMVR correction point)
     x: Array  # current snapshot
-    y: Array  # inner iterate
     m: Array  # momentum
     t: int = 0
-    k: int = 0
     calls_f: int = 0
     calls_h: int = 0
     calls_fmh: int = 0
@@ -153,7 +151,6 @@ def init_state(
     return OptimizerState(
         x_prev=x0.copy(),
         x=x0.copy(),
-        y=x0.copy(),
         m=m,
         calls_f=0 if fmh else draws,
         calls_fmh=draws if fmh else 0,
@@ -232,15 +229,12 @@ def cycle(
             m = (1.0 - a) * m + a * g
             y = y - eta * m
             ys.append(y)
-    y = ys[-1]
     new = replace(
         state,
         x_prev=x,
-        x=y,
-        y=y,
+        x=ys[-1],
         m=m,
         t=state.t + 1,
-        k=len(ys),
         calls_f=state.calls_f + calls_f,
         calls_h=state.calls_h + calls_h,
         calls_fmh=state.calls_fmh + calls_fmh,

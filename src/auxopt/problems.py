@@ -19,6 +19,7 @@ from .core import (
     OraclePair,
     RandomToken,
     as_vector,
+    borrow_generator,
     gaussian_oracle,
     rng_from_token,
     stream_fork,
@@ -289,20 +290,6 @@ def exact_hessian_logistic(task: LogisticTask, x: Array) -> np.ndarray:
     return (task.features * d[:, None]).T @ task.features + task.l2_reg * np.eye(task.dim)
 
 
-@dataclass(frozen=True)
-class HelperBuild:
-    """How to manufacture a helper task: random labels, a weighted coreset,
-    or re-use of a fixed batch of rows."""
-
-    kind: str  # random_labels | coreset | subset_batch
-    fraction: float = 1.0
-    indices: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in ("random_labels", "coreset", "subset_batch"):
-            raise ValueError(f"unknown helper kind {self.kind!r}")
-
-
 def split_sizes(n: int, split) -> list[int]:
     """Part sizes of ``n`` rows: floors of the fractions, the remainder to the first."""
     sizes = [int(math.floor(f * n)) for f in split]
@@ -313,13 +300,18 @@ def split_sizes(n: int, split) -> list[int]:
 def build_semisupervised(
     task: LogisticTask,
     split: tuple[float, float, float],
-    helper: HelperBuild,
+    helper: str,
     seed: RandomToken,
+    fraction: float = 1.0,
+    indices: Optional[Sequence[int]] = None,
 ) -> tuple[LogisticTask, LogisticTask, LogisticTask]:
-    """Split into (train, test, unlabeled) and build the helper over the last part.
+    """Split into (train, test, unlabeled) and build the ``helper`` task.
 
-    Split sizes come from :func:`split_sizes`; the shuffle and any random
-    labels are deterministic in ``seed``.
+    ``helper`` is ``random_labels`` (the unlabeled part with random labels),
+    ``coreset`` (a uniform ``fraction`` of the train part, weights 1/M) or
+    ``subset_batch`` (the train-part rows ``indices``).  Split sizes come
+    from :func:`split_sizes`; the shuffle and any random labels are
+    deterministic in ``seed``.
     """
     fr = tuple(float(f) for f in split)
     if len(fr) != 3 or any(f <= 0 for f in fr) or not math.isclose(sum(fr), 1.0, rel_tol=1e-9):
@@ -329,7 +321,7 @@ def build_semisupervised(
     if any(s == 0 for s in sizes):
         raise ValueError("split produces an empty part")
 
-    perm = rng_from_token(stream_fork(seed, 0)).permutation(n)
+    perm = borrow_generator(stream_fork(seed, 0)).permutation(n)
     tr = perm[: sizes[0]]
     te = perm[sizes[0] : sizes[0] + sizes[1]]
     un = perm[sizes[0] + sizes[1] :]
@@ -344,19 +336,17 @@ def build_semisupervised(
     f_task = subtask(tr)
     test_task = subtask(te)
 
-    if helper.kind == "random_labels":
-        rng = rng_from_token(stream_fork(seed, 1))
-        rad = rng.integers(0, 2, size=len(un)) * 2.0 - 1.0
+    if helper == "random_labels":
+        rad = borrow_generator(stream_fork(seed, 1)).integers(0, 2, size=len(un)) * 2.0 - 1.0
         h_task = subtask(un, labels=rad)
-    elif helper.kind == "coreset":
-        h_task = build_coreset_helper(f_task, helper.fraction, stream_fork(seed, 2))
-    elif helper.kind == "subset_batch":
-        idx = helper.indices
-        if idx is None:
+    elif helper == "coreset":
+        h_task = build_coreset_helper(f_task, fraction, stream_fork(seed, 2))
+    elif helper == "subset_batch":
+        if indices is None:
             raise ValueError("subset_batch helper requires explicit indices")
-        h_task = subtask(tr[np.asarray(idx)])
-    else:  # pragma: no cover - HelperBuild validates kinds
-        raise AssertionError(helper.kind)
+        h_task = subtask(tr[np.asarray(indices)])
+    else:
+        raise ValueError(f"unknown helper kind {helper!r}")
     return f_task, h_task, test_task
 
 
@@ -367,8 +357,7 @@ def build_coreset_helper(task: LogisticTask, fraction: float, seed: RandomToken)
     m = int(math.floor(fraction * task.n_samples))
     if m == 0:
         raise ValueError("fraction yields an empty coreset")
-    rng = rng_from_token(seed)
-    idx = np.sort(rng.choice(task.n_samples, size=m, replace=False))
+    idx = np.sort(borrow_generator(seed).choice(task.n_samples, size=m, replace=False))
     return LogisticTask(
         task.features[idx],
         task.labels[idx],
@@ -381,14 +370,12 @@ def logistic_oracle(
     f_task: LogisticTask,
     h_task: LogisticTask,
     batch_size: Optional[int] = None,
-    hessian_gap: Optional[float] = None,
 ) -> OraclePair:
     """Oracle pair over two logistic tasks sharing a parameter space.
 
     ``batch_size`` None gives exact (deterministic) gradients; otherwise
     stochastic gradients average over a with-replacement minibatch drawn from
-    the token.  The noise_spec is zero: subsampling noise is not part of the
-    additive Gaussian model.
+    the token.  No analytic Hessian gap is carried.
     """
     if f_task.dim != h_task.dim:
         raise ValueError("tasks must share the parameter dimension")
@@ -397,7 +384,7 @@ def logistic_oracle(
     def _batch(task: LogisticTask, x: Array, token: RandomToken) -> Array:
         if batch_size is None:
             return task.grad(x)
-        rng = rng_from_token(token)
+        rng = borrow_generator(token)
         if task.weights is not None:
             idx = rng.choice(task.n_samples, size=batch_size, replace=True, p=task.weights)
         else:
@@ -418,13 +405,11 @@ def logistic_oracle(
         grad_f=grad_f,
         grad_h=grad_h,
         grad_f_minus_h=grad_f_minus_h,
-        noise_spec=NoiseSpec(),
         exact_grad_f=f_task.grad,
         exact_grad_h=h_task.grad,
         f_value=f_task.loss,
         h_value=h_task.loss,
         lipschitz=f_task.smoothness(),
-        hessian_gap=hessian_gap,
         f_star=0.0 if f_task.l2_reg == 0 else None,
     )
 

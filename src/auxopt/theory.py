@@ -33,7 +33,6 @@ class TheoryParams:
     sigma_h: float = 0.0
     sigma_fmh: float = 0.0
     F0: float = 0.0
-    E0: float = 0.0
     K: int = 1
     T: int = 1
 

@@ -11,7 +11,6 @@ from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, rng_from_to
 from auxopt.decentralized import HelperSet, run_decentralized
 from auxopt.optimizers import OptimizerConfig, local_update_step, run
 from auxopt.problems import (
-    HelperBuild,
     LibsvmParseError,
     LogisticTask,
     build_semisupervised,
@@ -195,7 +194,7 @@ def test_criterion_07_delta_estimator():
         features, labels = make_synthetic_classification(300, 20, RandomToken(71))
         task = LogisticTask(features, map_labels_to_pm1(labels))
         _, h_task, _ = build_semisupervised(
-            task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"), RandomToken(72)
+            task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(72)
         )
         true_labels = LogisticTask(h_task.features, np.ones(h_task.n_samples))
         probes = default_probe_points(20, RandomToken(73))
@@ -284,7 +283,7 @@ def test_criterion_10_semisupervised_logistic():
         wins = 0
         for seed in range(5):
             f_task, h_task, _ = build_semisupervised(
-                task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"),
+                task, (1 / 3, 1 / 3, 1 / 3), "random_labels",
                 RandomToken(seed),
             )
             oracle = logistic_oracle(f_task, h_task, batch_size=128)

@@ -1,12 +1,15 @@
+import ast
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import auxopt
 from auxopt import core
 from auxopt.core import (
     NoiseSpec,
@@ -53,10 +56,6 @@ class TestRandomToken:
         a = draw_gaussian_noise(spec, RandomToken(42, 0), 5)[0]
         b = draw_gaussian_noise(spec, RandomToken(42, 1), 5)[0]
         assert not np.array_equal(a, b)
-
-    def test_next_advances_draw_index(self):
-        tok = RandomToken(3, 0)
-        assert tok.next() == RandomToken(3, 1)
 
     @given(st.integers(min_value=0, max_value=2**160), st.integers(min_value=0, max_value=2**63))
     @settings(max_examples=50, deadline=None)
@@ -267,3 +266,13 @@ class TestAsVector:
     def test_rejects_wrong_dim(self):
         with pytest.raises(ValueError):
             as_vector([1.0, 2.0], dim=3)
+
+
+def test_export_list_is_what_init_imports():
+    """Every name in ``__all__`` resolves, and ``__all__`` is exactly the public
+    names ``auxopt/__init__.py`` imports, so ``from auxopt import *`` works."""
+    tree = ast.parse(Path(auxopt.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(auxopt.__all__) == sorted(n for n in imported if not n.startswith("_"))
+    exec("from auxopt import *", {})  # AttributeError on a name that does not resolve

@@ -1,7 +1,17 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from auxopt.core import NoiseSpec, OraclePair, RandomToken, gaussian_oracle, rng_from_token
+from auxopt.core import (
+    NoiseSpec,
+    OraclePair,
+    RandomToken,
+    gaussian_oracle,
+    rng_from_token,
+    stream_fork,
+)
 from auxopt.decentralized import (
     HelperSet,
     check_weak_convexity,
@@ -59,6 +69,16 @@ class TestSampling:
         freq = counts / counts.sum()
         assert np.all(np.abs(freq - 0.2) < 0.02)
 
+    def test_draws_what_a_fresh_generator_draws(self):
+        # sampling borrows the thread's generator; the set must be the one
+        # rng_from_token draws on the same token
+        for label in range(300):
+            token = stream_fork(RandomToken(label), 0)
+            n = 2 + label % 30
+            s = 1 + label % n
+            fresh = rng_from_token(token).choice(n, size=s, replace=False)
+            assert sample_helpers(token, n, s) == sorted(int(i) for i in fresh)
+
 
 class TestDecentralizedCycle:
     def test_n1_s1_matches_single_helper_deterministic(self):
@@ -81,11 +101,11 @@ class TestDecentralizedCycle:
         # replace h-gradients with constants: h1 pulls down by 1, h2 up by 1
         o1 = OraclePair(dim=1, grad_f=o1.grad_f, grad_h=lambda x, t: np.array([1.0]),
                        grad_f_minus_h=lambda x, t: np.array([-1.0]),
-                       noise_spec=NoiseSpec(), exact_grad_f=o1.exact_grad_f,
+                       exact_grad_f=o1.exact_grad_f,
                        exact_grad_h=lambda x: np.array([1.0]))
         o2 = OraclePair(dim=1, grad_f=o2.grad_f, grad_h=lambda x, t: np.array([-1.0]),
                        grad_f_minus_h=lambda x, t: np.array([1.0]),
-                       noise_spec=NoiseSpec(), exact_grad_f=o2.exact_grad_f,
+                       exact_grad_f=o2.exact_grad_f,
                        exact_grad_h=lambda x: np.array([-1.0]))
         cfg = OptimizerConfig("AuxMOM", eta=1.0, a=1.0, K=1, T=1)
         hs = HelperSet(oracles=[o1, o2], s=2)
@@ -119,18 +139,26 @@ class TestDecentralizedCycle:
         assert hs_mvr.calls_fmh == 6
 
     def test_merged_helpers_match_single_run(self):
-        # S = N identical helpers on the same token lane == one helper
-        noise = NoiseSpec(sigma_f=0.5, sigma_h=0.5, rho=0.2)
+        # S = N identical helpers that draw matched noise == one helper
+        def keyed(oracle):
+            """Copy of ``oracle`` whose j-th draw uses RandomToken(j), whatever
+            token it is given."""
+            draws = itertools.count()
+
+            def key(grad):
+                return lambda x, token: grad(x, RandomToken(next(draws)))
+
+            return dataclasses.replace(oracle, grad_f=key(oracle.grad_f),
+                                       grad_h=key(oracle.grad_h),
+                                       grad_f_minus_h=key(oracle.grad_f_minus_h))
+
+        pair = make_toy_pair(0.3, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5, rho=0.2))
         cfg = OptimizerConfig("AuxMOM", eta=0.05, a=0.5, K=3, T=10)
         x0 = np.array([1.0])
-        single = run_decentralized(
-            x0, HelperSet(oracles=[make_toy_pair(0.3, 1.0, noise)], s=1,
-                          token_labels=[0]),
-            cfg, RandomToken(9))
-        merged = run_decentralized(
-            x0, HelperSet(oracles=[make_toy_pair(0.3, 1.0, noise)] * 3, s=3,
-                          token_labels=[0, 0, 0]),
-            cfg, RandomToken(9))
+        single = run_decentralized(x0, HelperSet(oracles=[keyed(pair)], s=1),
+                                   cfg, RandomToken(9))
+        merged = run_decentralized(x0, HelperSet(oracles=[keyed(pair) for _ in range(3)], s=3),
+                                   cfg, RandomToken(9))
         for a, b in zip(single.snapshots, merged.snapshots):
             assert np.allclose(a, b, atol=1e-14)
 
@@ -185,8 +213,7 @@ class TestAveragingLemma:
 
 def value_only_oracle(f):
     zero = lambda x, t: np.zeros_like(x)
-    return OraclePair(dim=1, grad_f=zero, grad_h=zero, grad_f_minus_h=zero,
-                      noise_spec=NoiseSpec(), f_value=f)
+    return OraclePair(dim=1, grad_f=zero, grad_h=zero, grad_f_minus_h=zero, f_value=f)
 
 
 class TestWeakConvexity:

@@ -95,7 +95,7 @@ class TestLoadConfig:
     def test_bad_noise(self):
         with pytest.raises(ConfigError) as err:
             load_config(json.dumps(toy_config(noise={"rho": 2.0})))
-        assert err.value.path == "noise"
+        assert err.value.path == "noise.rho"
 
     def test_unsupported_version(self):
         with pytest.raises(ConfigError) as err:
@@ -110,8 +110,8 @@ class TestLoadConfig:
         traj = run_experiment(cfg)[0]
         p = TheoryParams(L=2.0, delta=1.0, F0=0.5, K=10, T=100)
         eta, a, _ = auxmom_params(p)
-        assert traj.metadata["resolved_eta"] == pytest.approx(eta, abs=1e-15)
-        assert traj.metadata["resolved_a"] == pytest.approx(a, abs=1e-15)
+        assert traj.metadata["eta"] == pytest.approx(eta, abs=1e-15)
+        assert traj.metadata["a"] == pytest.approx(a, abs=1e-15)
 
 
 class TestCsv:
@@ -467,6 +467,10 @@ class TestInputErrors:
         ("problem", logistic_block(indices=[0]), "problem.logistic.helper.indices"),
         ("problem", logistic_block(kind="subset_batch", indices=[0, 1000000],
                                    path="data.libsvm"), "problem.logistic.helper.indices"),
+        ("noise", {"sigma_f": -1}, "noise.sigma_f"),
+        ("noise", {"rho": 2}, "noise.rho"),
+        ("algorithm.m0_mode", "bogus", "algorithm.m0_mode"),
+        ("algorithm.split_fraction", 2, "algorithm.split_fraction"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file

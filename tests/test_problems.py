@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxopt.core import RandomToken, rng_from_token
+from auxopt.core import RandomToken, rng_from_token, stream_fork
 from auxopt.problems import (
-    HelperBuild,
     LibsvmParseError,
     LogisticTask,
     _sigmoid,
@@ -265,6 +264,27 @@ class TestLogisticTask:
         assert task.loss(x) == fresh.loss(x)
 
 
+class TestLogisticOracle:
+    def test_minibatches_are_what_a_fresh_generator_draws(self):
+        # the oracle borrows the thread's generator; uniform (f) and weighted
+        # (h) minibatches must be the rows rng_from_token draws on each token
+        rng = rng_from_token(RandomToken(15))
+        features = rng.standard_normal((40, 3))
+        labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        w = rng.random(40)
+        f_task = LogisticTask(features, labels)
+        h_task = LogisticTask(features, labels, weights=w / w.sum())
+        oracle = logistic_oracle(f_task, h_task, batch_size=7)
+        x = rng.standard_normal(3)
+        for i in range(300):
+            token = RandomToken(i, i)
+            idx_f = rng_from_token(stream_fork(token, 0)).integers(0, 40, size=7)
+            idx_h = rng_from_token(stream_fork(token, 1)).choice(
+                40, size=7, replace=True, p=h_task.weights)
+            assert np.array_equal(oracle.grad_f(x, token), f_task.grad_minibatch(x, idx_f))
+            assert np.array_equal(oracle.grad_h(x, token), h_task.grad_minibatch(x, idx_h))
+
+
 def _masked_sigmoid(z):
     """The earlier two-branch formula, kept here as the reference bits."""
     out = np.empty_like(z)
@@ -300,14 +320,14 @@ class TestSemisupervised:
     def test_equal_thirds_split_sizes(self):
         task = self._task()
         f_task, h_task, test_task = build_semisupervised(
-            task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"), RandomToken(1)
+            task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(1)
         )
         assert (f_task.n_samples, test_task.n_samples, h_task.n_samples) == (2708, 2708, 2708)
 
     def test_remainder_goes_to_train(self):
         task = self._task(n=100)
         f_task, h_task, test_task = build_semisupervised(
-            task, (0.333, 0.333, 0.334), HelperBuild(kind="random_labels"), RandomToken(1)
+            task, (0.333, 0.333, 0.334), "random_labels", RandomToken(1)
         )
         assert f_task.n_samples + h_task.n_samples + test_task.n_samples == 100
         assert f_task.n_samples >= 33
@@ -315,9 +335,9 @@ class TestSemisupervised:
     def test_deterministic_in_seed(self):
         task = self._task(n=200)
         a = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3),
-                                 HelperBuild(kind="random_labels"), RandomToken(5))
+                                 "random_labels", RandomToken(5))
         b = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3),
-                                 HelperBuild(kind="random_labels"), RandomToken(5))
+                                 "random_labels", RandomToken(5))
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.features, tb.features)
             assert np.array_equal(ta.labels, tb.labels)
@@ -325,7 +345,7 @@ class TestSemisupervised:
     def test_random_label_helper_has_label_free_hessian(self):
         task = self._task(n=300)
         _, h_task, _ = build_semisupervised(
-            task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"), RandomToken(2)
+            task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(2)
         )
         truth = LogisticTask(h_task.features, np.ones(h_task.n_samples))
         x = np.zeros(task.dim)
@@ -336,7 +356,24 @@ class TestSemisupervised:
     def test_rejects_bad_fractions(self):
         with pytest.raises(ValueError):
             build_semisupervised(self._task(n=30), (0.5, 0.5, 0.5),
-                                 HelperBuild(kind="random_labels"), RandomToken(0))
+                                 "random_labels", RandomToken(0))
+
+    def test_rejects_unknown_helper_kind(self):
+        with pytest.raises(ValueError, match="unknown helper kind 'labels'"):
+            build_semisupervised(self._task(n=30), (1 / 3, 1 / 3, 1 / 3),
+                                 "labels", RandomToken(0))
+
+    def test_split_and_labels_are_what_a_fresh_generator_draws(self):
+        task = self._task(n=90)
+        seed = RandomToken(6)
+        f_task, h_task, test_task = build_semisupervised(
+            task, (1 / 3, 1 / 3, 1 / 3), "random_labels", seed)
+        perm = rng_from_token(stream_fork(seed, 0)).permutation(90)
+        labels = rng_from_token(stream_fork(seed, 1)).integers(0, 2, size=30) * 2.0 - 1.0
+        assert np.array_equal(f_task.features, task.features[perm[:30]])
+        assert np.array_equal(test_task.features, task.features[perm[30:60]])
+        assert np.array_equal(h_task.features, task.features[perm[60:]])
+        assert np.array_equal(h_task.labels, labels)
 
 
 class TestCoreset:
@@ -370,6 +407,13 @@ class TestCoreset:
     def test_rejects_empty_fraction(self):
         with pytest.raises(ValueError):
             build_coreset_helper(self._task(n=3), 0.1, RandomToken(0))
+
+    def test_subset_is_what_a_fresh_generator_draws(self):
+        task = self._task()
+        for i in range(20):
+            rows = rng_from_token(RandomToken(i)).choice(1000, size=200, replace=False)
+            helper = build_coreset_helper(task, 0.2, RandomToken(i))
+            assert np.array_equal(helper.features, task.features[np.sort(rows)])
 
 
 class TestSyntheticDataset:

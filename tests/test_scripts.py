@@ -1,4 +1,4 @@
-"""Smoke runs of the example scripts with tiny budgets."""
+"""Smoke runs of the scripts with tiny budgets and sizes."""
 import os
 import subprocess
 import sys
@@ -21,3 +21,16 @@ def test_script_runs(script, args, first_line):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith(first_line)
+
+
+def test_make_dataset_writes_file(tmp_path):
+    out = tmp_path / "sub" / "data.libsvm"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                     env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "make_dataset.py"),
+                           "--rows", "6", "--features", "20", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote 6 x 20 dataset to {out}\n"
+    assert len(out.read_text().splitlines()) == 6

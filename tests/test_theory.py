@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from auxopt.core import RandomToken, rng_from_token
 from auxopt.optimizers import OptimizerConfig, run
 from auxopt.problems import (
-    HelperBuild,
     LogisticTask,
     build_coreset_helper,
     build_semisupervised,
@@ -169,7 +168,7 @@ class TestEstimateDelta:
         labels[labels == 0] = 1.0
         task = LogisticTask(features, labels)
         _, h_task, _ = build_semisupervised(
-            task, (1 / 3, 1 / 3, 1 / 3), HelperBuild(kind="random_labels"), RandomToken(8)
+            task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(8)
         )
         same_features = LogisticTask(h_task.features, h_task.labels)
         probes = default_probe_points(4, RandomToken(9))
