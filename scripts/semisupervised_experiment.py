@@ -36,8 +36,7 @@ def main():
     args = parser.parse_args()
 
     if args.data is not None:
-        features, labels = parse_libsvm(Path(args.data).read_text())
-        features = features.toarray()
+        features, labels = parse_libsvm(Path(args.data).read_bytes())
     else:
         features, labels = make_synthetic_classification(2000, 112, RandomToken(123))
     task = LogisticTask(features, map_labels_to_pm1(labels))

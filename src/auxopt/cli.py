@@ -132,8 +132,8 @@ def _cmd_params(args) -> int:
     cfg = _load(args.config)
     oracle = harness.build_oracle(cfg)
     p = harness.theory_params_for(cfg, oracle, harness.initial_point(cfg, oracle))
-    eta_mom, a_mom, beta = theory.auxmom_params(p)
-    eta_mvr, a_mvr = theory.auxmvr_params(p)
+    eta_mom, a_mom, beta = harness.theorem_values(cfg, p, theory.auxmom_params)
+    eta_mvr, a_mvr = harness.theorem_values(cfg, p, theory.auxmvr_params)
     print(json.dumps({
         "inputs": {"L": p.L, "delta": p.delta, "sigma_f": p.sigma_f,
                    "sigma_h": p.sigma_h, "sigma_fmh": p.sigma_fmh,

@@ -149,8 +149,12 @@ class NoiseSpec:
 
     @property
     def sigma_fmh_sq(self) -> float:
-        """Implied variance of the difference estimator g_f - g_h."""
-        v = self.sigma_f**2 + self.sigma_h**2 - 2.0 * self.rho * self.sigma_f * self.sigma_h
+        """Implied variance of the difference estimator g_f - g_h; inf where a
+        square overflows."""
+        try:
+            v = self.sigma_f**2 + self.sigma_h**2 - 2.0 * self.rho * self.sigma_f * self.sigma_h
+        except OverflowError:
+            return math.inf
         return max(v, 0.0)
 
     @property

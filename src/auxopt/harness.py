@@ -266,7 +266,7 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
         raise ConfigError(f"{path}.path", f"dataset file not found: {data_path}")
     features, labels = _at(f"{path}.path", problems.parse_libsvm, data_path.read_bytes())
     labels = _at(f"{path}.path", problems.map_labels_to_pm1, labels)
-    task = _at(path, problems.LogisticTask, features.toarray(), labels, body.get("l2_reg", 0.0))
+    task = _at(path, problems.LogisticTask, features, labels, body.get("l2_reg", 0.0))
     helper = body["helper"]
     indices = helper.get("indices")
     split = body.get("split", (1 / 3, 1 / 3, 1 / 3))
@@ -307,6 +307,21 @@ def theory_params_for(cfg: ExperimentConfig, oracle: OraclePair,
     )
 
 
+def theorem_values(cfg: ExperimentConfig, p: theory.TheoryParams, formula):
+    """``formula(p)``; a constant whose square overflows a float is a
+    ConfigError at the field it comes from."""
+    try:
+        return formula(p)
+    except OverflowError:
+        tag = next(iter(cfg.problem))
+        for value, path in ((p.sigma_f, "noise.sigma_f"), (p.sigma_h, "noise.sigma_h"),
+                            (p.delta, "problem.toy.delta" if tag == "toy" else f"problem.{tag}")):
+            if math.isinf(value * value):
+                raise ConfigError(path, f"{value:g} squared overflows a float in the "
+                                        "theorem formulas") from None
+        raise
+
+
 def resolve_params(cfg: ExperimentConfig, oracle: OraclePair,
                    x0: np.ndarray) -> tuple[OptimizerConfig, dict]:
     """Apply theorem-derived (eta, a) when requested; returns (config, metadata)."""
@@ -315,9 +330,9 @@ def resolve_params(cfg: ExperimentConfig, oracle: OraclePair,
         return cfg.algorithm, meta
     p = theory_params_for(cfg, oracle, x0)
     if cfg.algorithm.algorithm == "AuxMVR":
-        eta, a = theory.auxmvr_params(p)
+        eta, a = theorem_values(cfg, p, theory.auxmvr_params)
     else:
-        eta, a, beta = theory.auxmom_params(p)
+        eta, a, beta = theorem_values(cfg, p, theory.auxmom_params)
         meta["beta"] = beta
     return replace(cfg.algorithm, eta=eta, a=a), meta
 

@@ -123,60 +123,174 @@ class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; message carries the 1-based line number."""
 
 
+# An integer of up to 15 digits is an exact float64 sum of digit * 10**k.
+_POW10 = 10.0 ** np.arange(15)
+_MAX_INDEX = 2**53  # indices are held as float64, exact below this
+
+
+def _between(buf: np.ndarray, first: int, last: int) -> np.ndarray:
+    """``first <= buf <= last`` for uint8 bytes, by one wrapping subtraction."""
+    return buf - np.uint8(first) <= last - first
+
+
+def _read_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  marks: np.ndarray, seg: np.ndarray):
+    """The byte ranges ``buf[lo:hi]`` read as ``float`` reads them, and which
+    of them are integers, ``[+-]digits``.
+
+    A range that is not a decimal, ``[+-]digits[.digits][(e|E)[+-]digits]``
+    with a digit before any exponent, reads as NaN.  ``marks`` are the
+    positions of the non-digit bytes inside the ranges and ``seg`` their
+    range numbers, so a range without one is a nonempty run of digits.
+    Integers of up to 15 digits are summed from their digits, exactly; the
+    other numbers go through one ``np.fromstring`` call.
+    """
+    length = hi - lo
+    is_float = length > 0
+    is_int = is_float.copy()
+    signed = np.zeros(len(lo), dtype=bool)
+    neg = np.zeros(len(lo), dtype=bool)
+    if len(marks):
+        # The marks of one range are adjacent, so runs of ``seg`` number them.
+        new = np.concatenate(([True], seg[1:] != seg[:-1]))
+        ids, inv = seg[new], np.cumsum(new) - 1
+        off = marks - lo[seg]
+        ch = buf[marks]
+        sign = (ch == ord("+")) | (ch == ord("-"))
+        dot = ch == ord(".")
+        exp = (ch == ord("e")) | (ch == ord("E"))
+
+        def count(mask):
+            return np.bincount(inv[mask], minlength=len(ids))
+
+        epos = length[ids]
+        epos[inv[exp]] = off[exp]
+        bad = (~(sign | dot | exp) | sign & (off != 0) & (off != epos[inv] + 1)
+               | dot & (off > epos[inv]))
+        n_exp, n_dot, n_sign = count(exp), count(dot), count(sign)
+        mantissa = epos - count(sign & (off == 0)) - n_dot
+        ok = ((count(bad) == 0) & (n_exp <= 1) & (n_dot <= 1) & (mantissa > 0)
+              & ((n_exp == 0) | (length[ids] - n_sign - n_dot - n_exp > mantissa)))
+        is_float[ids] = ok
+        is_int[ids] = ok & (n_exp == 0) & (n_dot == 0)
+        signed[ids] = n_sign > 0
+        neg[ids] = count(ch == ord("-")) > 0
+
+    # Digits summed per integer range (0 for the others), accumulated in
+    # place from the last digit backwards to keep the temporaries small.
+    n_digit = np.where(is_int & (length - signed <= len(_POW10)), length - signed, 0)
+    digits = np.where(_between(buf, ord("0"), ord("9")), buf - np.uint8(ord("0")), 0)
+    values = np.zeros(len(lo))
+    for k in range(int(n_digit.max(initial=0))):
+        values += digits[hi - 1 - k] * (n_digit > k) * _POW10[k]
+    values[neg & is_int] *= -1.0
+    values[~is_float] = np.nan
+    rest = is_float & (n_digit == 0)
+    if rest.any():
+        at, size = lo[rest], length[rest]
+        first = np.cumsum(size) - size
+        text = buf[np.repeat(at - first, size) + np.arange(size.sum())]
+        values[rest] = np.fromstring(np.insert(text, first, ord(" ")).tobytes(), sep=" ")
+    return values, is_int
+
+
 def parse_libsvm(text: Union[str, bytes]) -> tuple[sp.csr_matrix, np.ndarray]:
     """Parse LIBSVM text ("<label> <idx>:<val> ...", 1-based ascending indices).
 
     Feature count is the maximum index seen; labels are passed through
-    unmapped.
+    unmapped.  Lines and tokens are split as ``str.splitlines`` and
+    ``str.split`` split ASCII text, blank lines are skipped, and numbers are
+    plain decimals read as ``float`` reads them.  Anything else (non-ASCII
+    bytes, ``inf``, ``nan``, ``1_0``, an index of 2**53 or more) is a
+    :class:`LibsvmParseError` naming the first offending line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    labels: list[float] = []
-    data: list[float] = []
-    indices: list[int] = []
-    indptr: list[int] = [0]
-    n_features = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            labels.append(float(parts[0]))
-        except ValueError:
-            raise LibsvmParseError(f"line {lineno}: invalid label {parts[0]!r}") from None
-        prev_idx = 0
-        for tok in parts[1:]:
-            idx_s, _, val_s = tok.partition(":")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise LibsvmParseError(f"line {lineno}: malformed token {tok!r}") from None
-            if idx < 1:
-                raise LibsvmParseError(f"line {lineno}: index {idx} is not 1-based")
-            if idx <= prev_idx:
-                raise LibsvmParseError(
-                    f"line {lineno}: non-ascending index {idx} after {prev_idx}"
-                )
-            prev_idx = idx
-            indices.append(idx - 1)
-            data.append(val)
-            n_features = max(n_features, idx)
-        indptr.append(len(data))
+    if isinstance(text, str):
+        text = text.encode()
+    buf = np.frombuffer(text, dtype=np.uint8)
+    # Byte positions and token numbers as int32 where they fit: it halves
+    # the parser's peak memory.
+    int_t = np.int32 if len(buf) < 2**31 else np.int64
+    # str.split() separators among ASCII bytes: space, \t-\r and \x1c-\x1f.
+    space = (buf == ord(" ")) | _between(buf, 0x09, 0x0D) | _between(buf, 0x1C, 0x1F)
+    edges = np.flatnonzero(np.diff(np.concatenate(([True], space, [True])))).astype(int_t)
+    starts, ends = edges[::2], edges[1::2]
+    # str.splitlines() breaks, \n-\r and \x1c-\x1e, with "\r\n" as one.
+    breaks = np.flatnonzero(_between(buf, 0x0A, 0x0D) | _between(buf, 0x1C, 0x1E))
+    breaks = breaks[(buf[breaks] != ord("\n")) | (buf[breaks - 1] != ord("\r")) | (breaks == 0)]
+    is_label = np.zeros(len(starts) + 1, dtype=bool)
+    is_label[np.searchsorted(starts, breaks)] = True
+    is_label[0] = True
+    is_label = is_label[:-1]
+    label_tok = np.flatnonzero(is_label).astype(int_t)
+    feat = np.flatnonzero(~is_label).astype(int_t)
+    n_labels, n_feats = len(label_tok), len(feat)
+
+    def line(tok: int) -> int:
+        return int(np.searchsorted(breaks, starts[tok])) + 1
+
+    # A feature token splits at its first colon into an index and a value,
+    # empty when it has none.  A well-formed file has one colon per feature
+    # token, so the k-th colon is the k-th token's whenever it lies inside.
+    colons = np.flatnonzero(buf == ord(":")).astype(int_t)
+    f_start, f_end = starts[feat], ends[feat]
+    if len(colons) != n_feats or np.any((colons < f_start) | (colons >= f_end)):
+        colons = np.append(colons, len(buf))[np.searchsorted(colons, f_start)]
+    colon = np.minimum(colons, f_end)
+    # The numbers' byte ranges: the labels, then the indices, then the values.
+    lo = np.concatenate((starts[label_tok], f_start, np.minimum(colon + 1, f_end)))
+    hi = np.concatenate((ends[label_tok], colon, f_end))
+    marks = ~(space | _between(buf, ord("0"), ord("9")))
+    marks[colon[colon < f_end]] = False
+    marks = np.flatnonzero(marks)
+    tok = np.searchsorted(starts, marks, side="right") - 1
+    labels_upto = np.searchsorted(label_tok, tok, side="right")
+    seg = labels_upto - 1
+    in_feat = ~is_label[tok]
+    k = tok[in_feat] - labels_upto[in_feat]
+    seg[in_feat] = n_labels + k + n_feats * (marks[in_feat] > colon[k])
+    values, is_int = _read_numbers(buf, lo, hi, marks, seg)
+    labels, idx, data = np.split(values, [n_labels, n_labels + n_feats])
+
+    # The first error in reading order: a malformed token, or before it an
+    # index that is below 1, too large or not above its predecessor.
+    label_bad = np.isnan(labels)
+    feat_bad = ~is_int[n_labels:n_labels + n_feats] | np.isnan(data)
+    n_ok = min(label_tok[label_bad][:1].tolist() + feat[feat_bad][:1].tolist() + [len(starts)])
+    prev = np.where(is_label[feat - 1], 0.0, np.concatenate(([0.0], idx[:-1])))
+    index_bad = (idx < 1) | (idx >= _MAX_INDEX) | (idx <= prev)
+    index_bad[np.searchsorted(feat, n_ok):] = False
+    if index_bad.any():
+        i = int(np.argmax(index_bad))
+        where, value = f"line {line(feat[i])}", int(idx[i])
+        if idx[i] < 1:
+            raise LibsvmParseError(f"{where}: index {value} is not 1-based")
+        if idx[i] >= _MAX_INDEX:
+            raise LibsvmParseError(f"{where}: index {value} is too large")
+        raise LibsvmParseError(f"{where}: non-ascending index {value} after {int(prev[i])}")
+    if n_ok < len(starts):
+        token = text[starts[n_ok]:ends[n_ok]].decode("utf-8", "backslashreplace")
+        what = "invalid label" if is_label[n_ok] else "malformed token"
+        raise LibsvmParseError(f"line {line(n_ok)}: {what} {token!r}")
+
+    row_nnz = np.diff(np.append(label_tok, len(starts))) - 1
     features = sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), n_features),
+        (data, idx.astype(np.int64) - 1, np.concatenate(([0], np.cumsum(row_nnz)))),
+        shape=(n_labels, int(idx.max(initial=0))),
     )
-    return features, np.asarray(labels)
+    return features, labels
 
 
-def write_libsvm(features: np.ndarray, labels: np.ndarray) -> str:
-    """Serialize a dense feature matrix and labels into LIBSVM text."""
+def write_libsvm(features, labels: np.ndarray) -> str:
+    """Serialize a dense or sparse feature matrix and labels into LIBSVM text;
+    stored zeros are left out."""
+    a = sp.csr_matrix(features, dtype=np.float64, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    ptr, cols, vals = a.indptr.tolist(), (a.indices + 1).tolist(), a.data.tolist()
     lines = []
-    for row, label in zip(np.asarray(features), labels):
-        nz = np.nonzero(row)[0]
-        toks = [_format_label(label)] + [f"{j + 1}:{row[j]:g}" for j in nz]
+    for i, label in zip(range(a.shape[0]), labels):
+        toks = [_format_label(label)] + [
+            f"{j}:{v:g}" for j, v in zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])]
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 
@@ -196,15 +310,19 @@ class LogisticTask:
 
     loss(x) = sum_i w_i log(1 + exp(-y_i a_i'x)) + l2_reg/2 ||x||^2, with
     weights defaulting to 1/n.  The Hessian is independent of the labels.
+    ``features`` may be given dense or sparse and is kept as a CSR matrix,
+    so every product over the data costs its nonzeros, not n x d.
     """
 
-    features: np.ndarray
+    features: sp.csr_matrix
     labels: np.ndarray
     l2_reg: float = 0.0
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        a = np.asarray(self.features, dtype=np.float64)
+        a = self.features
+        if not sp.issparse(a):
+            a = np.asarray(a, dtype=np.float64)
         y = np.asarray(self.labels, dtype=np.float64)
         if a.ndim != 2 or y.ndim != 1 or a.shape[0] != y.shape[0]:
             raise ValueError("features and labels have inconsistent shapes")
@@ -214,6 +332,7 @@ class LogisticTask:
             raise ValueError("labels must be in {-1, +1}")
         if self.l2_reg < 0:
             raise ValueError("l2_reg must be nonnegative")
+        a = sp.csr_matrix(a, dtype=np.float64)
         object.__setattr__(self, "features", a)
         object.__setattr__(self, "labels", y)
         if self.weights is not None:
@@ -224,9 +343,11 @@ class LogisticTask:
                 raise ValueError("weights must sum to one")
             object.__setattr__(self, "weights", w)
         # Not dataclass fields: the weights with the uniform default built
-        # once, and a one-entry memo (x copy, margins) that loss and grad share.
+        # once, the transposed design as CSR for the gradient's product, and
+        # a one-entry memo (x copy, margins) that loss and grad share.
         object.__setattr__(self, "_w", self.weights if self.weights is not None
                            else np.full(y.shape[0], 1.0 / y.shape[0]))
+        object.__setattr__(self, "_features_t", a.T.tocsr())
         object.__setattr__(self, "_margin_memo", None)
 
     @property
@@ -251,26 +372,42 @@ class LogisticTask:
         return margins
 
     def loss(self, x: Array) -> float:
-        # log(1 + exp(-m)) computed stably
-        losses = np.logaddexp(0.0, -self._margins(x))
+        # log(1 + exp(-m)) computed stably: exp only ever sees -|m|
+        m = self._margins(x)
+        losses = np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
         return float(self._w @ losses) + 0.5 * self.l2_reg * float(x @ x)
 
     def grad(self, x: Array) -> Array:
         coef = -self.labels * _sigmoid(-self._margins(x)) * self._w
-        return self.features.T @ coef + self.l2_reg * x
+        return self._features_t @ coef + self.l2_reg * x
 
     def grad_minibatch(self, x: Array, idx: np.ndarray) -> Array:
-        """Unbiased gradient estimate from rows ``idx`` sampled prop. to weights."""
-        a = self.features[idx]
+        """Unbiased gradient estimate from rows ``idx`` sampled prop. to weights.
+
+        The rows' nonzeros are gathered straight from the CSR arrays (scipy's
+        row indexing costs more than the whole product at minibatch sizes).
+        """
+        a = self.features
+        start = a.indptr[idx]
+        count = a.indptr[idx + 1] - start
+        row = np.repeat(np.arange(len(idx)), count)
+        nz = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(len(row))
+        cols, vals = a.indices[nz], a.data[nz]
         y = self.labels[idx]
-        margins = y * (a @ x)
+        margins = y * np.bincount(row, weights=vals * x[cols], minlength=len(idx))
         coef = -y * _sigmoid(-margins) / len(idx)
-        return a.T @ coef + self.l2_reg * x
+        return np.bincount(cols, weights=vals * coef[row], minlength=self.dim) + self.l2_reg * x
 
     def smoothness(self) -> float:
-        """Upper bound on the loss Hessian spectral norm (at sigma(1-sigma) <= 1/4)."""
-        a = self.features * np.sqrt(self._w)[:, None]
-        return 0.25 * float(np.linalg.norm(a, 2)) ** 2 + self.l2_reg
+        """Upper bound on the loss Hessian spectral norm (at sigma(1-sigma) <= 1/4).
+
+        ||W^(1/2) A||_2^2 is the top eigenvalue of the Gram matrix on the
+        smaller side, d x d or n x n, so no n x d matrix is made dense.
+        """
+        a = sp.diags(np.sqrt(self._w)) @ self.features
+        gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
+        top = np.linalg.eigvalsh(gram.toarray()).max(initial=0.0)
+        return 0.25 * float(top) + self.l2_reg
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -283,11 +420,13 @@ def exact_hessian_logistic(task: LogisticTask, x: Array) -> np.ndarray:
     """Weighted sum of sigma_i (1 - sigma_i) a_i a_i' plus the ridge term.
 
     Label-free: relabeling any subset of rows leaves the output unchanged.
+    Works on a dense copy of the features.
     """
     x = as_vector(x, task.dim)
-    s = _sigmoid(task.features @ x)
+    a = task.features.toarray()
+    s = _sigmoid(a @ x)
     d = s * (1.0 - s) * task._w
-    return (task.features * d[:, None]).T @ task.features + task.l2_reg * np.eye(task.dim)
+    return (a * d[:, None]).T @ a + task.l2_reg * np.eye(task.dim)
 
 
 def split_sizes(n: int, split) -> list[int]:
@@ -420,21 +559,25 @@ def logistic_oracle(
 
 def make_synthetic_classification(
     n_samples: int, n_features: int, seed: RandomToken, n_groups: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[sp.csr_matrix, np.ndarray]:
     """One-hot grouped binary features with a planted noisy linear rule.
 
     Mirrors the shape of categorical LIBSVM datasets: features come in
     groups, exactly one active feature per group per row; labels are {1, 2}.
+    The features are CSR, n_groups nonzeros per row.
     """
     rng = rng_from_token(seed)
     group_sizes = np.full(n_groups, n_features // n_groups)
     group_sizes[: n_features % n_groups] += 1
     offsets = np.concatenate([[0], np.cumsum(group_sizes)])
 
-    features = np.zeros((n_samples, n_features))
+    cols = np.empty((n_samples, n_groups), dtype=np.int64)
     for g in range(n_groups):
-        choice = rng.integers(0, group_sizes[g], size=n_samples)
-        features[np.arange(n_samples), offsets[g] + choice] = 1.0
+        cols[:, g] = offsets[g] + rng.integers(0, group_sizes[g], size=n_samples)
+    features = sp.csr_matrix(
+        (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, n_groups)),
+        shape=(n_samples, n_features),
+    )
 
     w = rng.standard_normal(n_features)
     logits = features @ w - np.median(features @ w)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -395,12 +396,43 @@ class TestCli:
         assert cli.main(["sweep", "--config", path, "--axis", "algorithm.K",
                          "--values", "1,banana"]) == 2
 
+    def test_wide_sparse_file_runs_in_little_memory(self, tmp_path, capsys):
+        # 2,000 x 50,000 with 16 nonzeros per row: the dense matrix alone
+        # would take 800 MB
+        features, labels = make_synthetic_classification(2000, 50_000, RandomToken(9))
+        data = tmp_path / "wide.libsvm"
+        data.write_text(write_libsvm(features, labels))
+        path = self._write(tmp_path, {
+            "problem": {"logistic": {"path": str(data), "helper": {"kind": "random_labels"},
+                                     "batch_size": 32}},
+            "algorithm": {"name": "AuxMOM", "eta": 0.5, "a": 0.1, "K": 3, "T": 4},
+            "seed": 2,
+            "diagnostics": True,
+        })
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 100e6, peak
+        assert features.nnz == 2000 * 16
+        rows = trajectory_from_csv((tmp_path / "out" / "experiment_rep0.csv").read_text()).rows
+        assert len(rows) == 1 + 4 * 3 and np.isfinite(rows.f_value[-1])
+
 
 def _set_field(raw: dict, path: str, value):
     *parents, last = path.split(".")
     for part in parents:
         raw = raw[part]
     raw[last] = value
+
+
+def _set_fields(raw: dict, field, value):
+    """``_set_field`` for one path, or for each of a tuple of paths and values."""
+    for path, v in zip(field, value) if isinstance(field, tuple) else [(field, value)]:
+        _set_field(raw, path, v)
 
 
 def _main_quietly(args):
@@ -430,6 +462,15 @@ FUZZ_FIELDS = ("version", "problem", "problem.toy", "problem.toy.delta", "proble
                "algorithm.T", "algorithm.m0_mode", "algorithm.split_fraction", "noise",
                "noise.sigma_f", "noise.sigma_h", "noise.rho", "seed", "params_mode",
                "repeats", "output_path", "x0", "diagnostics")
+
+
+# Theorem-mode configs whose constants overflow when squared.
+THEOREM_OVERFLOWS = [
+    (("params_mode", "noise"), ("theorem", {"sigma_f": 1e300}), "noise.sigma_f"),
+    (("params_mode", "noise"), ("theorem", {"sigma_f": 1.0, "sigma_h": 1e300}), "noise.sigma_h"),
+    (("params_mode", "problem.toy.delta", "algorithm.name"), ("theorem", 1e300, "AuxMVR"),
+     "problem.toy.delta"),
+]
 
 
 class TestInputErrors:
@@ -471,15 +512,29 @@ class TestInputErrors:
         ("noise", {"rho": 2}, "noise.rho"),
         ("algorithm.m0_mode", "bogus", "algorithm.m0_mode"),
         ("algorithm.split_fraction", 2, "algorithm.split_fraction"),
+        *THEOREM_OVERFLOWS,
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
         monkeypatch.chdir(tmp_path)
         raw = toy_config()
-        _set_field(raw, field, value)
+        _set_fields(raw, field, value)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         code, err = _main_quietly(["run", "--config", str(path)])
+        assert code == 2
+        assert err.startswith(f"config error: {where}: ")
+
+    @pytest.mark.parametrize("field,value,where", [
+        *THEOREM_OVERFLOWS,
+        (("params_mode", "problem.toy.delta"), ("theorem", 1e300), "problem.toy.delta"),
+    ])
+    def test_params_exit_2_names_overflowing_field(self, tmp_path, field, value, where):
+        raw = toy_config()
+        _set_fields(raw, field, value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["params", "--config", str(path)])
         assert code == 2
         assert err.startswith(f"config error: {where}: ")
 
@@ -537,11 +592,14 @@ class TestInputErrors:
     @given(field=st.sampled_from(FUZZ_FIELDS),
            value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),
                            st.lists(st.floats(), max_size=2), st.just(1e400),
-                           st.just(1e300), st.just(-1e300)))
-    @example(field="problem.toy.zeta", value=1e300)
-    def test_fuzzed_field_exits_cleanly(self, field, value):
+                           st.just(1e300), st.just(-1e300)),
+           mode=st.sampled_from(("manual", "theorem")))
+    @example(field="problem.toy.zeta", value=1e300, mode="manual")
+    @example(field="noise.sigma_f", value=1e300, mode="theorem")
+    @example(field="problem.toy.delta", value=1e300, mode="theorem")
+    def test_fuzzed_field_exits_cleanly(self, field, value, mode):
         raw = toy_config(noise={"sigma_f": 1.0, "sigma_h": 0.5, "rho": 0.2},
-                         params_mode="manual", repeats=1, output_path="fuzz", x0=[1.0],
+                         params_mode=mode, repeats=1, output_path="fuzz", x0=[1.0],
                          diagnostics=True)
         raw["algorithm"].update(K=2, T=2, m0_mode="single_sample", split_fraction=0.5)
         _set_field(raw, field, value)

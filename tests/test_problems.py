@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +150,107 @@ class TestFiniteDifferenceGradients:
         self._check(logistic_oracle(f_task, h_task), 5)
 
 
+def _parse_libsvm_loop(text):
+    """The per-token parser that the vectorised one replaced, kept as the
+    reference: same arrays bit for bit, same error line."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    labels, data, indices, indptr = [], [], [], [0]
+    n_features = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            labels.append(float(parts[0]))
+        except ValueError:
+            raise LibsvmParseError(f"line {lineno}: invalid label {parts[0]!r}") from None
+        prev_idx = 0
+        for tok in parts[1:]:
+            idx_s, _, val_s = tok.partition(":")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise LibsvmParseError(f"line {lineno}: malformed token {tok!r}") from None
+            if idx < 1:
+                raise LibsvmParseError(f"line {lineno}: index {idx} is not 1-based")
+            if idx <= prev_idx:
+                raise LibsvmParseError(
+                    f"line {lineno}: non-ascending index {idx} after {prev_idx}"
+                )
+            prev_idx = idx
+            indices.append(idx - 1)
+            data.append(val)
+            n_features = max(n_features, idx)
+        indptr.append(len(data))
+    features = sp.csr_matrix(
+        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(labels), n_features),
+    )
+    return features, np.asarray(labels)
+
+
+def _assert_same_parse(text):
+    """parse_libsvm agrees with the loop: equal arrays and dtypes bit for
+    bit, or the same LibsvmParseError message."""
+    try:
+        want = _parse_libsvm_loop(text)
+    except LibsvmParseError as exc:
+        with pytest.raises(LibsvmParseError) as got:
+            parse_libsvm(text)
+        assert str(got.value) == str(exc)
+        return
+    except OverflowError:  # an index of 2**63 or more: the loop cannot store it
+        with pytest.raises(LibsvmParseError, match="too large"):
+            parse_libsvm(text)
+        return
+    if want[0].shape[1] >= 2**53:  # indices are held as float64 now
+        with pytest.raises(LibsvmParseError, match="too large"):
+            parse_libsvm(text)
+        return
+    features, labels = parse_libsvm(text)
+    assert features.shape == want[0].shape
+    for got_a, want_a in ((features.data, want[0].data), (features.indices, want[0].indices),
+                          (features.indptr, want[0].indptr), (labels, want[1])):
+        assert got_a.dtype == want_a.dtype
+        assert got_a.tobytes() == want_a.tobytes()
+
+
+# Pieces of LIBSVM text: numbers, separators and every line break the loop
+# splits on, so that both well-formed and malformed lines come up.
+_NUMBERISH = st.text(alphabet="0123456789+-.e", min_size=0, max_size=6)
+_NUMBER = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.3e}"),
+    _NUMBERISH,
+)
+_SEP = st.sampled_from([" ", "  ", "\t", " \t"])
+_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \n", "\x0b", "\x0c", "\x1c"])
+_INDEX = st.one_of(st.integers(1, 40).map(str), _NUMBERISH)
+
+
+@st.composite
+def _libsvm_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 5))
+        start = draw(st.integers(0, 3))
+        ascending = [str(start + i + 1) for i in range(n)] if draw(st.booleans()) else None
+        toks = [draw(_NUMBER)]
+        for i in range(n):
+            idx = ascending[i] if ascending else draw(_INDEX)
+            tok = f"{idx}:{draw(_NUMBER)}"
+            if draw(st.integers(0, 9)) == 0:  # now and then no colon, or two
+                tok = draw(st.sampled_from([idx, tok + ":1"]))
+            toks.append(tok)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + draw(_SEP).join(toks))
+    text = "".join(line + draw(_BREAK) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
 class TestLibsvmParser:
     def test_basic_line(self):
         features, labels = parse_libsvm("2 1:1 24:1\n")
@@ -203,6 +305,50 @@ class TestLibsvmParser:
         features, got_labels = parse_libsvm(write_libsvm(dense, labels))
         assert np.array_equal(features.toarray(), dense)
         assert np.array_equal(got_labels, labels)
+
+
+    @given(_libsvm_text())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_on_structured_text(self, text):
+        _assert_same_parse(text)
+
+    @given(st.text(alphabet="0123456789+-.e: \t\n\r", max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_on_raw_text(self, text):
+        _assert_same_parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "1\n", "-0 1:-0\n", "+1 007:+.5e-3 8:5. 9:1e400\n",
+        "1 1:0.1000000000000000055511151231257827021181583404541015625000001\n",
+        "1 1:123456789012345 2:1234567890123456 3:-99999999999999999999\n",
+        "1 1:1\r\n\r\n2 2:2\r3 3:3\x0b4 4:4", "1 1:1 1:1\n", "1 5:1\n2\n3 1:1 2:2 2:3\n",
+        "1 1:1\n2 1:1:1\n", "1 :1\n", "1 1:\n", "1 1\n", "1 0:1\n", "1 -0:1\n",
+        "1:1 2:2\n", "1 1:1\n. 1:1\n", "1 1:1e\n", "1 1:1e+\n", "1 1:.e1\n",
+        "1 1:+-1\n", "1 1:1.2.3\n", "1 1:1e5.0\n", "1 1:1ee5\n", "1 1.0:1\n", "1 1e1:1\n",
+        "1 9223372036854775808:1\n", "1 9007199254740993:1\n",
+    ])
+    def test_matches_loop_on_edge_cases(self, text):
+        _assert_same_parse(text)
+        _assert_same_parse(text.encode())
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("1 1:inf\n", 1), ("1 1:1\nnan 1:1\n", 2), ("1 1_0:1\n", 1), ("1 1:1\n1 1:\u0661\n", 2),
+    ])
+    def test_rejects_python_only_float_syntax(self, text, lineno):
+        # float() and int() accept these, the decimal reader does not
+        _parse_libsvm_loop(text)
+        with pytest.raises(LibsvmParseError, match=f"line {lineno}"):
+            parse_libsvm(text)
+
+    def test_write_accepts_csr_rows(self):
+        dense = np.array([[0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 3.0]])
+        labels = np.array([1.0, 2.0, 1.0])
+        # a stored zero, a duplicated entry and unsorted columns
+        csr = sp.csr_matrix((np.array([0.0, 1.0, 0.5, 3.0, -2.0]), np.array([0, 1, 1, 2, 0]),
+                             np.array([0, 3, 3, 5])), shape=(3, 3))
+        assert np.array_equal(csr.toarray(), dense)
+        want = "1 2:1.5\n2\n1 1:-2 3:3\n"
+        assert write_libsvm(csr, labels) == write_libsvm(dense, labels) == want
 
 
 class TestLogisticTask:
@@ -262,6 +408,76 @@ class TestLogisticTask:
         fresh = LogisticTask(features, labels, l2_reg=0.1)
         assert np.array_equal(task.grad(x), fresh.grad(x))
         assert task.loss(x) == fresh.loss(x)
+
+
+def _dense_loss(task, x):
+    """The dense formulas the CSR task replaced, kept as the reference."""
+    margins = task.labels * (task.features.toarray() @ x)
+    return float(task._w @ np.logaddexp(0.0, -margins)) + 0.5 * task.l2_reg * float(x @ x)
+
+
+def _dense_grad(task, x):
+    a = task.features.toarray()
+    coef = -task.labels * _sigmoid(-task.labels * (a @ x)) * task._w
+    return a.T @ coef + task.l2_reg * x
+
+
+def _dense_grad_minibatch(task, x, idx):
+    a = task.features.toarray()[idx]
+    y = task.labels[idx]
+    coef = -y * _sigmoid(-y * (a @ x)) / len(idx)
+    return a.T @ coef + task.l2_reg * x
+
+
+def _dense_smoothness(task):
+    a = task.features.toarray() * np.sqrt(task._w)[:, None]
+    return 0.25 * float(np.linalg.norm(a, 2)) ** 2 + task.l2_reg
+
+
+def _assert_close(got, want, rel=1e-12):
+    assert np.linalg.norm(np.subtract(got, want)) <= rel * np.linalg.norm(want)
+
+
+class TestSparseMatchesDense:
+    """The CSR task against the dense formulas, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("shape", [(60, 9), (6, 40)])
+    @pytest.mark.parametrize("weights", ["uniform", "random", "coreset"])
+    @pytest.mark.parametrize("l2_reg", [0.0, 0.1])
+    def test_loss_grad_minibatch_smoothness(self, shape, weights, l2_reg):
+        n, d = shape
+        rng = rng_from_token(RandomToken(17))
+        dense = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+        dense[4] = 0.0  # a row with no nonzeros
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        w = rng.random(n) if weights == "random" else None
+        task = LogisticTask(sp.csr_matrix(dense), labels, l2_reg=l2_reg,
+                            weights=None if w is None else w / w.sum())
+        if weights == "coreset":
+            task = build_coreset_helper(task, 0.5, RandomToken(3))
+        assert np.diff(task.features.indptr).min() == 0
+        for scale in (0.1, 1.0, 30.0):
+            x = scale * rng.standard_normal(d)
+            _assert_close(task.loss(x), _dense_loss(task, x))
+            _assert_close(task.grad(x), _dense_grad(task, x))
+            empty = int(np.argmin(np.diff(task.features.indptr)))
+            for idx in (np.array([empty]), np.array([empty, empty, 0]),
+                        rng.integers(0, task.n_samples, 128)):
+                _assert_close(task.grad_minibatch(x, idx), _dense_grad_minibatch(task, x, idx))
+        _assert_close(task.smoothness(), _dense_smoothness(task))
+
+    def test_dense_and_sparse_input_give_one_task(self):
+        rng = rng_from_token(RandomToken(18))
+        dense = rng.standard_normal((20, 4)) * (rng.random((20, 4)) < 0.5)
+        labels = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+        a, b = LogisticTask(dense, labels), LogisticTask(sp.csr_matrix(dense), labels)
+        assert isinstance(a.features, sp.csr_matrix) and isinstance(b.features, sp.csr_matrix)
+        x = rng.standard_normal(4)
+        assert a.loss(x) == b.loss(x) and np.array_equal(a.grad(x), b.grad(x))
+
+    def test_rejects_one_dimensional_features(self):
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            LogisticTask(np.ones(3), np.ones(3))
 
 
 class TestLogisticOracle:
@@ -339,7 +555,7 @@ class TestSemisupervised:
         b = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3),
                                  "random_labels", RandomToken(5))
         for ta, tb in zip(a, b):
-            assert np.array_equal(ta.features, tb.features)
+            assert np.array_equal(ta.features.toarray(), tb.features.toarray())
             assert np.array_equal(ta.labels, tb.labels)
 
     def test_random_label_helper_has_label_free_hessian(self):
@@ -370,9 +586,10 @@ class TestSemisupervised:
             task, (1 / 3, 1 / 3, 1 / 3), "random_labels", seed)
         perm = rng_from_token(stream_fork(seed, 0)).permutation(90)
         labels = rng_from_token(stream_fork(seed, 1)).integers(0, 2, size=30) * 2.0 - 1.0
-        assert np.array_equal(f_task.features, task.features[perm[:30]])
-        assert np.array_equal(test_task.features, task.features[perm[30:60]])
-        assert np.array_equal(h_task.features, task.features[perm[60:]])
+        dense = task.features.toarray()
+        assert np.array_equal(f_task.features.toarray(), dense[perm[:30]])
+        assert np.array_equal(test_task.features.toarray(), dense[perm[30:60]])
+        assert np.array_equal(h_task.features.toarray(), dense[perm[60:]])
         assert np.array_equal(h_task.labels, labels)
 
 
@@ -402,7 +619,7 @@ class TestCoreset:
         h1 = build_coreset_helper(task, 0.2, RandomToken(1))
         h2 = build_coreset_helper(task, 0.2, RandomToken(2))
         assert h1.n_samples == h2.n_samples
-        assert not np.array_equal(h1.features, h2.features)
+        assert not np.array_equal(h1.features.toarray(), h2.features.toarray())
 
     def test_rejects_empty_fraction(self):
         with pytest.raises(ValueError):
@@ -413,7 +630,8 @@ class TestCoreset:
         for i in range(20):
             rows = rng_from_token(RandomToken(i)).choice(1000, size=200, replace=False)
             helper = build_coreset_helper(task, 0.2, RandomToken(i))
-            assert np.array_equal(helper.features, task.features[np.sort(rows)])
+            assert np.array_equal(helper.features.toarray(),
+                                  task.features.toarray()[np.sort(rows)])
 
 
 class TestSyntheticDataset:
@@ -425,7 +643,7 @@ class TestSyntheticDataset:
     def test_one_hot_groups(self):
         features, _ = make_synthetic_classification(100, 112, RandomToken(0), n_groups=16)
         assert np.all(features.sum(axis=1) == 16)
-        assert set(np.unique(features)) == {0.0, 1.0}
+        assert set(np.unique(features.toarray())) == {0.0, 1.0}
 
     def test_label_mapping(self):
         assert map_labels_to_pm1(np.array([1.0, 2.0, 1.0])).tolist() == [1.0, -1.0, 1.0]
