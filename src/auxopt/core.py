@@ -42,6 +42,15 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     return arr
 
 
+class ConfigError(ValueError):
+    """Bad input; ``path`` names the offending field."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+
 @dataclass(frozen=True)
 class RandomToken:
     """Handle into a counter-based random stream.
@@ -142,10 +151,11 @@ class NoiseSpec:
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_f < 0 or self.sigma_h < 0:
-            raise ValueError("noise levels must be nonnegative")
+        for name in ("sigma_f", "sigma_h"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be nonnegative")
         if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
+            raise ConfigError("rho", f"must lie in [-1, 1], got {self.rho}")
 
     @property
     def sigma_fmh_sq(self) -> float:

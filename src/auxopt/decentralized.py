@@ -2,13 +2,14 @@
 per sampled helper, average the returned iterates."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import Array, OraclePair, RandomToken, borrow_generator, rng_from_token, stream_fork
-from .optimizers import OptimizerConfig, OptimizerState, cycle
+from .optimizers import OptimizerConfig, OptimizerState, billed, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
 
@@ -63,8 +64,8 @@ def decentralized_cycle(
     iterates.
 
     Helper i draws under ``stream_fork(stream_fork(token, 1), i)``, the
-    token layout of a single-helper cycle, and is billed what that cycle
-    bills.  Mutates the sampled helpers' momenta; returns (x', sampled).
+    token layout of a single-helper cycle, and is billed the gradients its
+    oracle serves.  Mutates the sampled helpers' momenta; returns (x', sampled).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -72,14 +73,14 @@ def decentralized_cycle(
     x_prev = x if x_prev is None else x_prev
     sampled = sample_helpers(stream_fork(token, 0), helpers.n, helpers.s)
     lanes = stream_fork(token, 1)
-    finals = []
+    calls, finals = Counter(), []
     for i in sampled:
         state = OptimizerState(x_prev=x_prev, x=x, m=helpers.momenta[i])
-        new = cycle(state, helpers.oracles[i], cfg, stream_fork(lanes, i)).state
+        new = cycle(state, billed(helpers.oracles[i], calls), cfg, stream_fork(lanes, i)).state
         helpers.momenta[i] = new.m
-        helpers.calls_h += new.calls_h
-        helpers.calls_fmh += new.calls_fmh
         finals.append(new.x)
+    helpers.calls_h += calls["h"]
+    helpers.calls_fmh += calls["fmh"]
     return np.mean(finals, axis=0), sampled
 
 

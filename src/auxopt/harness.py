@@ -13,9 +13,8 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import problems, theory
-from .core import NoiseSpec, OraclePair, RandomToken, as_vector, stream_fork
+from .core import ConfigError, NoiseSpec, OraclePair, RandomToken, as_vector, stream_fork
 from .optimizers import (
-    ALGORITHMS,
     CSV_COLUMNS,
     DivergenceError,
     OptimizerConfig,
@@ -28,14 +27,6 @@ SCHEMA_VERSION = 1
 SUMMARY_COLUMNS = ("value", "final_G", "iters_to_threshold", "calls_f", "calls_h", "calls_fmh")
 
 GRAD_THRESHOLD = 1e-6  # sweep summary: cycles until ||grad f||^2 falls below
-
-
-class ConfigError(ValueError):
-    """Schema violation; ``path`` points at the offending field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 def _require(cond: bool, path: str, message: str):
@@ -53,9 +44,12 @@ def _number(v) -> bool:
 
 
 def _at(path: str, fn, *args):
-    """``fn(*args)``, with a bad-input error reported as a ConfigError at ``path``."""
+    """``fn(*args)``, with a bad-input error reported as a ConfigError at
+    ``path``; a ConfigError's own path is put under ``path``."""
     try:
         return fn(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -120,50 +114,22 @@ def load_config(text: str) -> ExperimentConfig:
              "must be 'manual' or 'theorem'")
     if params_mode == "manual":
         _require("eta" in alg_raw, "algorithm.eta", "required in manual params mode")
-    _require(alg_raw["name"] in ALGORITHMS, "algorithm.name",
-             f"must be one of {ALGORITHMS}")
-    _require(_integer(alg_raw["K"]) and alg_raw["K"] >= 1,
-             "algorithm.K", "must be an integer >= 1")
-    _require(_integer(alg_raw["T"]) and alg_raw["T"] >= 1,
-             "algorithm.T", "must be an integer >= 1")
+    for key in ("K", "T"):
+        _require(_integer(alg_raw[key]), f"algorithm.{key}", "must be an integer")
     eta = alg_raw.get("eta", 1.0)  # placeholder when theorem mode resolves it
-    _require(_number(eta) and eta > 0, "algorithm.eta", "must be a finite positive number")
     a = alg_raw.get("a", 1.0)
-    _require(_number(a) and 0 < a <= 1, "algorithm.a",
-             "must lie in (0, 1]")
-    m0_mode = alg_raw.get("m0_mode", "single_sample")
-    _require(m0_mode in ("zero", "single_sample", "big_batch"), "algorithm.m0_mode",
-             f"unknown m0_mode {m0_mode!r}")
     split_fraction = alg_raw.get("split_fraction", 0.5)
-    _require(_number(split_fraction) and 0 <= split_fraction <= 1, "algorithm.split_fraction",
-             "must lie in [0, 1]")
-    try:
-        algorithm = OptimizerConfig(
-            algorithm=alg_raw["name"],
-            eta=eta,
-            a=a,
-            K=alg_raw["K"],
-            T=alg_raw["T"],
-            m0_mode=m0_mode,
-            split_fraction=split_fraction,
-        )
-    except ValueError as exc:
-        raise ConfigError("algorithm", str(exc)) from None
+    for key, value in (("eta", eta), ("a", a), ("split_fraction", split_fraction)):
+        _require(_number(value), f"algorithm.{key}", "must be a finite number")
+    algorithm = _at("algorithm", OptimizerConfig, alg_raw["name"], eta, a, alg_raw["K"],
+                    alg_raw["T"], alg_raw.get("m0_mode", "single_sample"), split_fraction)
 
     noise_raw = raw.get("noise", {})
     _check_keys(noise_raw, {"sigma_f", "sigma_h", "rho"}, set(), "noise")
     for key, value in noise_raw.items():
         _require(_number(value), f"noise.{key}", "must be a finite number")
-        _require(key == "rho" or value >= 0, f"noise.{key}", "must be nonnegative")
-    _require(-1 <= noise_raw.get("rho", 0.0) <= 1, "noise.rho", "must lie in [-1, 1]")
-    try:
-        noise = NoiseSpec(
-            sigma_f=noise_raw.get("sigma_f", 0.0),
-            sigma_h=noise_raw.get("sigma_h", 0.0),
-            rho=noise_raw.get("rho", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from None
+    noise = _at("noise", NoiseSpec, noise_raw.get("sigma_f", 0.0),
+                noise_raw.get("sigma_h", 0.0), noise_raw.get("rho", 0.0))
 
     seed = raw["seed"]
     _require(_integer(seed) and seed >= 0, "seed", "must be a nonnegative integer")

@@ -4,16 +4,18 @@ Each algorithm proceeds in T cycles; a cycle refreshes a momentum estimate of
 grad(f - h) (or of grad f for the baselines) from the current snapshot x and
 then takes K inner steps driven by gradients of the helper h.  One pure
 function, :func:`cycle`, runs a cycle of every algorithm: state in, new
-state out.  The momentum methods are rows of the MOMENTUM table.
+state out.  The momentum methods are rows of the MOMENTUM table.  Gradient
+calls are billed where they are served, by the :func:`billed` view of the oracle.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import Array, OraclePair, RandomToken, as_vector, stream_fork
+from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, stream_fork
 
 ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "FineTune")
 
@@ -39,18 +41,20 @@ class OptimizerConfig:
     split_fraction: float = 0.5  # FineTune only: share of the budget spent on h
 
     def __post_init__(self):
+        """Range rules; a ConfigError names the field by its config key."""
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise ConfigError("name", f"must be one of {ALGORITHMS}")
+        if not self.eta > 0:
+            raise ConfigError("eta", "must be positive")
         if not 0 < self.a <= 1:
-            raise ValueError("momentum parameter a must lie in (0, 1]")
-        if self.K < 1 or self.T < 1:
-            raise ValueError("K and T must be >= 1")
+            raise ConfigError("a", "must lie in (0, 1]")
+        for name in ("K", "T"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
         if self.m0_mode not in ("zero", "single_sample", "big_batch"):
-            raise ValueError(f"unknown m0_mode {self.m0_mode!r}")
+            raise ConfigError("m0_mode", f"unknown m0_mode {self.m0_mode!r}")
         if not 0 <= self.split_fraction <= 1:
-            raise ValueError("split_fraction must lie in [0, 1]")
+            raise ConfigError("split_fraction", "must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,6 @@ class OptimizerState:
     x: Array  # current snapshot
     m: Array  # momentum
     t: int = 0
-    calls_f: int = 0
-    calls_h: int = 0
-    calls_fmh: int = 0
 
 
 @dataclass(frozen=True)
@@ -136,25 +137,15 @@ def init_state(
     x0 = as_vector(x0, oracle.dim)
     m = np.zeros(oracle.dim)
     spec = MOMENTUM.get(cfg.algorithm)
-    draws = 0
     if cfg.m0_mode != "zero" and spec is not None:
         grad = spec.target(oracle)
         init_token = stream_fork(token, 0)
         if cfg.m0_mode == "single_sample":
             m = grad(x0, init_token)
-            draws = 1
         else:  # big_batch: mean of T independent samples
             samples = [grad(x0, stream_fork(init_token, j)) for j in range(cfg.T)]
             m = np.mean(samples, axis=0)
-            draws = cfg.T
-    fmh = spec is not None and spec.fmh
-    return OptimizerState(
-        x_prev=x0.copy(),
-        x=x0.copy(),
-        m=m,
-        calls_f=0 if fmh else draws,
-        calls_fmh=draws if fmh else 0,
-    )
+    return OptimizerState(x_prev=x0.copy(), x=x0.copy(), m=m)
 
 
 def local_update_step(y: Array, x_snapshot: Array, oracle: OraclePair, eta: float) -> Array:
@@ -176,7 +167,6 @@ def cycle(
     """
     x, a, eta = state.x, cfg.a, cfg.eta
     m, ys = state.m, []
-    calls_f = calls_h = calls_fmh = 0
     spec = MOMENTUM.get(cfg.algorithm)
     if spec is not None:
         grad, tok = spec.target(oracle), stream_fork(token, 0)
@@ -184,8 +174,6 @@ def cycle(
         m = (1.0 - a) * m + a * g
         if spec.storm:
             m = m + (1.0 - a) * (g - grad(state.x_prev, tok))
-        draws = 1 + spec.storm
-        calls_fmh, calls_f = (draws, 0) if spec.fmh else (0, draws)
         if spec.inner is None:
             ys.append(x - eta * m)
         else:
@@ -197,7 +185,6 @@ def cycle(
                     d = d - oracle.grad_h(x, tok)
                 y = y - eta * (d + m)
                 ys.append(y)
-            calls_h = cfg.K * (2 if spec.inner == "svrg" else 1)
     elif cfg.algorithm == "Naive":
         # One f-gradient step followed by K-1 raw h-gradient steps, no correction.
         m = oracle.grad_f(x, stream_fork(token, 0))
@@ -206,12 +193,10 @@ def cycle(
         for k in range(1, cfg.K):
             y = y - eta * oracle.grad_h(y, stream_fork(token, k))
             ys.append(y)
-        calls_f, calls_h = 1, cfg.K - 1
     elif cfg.algorithm == "GD":
         if oracle.exact_grad_f is None:
             raise ValueError("GD requires an exact gradient of f")
         ys.append(x - eta * oracle.exact_grad_f(x))
-        calls_f = 1
     else:  # FineTune
         # First split_fraction * (T*K) global steps run SGDm on h, the rest on f.
         # The momentum buffer is reset when the phase flips.
@@ -224,22 +209,25 @@ def cycle(
                 m = np.zeros_like(m)  # phase switch
             tok = stream_fork(token, k)
             g = oracle.grad_h(y, tok) if on_h else oracle.grad_f(y, tok)
-            calls_h += on_h
-            calls_f += not on_h
             m = (1.0 - a) * m + a * g
             y = y - eta * m
             ys.append(y)
-    new = replace(
-        state,
-        x_prev=x,
-        x=ys[-1],
-        m=m,
-        t=state.t + 1,
-        calls_f=state.calls_f + calls_f,
-        calls_h=state.calls_h + calls_h,
-        calls_fmh=state.calls_fmh + calls_fmh,
-    )
+    new = replace(state, x_prev=x, x=ys[-1], m=m, t=state.t + 1)
     return CycleResult(new, tuple(ys))
+
+
+def billed(oracle: OraclePair, calls: Counter) -> OraclePair:
+    """``oracle`` adding one to ``calls["f"|"h"|"fmh"]`` for each gradient it
+    serves; an exact gradient of f (a GD step) is billed as an f call."""
+    def bill(key, grad):
+        def served(*args):
+            calls[key] += 1
+            return grad(*args)
+        return served
+
+    return replace(oracle, grad_f=bill("f", oracle.grad_f), grad_h=bill("h", oracle.grad_h),
+                   grad_f_minus_h=bill("fmh", oracle.grad_f_minus_h),
+                   exact_grad_f=oracle.exact_grad_f and bill("f", oracle.exact_grad_f))
 
 
 def run(
@@ -257,7 +245,9 @@ def run(
     """
     if x0 is None:
         x0 = np.ones(oracle.dim)
-    state = init_state(x0, oracle, cfg, token)
+    calls = Counter()
+    stepper = billed(oracle, calls)
+    state = init_state(x0, stepper, cfg, token)
     exact = oracle.has_exact_gradients
     spec = MOMENTUM.get(cfg.algorithm)
     track_e = diagnostics_on and exact and spec is not None and spec.fmh
@@ -277,9 +267,9 @@ def run(
     # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         rows.append((0, 0, *observe(state.x), None, None,
-                     state.calls_f, state.calls_h, state.calls_fmh))
+                     calls["f"], calls["h"], calls["fmh"]))
         for t in range(1, cfg.T + 1):
-            result = cycle(state, oracle, cfg, stream_fork(token, t))
+            result = cycle(state, stepper, cfg, stream_fork(token, t))
             snapshot = state.x
             new = result.state
             e_t = None
@@ -294,7 +284,7 @@ def run(
                                    f"(limit {DIVERGENCE_LIMIT:g})")
                 delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
                 rows.append((t, k, f_val, g_sq, e_t, delta,
-                             new.calls_f, new.calls_h, new.calls_fmh))
+                             calls["f"], calls["h"], calls["fmh"]))
             state = new
 
     metadata["final_x"] = state.x.tolist()

@@ -398,17 +398,6 @@ class LogisticTask:
         coef = -y * _sigmoid(-margins) / len(idx)
         return np.bincount(cols, weights=vals * coef[row], minlength=self.dim) + self.l2_reg * x
 
-    def smoothness(self) -> float:
-        """Upper bound on the loss Hessian spectral norm (at sigma(1-sigma) <= 1/4).
-
-        ||W^(1/2) A||_2^2 is the top eigenvalue of the Gram matrix on the
-        smaller side, d x d or n x n, so no n x d matrix is made dense.
-        """
-        a = sp.diags(np.sqrt(self._w)) @ self.features
-        gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-        top = np.linalg.eigvalsh(gram.toarray()).max(initial=0.0)
-        return 0.25 * float(top) + self.l2_reg
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|z|."""
@@ -514,7 +503,7 @@ def logistic_oracle(
 
     ``batch_size`` None gives exact (deterministic) gradients; otherwise
     stochastic gradients average over a with-replacement minibatch drawn from
-    the token.  No analytic Hessian gap is carried.
+    the token.  No analytic smoothness bound or Hessian gap is carried.
     """
     if f_task.dim != h_task.dim:
         raise ValueError("tasks must share the parameter dimension")
@@ -548,7 +537,6 @@ def logistic_oracle(
         exact_grad_h=h_task.grad,
         f_value=f_task.loss,
         h_value=h_task.loss,
-        lipschitz=f_task.smoothness(),
         f_star=0.0 if f_task.l2_reg == 0 else None,
     )
 

@@ -13,7 +13,13 @@ import pytest
 from auxopt.core import NoiseSpec, RandomToken
 from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
 from auxopt.optimizers import ALGORITHMS, OptimizerConfig, run
-from auxopt.problems import make_toy_pair
+from auxopt.problems import (
+    LogisticTask,
+    logistic_oracle,
+    make_synthetic_classification,
+    make_toy_pair,
+    map_labels_to_pm1,
+)
 
 NOISE = NoiseSpec(sigma_f=1.0, sigma_h=1.0, rho=0.5)
 
@@ -42,16 +48,26 @@ def counted(pair, counts: Counter):
     )
 
 
+def logistic_pair():
+    """A minibatch logistic pair whose grad_f_minus_h calls its own f and h
+    gradients: each of its draws is one f-h call, not an f and an h call."""
+    features, labels = make_synthetic_classification(40, 6, RandomToken(5), n_groups=3)
+    labels = map_labels_to_pm1(labels)
+    return logistic_oracle(LogisticTask(features, labels), LogisticTask(features, -labels),
+                           batch_size=4)
+
+
 @pytest.mark.parametrize("m0_mode", ["zero", "single_sample", "big_batch"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_bills_every_draw(algorithm, m0_mode):
-    counts = Counter()
-    oracle = counted(make_toy_pair(0.5, 2.0, NOISE), counts)
     cfg = OptimizerConfig(algorithm, eta=0.05, a=0.3, K=3, T=6, m0_mode=m0_mode)
-    last = run(oracle, cfg, RandomToken(11), x0=np.array([1.5])).rows[-1]
-    assert (last.calls_f, last.calls_h, last.calls_fmh) == (
-        counts["f"] + counts["exact_f"], counts["h"], counts["fmh"])
-    assert sum(counts.values()) > 0
+    for pair, x0 in ((make_toy_pair(0.5, 2.0, NOISE), np.array([1.5])),
+                     (logistic_pair(), np.zeros(6))):
+        counts = Counter()
+        last = run(counted(pair, counts), cfg, RandomToken(11), x0=x0).rows[-1]
+        assert (last.calls_f, last.calls_h, last.calls_fmh) == (
+            counts["f"] + counts["exact_f"], counts["h"], counts["fmh"])
+        assert sum(counts.values()) > 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -513,6 +513,11 @@ class TestInputErrors:
         ("algorithm.m0_mode", "bogus", "algorithm.m0_mode"),
         ("algorithm.split_fraction", 2, "algorithm.split_fraction"),
         *THEOREM_OVERFLOWS,
+        ("algorithm.name", "Nope", "algorithm.name"),
+        ("algorithm.eta", 0, "algorithm.eta"),
+        ("algorithm.a", 1.5, "algorithm.a"),
+        ("algorithm.T", 0, "algorithm.T"),
+        ("noise", {"sigma_h": -1}, "noise.sigma_h"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file

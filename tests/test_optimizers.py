@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from auxopt import ConfigError
 from auxopt.core import NoiseSpec, RandomToken
 from auxopt.optimizers import (
     DivergenceError,
@@ -38,6 +39,31 @@ class TestOptimizerConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "make,kwargs,path",
+        [
+            (OptimizerConfig, {"algorithm": "Nope", "eta": 0.1}, "name"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.0}, "eta"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "a": 0.0}, "a"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "a": 1.5}, "a"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "K": 0}, "K"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "T": 0}, "T"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "m0_mode": "bogus"},
+             "m0_mode"),
+            (OptimizerConfig, {"algorithm": "FineTune", "eta": 0.1, "split_fraction": 1.5},
+             "split_fraction"),
+            (NoiseSpec, {"sigma_f": -1}, "sigma_f"),
+            (NoiseSpec, {"sigma_h": -1}, "sigma_h"),
+            (NoiseSpec, {"rho": 1.5}, "rho"),
+        ],
+    )
+    def test_errors_name_their_field(self, make, kwargs, path):
+        # the config key of the field, which load_config puts under its block
+        with pytest.raises(ConfigError) as err:
+            make(**kwargs)
+        assert isinstance(err.value, ValueError)
+        assert err.value.path == path
 
     @given(
         st.floats(min_value=1e-6, max_value=10),

@@ -429,11 +429,6 @@ def _dense_grad_minibatch(task, x, idx):
     return a.T @ coef + task.l2_reg * x
 
 
-def _dense_smoothness(task):
-    a = task.features.toarray() * np.sqrt(task._w)[:, None]
-    return 0.25 * float(np.linalg.norm(a, 2)) ** 2 + task.l2_reg
-
-
 def _assert_close(got, want, rel=1e-12):
     assert np.linalg.norm(np.subtract(got, want)) <= rel * np.linalg.norm(want)
 
@@ -464,7 +459,6 @@ class TestSparseMatchesDense:
             for idx in (np.array([empty]), np.array([empty, empty, 0]),
                         rng.integers(0, task.n_samples, 128)):
                 _assert_close(task.grad_minibatch(x, idx), _dense_grad_minibatch(task, x, idx))
-        _assert_close(task.smoothness(), _dense_smoothness(task))
 
     def test_dense_and_sparse_input_give_one_task(self):
         rng = rng_from_token(RandomToken(18))
