@@ -131,16 +131,8 @@ def _cmd_check(args) -> int:
 def _cmd_params(args) -> int:
     cfg = _load(args.config)
     oracle = harness.build_oracle(cfg)
-    p = harness.theory_params_for(cfg, oracle, harness.initial_point(cfg, oracle))
-    eta_mom, a_mom, beta = harness.theorem_values(cfg, p, theory.auxmom_params)
-    eta_mvr, a_mvr = harness.theorem_values(cfg, p, theory.auxmvr_params)
-    print(json.dumps({
-        "inputs": {"L": p.L, "delta": p.delta, "sigma_f": p.sigma_f,
-                   "sigma_h": p.sigma_h, "sigma_fmh": p.sigma_fmh,
-                   "F0": p.F0, "K": p.K, "T": p.T},
-        "AuxMOM": {"eta": eta_mom, "a": a_mom, "beta": beta},
-        "AuxMVR": {"eta": eta_mvr, "a": a_mvr},
-    }, indent=2))
+    x0 = harness.initial_point(cfg, oracle)
+    print(json.dumps(harness.theorem_params(cfg, oracle, x0), indent=2))
     return EXIT_OK
 
 

@@ -120,14 +120,12 @@ class WeakConvexityReport:
         return self.ok
 
 
-def check_weak_convexity(
-    oracle: OraclePair,
-    delta: float,
-    n_points: int = 200,
-    radius: float = 2.0,
-    token: RandomToken = RandomToken(0),
-    tol: float = 1e-9,
-) -> WeakConvexityReport:
+# check_weak_convexity: random point pairs, their scale, and the relative slack
+CONVEXITY_PAIRS, CONVEXITY_RADIUS, CONVEXITY_TOL = 200, 2.0, 1e-9
+
+
+def check_weak_convexity(oracle: OraclePair, delta: float,
+                         token: RandomToken = RandomToken(0)) -> WeakConvexityReport:
     """Midpoint-convexity test of f(x) + delta ||x||^2 on random point pairs.
 
     Returns a falsy report with a witness pair on the first violation.
@@ -139,11 +137,11 @@ def check_weak_convexity(
         return oracle.f_value(x) + delta * float(x @ x)
 
     rng = rng_from_token(token)
-    for _ in range(n_points):
-        x = radius * rng.standard_normal(oracle.dim)
-        y = radius * rng.standard_normal(oracle.dim)
+    for _ in range(CONVEXITY_PAIRS):
+        x = CONVEXITY_RADIUS * rng.standard_normal(oracle.dim)
+        y = CONVEXITY_RADIUS * rng.standard_normal(oracle.dim)
         mid = g(0.5 * (x + y))
         avg = 0.5 * (g(x) + g(y))
-        if mid > avg + tol * max(1.0, abs(avg)):
+        if mid > avg + CONVEXITY_TOL * max(1.0, abs(avg)):
             return WeakConvexityReport(ok=False, witness=(x, y))
     return WeakConvexityReport(ok=True)

@@ -6,7 +6,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -253,54 +253,29 @@ def initial_point(cfg: ExperimentConfig, oracle: OraclePair) -> np.ndarray:
     return np.asarray(cfg.x0, dtype=np.float64)
 
 
-def theory_params_for(cfg: ExperimentConfig, oracle: OraclePair,
-                      x0: np.ndarray) -> theory.TheoryParams:
+def theorem_params(cfg: ExperimentConfig, oracle: OraclePair, x0: np.ndarray) -> dict:
+    """The theorem formulas' inputs and each method's (eta, a): the JSON that
+    ``auxopt params`` prints.  An input that breaks a ``TheoryParams`` rule is a
+    ConfigError at the config field it comes from."""
     if oracle.lipschitz is None or oracle.hessian_gap is None:
         raise ConfigError("params_mode",
                           "theorem mode requires a problem with analytic constants")
-    f0 = 0.0
-    if oracle.f_value is not None:
-        f0 = oracle.f_value(x0) - (oracle.f_star or 0.0)
-    return theory.TheoryParams(
-        L=oracle.lipschitz,
-        delta=oracle.hessian_gap,
-        sigma_f=cfg.noise.sigma_f,
-        sigma_h=cfg.noise.sigma_h,
-        sigma_fmh=math.sqrt(cfg.noise.sigma_fmh_sq),
-        F0=max(f0, 0.0),
-        K=cfg.algorithm.K,
-        T=cfg.algorithm.T,
-    )
-
-
-def theorem_values(cfg: ExperimentConfig, p: theory.TheoryParams, formula):
-    """``formula(p)``; a constant whose square overflows a float is a
-    ConfigError at the field it comes from."""
+    block = f"problem.{next(iter(cfg.problem))}"
+    paths = {"L": block, "delta": f"{block}.delta" if block == "problem.toy" else block,
+             "sigma_f": "noise.sigma_f", "sigma_h": "noise.sigma_h", "sigma_fmh": "noise",
+             "F0": "x0", "K": "algorithm.K", "T": "algorithm.T"}
+    f0 = 0.0 if oracle.f_value is None else oracle.f_value(x0) - (oracle.f_star or 0.0)
     try:
-        return formula(p)
-    except OverflowError:
-        tag = next(iter(cfg.problem))
-        for value, path in ((p.sigma_f, "noise.sigma_f"), (p.sigma_h, "noise.sigma_h"),
-                            (p.delta, "problem.toy.delta" if tag == "toy" else f"problem.{tag}")):
-            if math.isinf(value * value):
-                raise ConfigError(path, f"{value:g} squared overflows a float in the "
-                                        "theorem formulas") from None
-        raise
-
-
-def resolve_params(cfg: ExperimentConfig, oracle: OraclePair,
-                   x0: np.ndarray) -> tuple[OptimizerConfig, dict]:
-    """Apply theorem-derived (eta, a) when requested; returns (config, metadata)."""
-    meta: dict = {"params_mode": cfg.params_mode}
-    if cfg.params_mode != "theorem":
-        return cfg.algorithm, meta
-    p = theory_params_for(cfg, oracle, x0)
-    if cfg.algorithm.algorithm == "AuxMVR":
-        eta, a = theorem_values(cfg, p, theory.auxmvr_params)
-    else:
-        eta, a, beta = theorem_values(cfg, p, theory.auxmom_params)
-        meta["beta"] = beta
-    return replace(cfg.algorithm, eta=eta, a=a), meta
+        p = theory.TheoryParams(
+            L=oracle.lipschitz, delta=oracle.hessian_gap, sigma_f=cfg.noise.sigma_f,
+            sigma_h=cfg.noise.sigma_h, sigma_fmh=math.sqrt(cfg.noise.sigma_fmh_sq),
+            F0=max(f0, 0.0), K=cfg.algorithm.K, T=cfg.algorithm.T)
+    except ConfigError as exc:
+        raise ConfigError(paths[exc.path], exc.message) from None
+    eta_mom, a_mom, beta = theory.auxmom_params(p)
+    eta_mvr, a_mvr = theory.auxmvr_params(p)
+    return {"inputs": asdict(p), "AuxMOM": {"eta": eta_mom, "a": a_mom, "beta": beta},
+            "AuxMVR": {"eta": eta_mvr, "a": a_mvr}}
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +337,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if oracle is None:
         oracle = build_oracle(cfg)
     x0 = initial_point(cfg, oracle)
-    opt_cfg, resolve_meta = resolve_params(cfg, oracle, x0)
+    opt_cfg, resolve_meta = cfg.algorithm, {"params_mode": cfg.params_mode}
+    if cfg.params_mode == "theorem":  # AuxMVR has its own formulas; the rest use AuxMOM's
+        entry = theorem_params(cfg, oracle, x0)[
+            "AuxMVR" if cfg.algorithm.algorithm == "AuxMVR" else "AuxMOM"]
+        opt_cfg = replace(cfg.algorithm, eta=entry["eta"], a=entry["a"])
+        resolve_meta.update(entry)
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

@@ -7,12 +7,13 @@ recorded alongside CONSTANTS for reference.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Array, RandomToken, rng_from_token, stream_fork
+from .core import Array, ConfigError, RandomToken, rng_from_token, stream_fork
 
 # The formulas below use these constants; a tighter variant of the same
 # derivation gives the alternate values noted per entry.
@@ -37,14 +38,23 @@ class TheoryParams:
     T: int = 1
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if self.K < 1 or self.T < 1:
-            raise ValueError("K and T must be >= 1")
-        if self.delta < 0 or min(self.sigma_f, self.sigma_h, self.sigma_fmh) < 0:
-            raise ValueError("delta and noise levels must be nonnegative")
+        """The formulas' input rules; a ConfigError names the field it breaks."""
+        if not self.L > 0:
+            raise ConfigError("L", f"L = {self.L:g} must be positive")
+        for name in ("K", "T"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"{name} must be >= 1")
+        for name in ("delta", "sigma_f", "sigma_h", "sigma_fmh", "F0"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(name, f"{name} must be nonnegative")
+        # The formulas square these and 1/L, a bound on eta; an int's square is exact.
+        squared = [("L", "1/L", 1 / self.L)] + [(n, n, getattr(self, n)) for n in (
+            "delta", "sigma_f", "sigma_h", "sigma_fmh", "K", "T")]
+        for name, label, value in squared:
+            if not value * value <= sys.float_info.max:
+                raise ConfigError(name, f"{label} squared overflows a float")
         if self.delta > 2 * self.L:
-            raise ValueError("delta cannot exceed 2L")
+            raise ConfigError("delta", f"delta = {self.delta:g} exceeds 2L = {2 * self.L:g}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +104,11 @@ def auxmvr_params(p: TheoryParams) -> tuple[float, float]:
     branches = [1.0 / p.L]
     if p.delta > 0:
         branches.append(1.0 / (CONSTANTS["mom_eta_delta_k"] * p.delta * p.K))
-        if p.sigma_fmh > 0 and p.F0 > 0:
-            cubic = p.F0 / (CONSTANTS["mvr_eta_cubic"] * p.delta**2 * p.T * p.sigma_fmh**2)
-            branch = cubic ** (1.0 / 3.0) / p.K
-            if branch > 0:
-                branches.append(branch)
+    cubic_denom = CONSTANTS["mvr_eta_cubic"] * p.delta**2 * p.T * p.sigma_fmh**2
+    if cubic_denom > 0 and p.F0 > 0:  # the denominator underflows for tiny delta or sigma_fmh
+        branch = (p.F0 / cubic_denom) ** (1.0 / 3.0) / p.K
+        if branch > 0:
+            branches.append(branch)
     if p.F0 > 0:
         branch = math.sqrt(p.F0 / (p.K * p.T * (p.L / 2 + 8 * p.delta * p.K)))
         if branch > 0:  # guard against underflow of tiny F0
@@ -114,6 +124,11 @@ def auxmvr_params(p: TheoryParams) -> tuple[float, float]:
 
 GradFn = Callable[[Array], Array]
 
+# estimate_delta: power-iteration restarts and steps per probe, their stopping
+# tolerance, and the finite-difference step relative to 1 + ||x||
+DELTA_RESTARTS, DELTA_ITERS, DELTA_TOL, DELTA_FD_SCALE = 5, 50, 1e-8, 1e-4
+BIAS_THRESHOLD = 1e-8  # estimate_bias fits m on probes with ||grad f||^2 above this
+
 
 def default_probe_points(dim: int, token: RandomToken, n_points: int = 20,
                          radius: float = 1.0) -> list[Array]:
@@ -125,10 +140,6 @@ def estimate_delta(
     grad_f: GradFn,
     grad_h: GradFn,
     probes: Sequence[Array],
-    restarts: int = 5,
-    iters: int = 50,
-    tol: float = 1e-8,
-    fd_scale: float = 1e-4,
     token: Optional[RandomToken] = None,
 ) -> float:
     """Spectral norm of the Hessian gap, via power iteration on a finite-
@@ -143,7 +154,7 @@ def estimate_delta(
     best = 0.0
     for x in probes:
         x = np.asarray(x, dtype=np.float64)
-        eps = fd_scale * (1.0 + float(np.linalg.norm(x)))
+        eps = DELTA_FD_SCALE * (1.0 + float(np.linalg.norm(x)))
 
         def hv(v: Array) -> Array:
             gp = grad_f(x + eps * v) - grad_h(x + eps * v)
@@ -153,17 +164,17 @@ def estimate_delta(
                 raise ValueError("non-finite gradient evaluation in delta estimator")
             return g
 
-        for _ in range(restarts):
+        for _ in range(DELTA_RESTARTS):
             v = rng.standard_normal(len(x))
             v /= np.linalg.norm(v)
             est = 0.0
-            for _ in range(iters):
+            for _ in range(DELTA_ITERS):
                 w = hv(v)
                 norm_w = float(np.linalg.norm(w))
-                if norm_w < tol:
+                if norm_w < DELTA_TOL:
                     est = norm_w
                     break
-                if abs(norm_w - est) <= tol * max(1.0, norm_w):
+                if abs(norm_w - est) <= DELTA_TOL * max(1.0, norm_w):
                     est = norm_w
                     break
                 est = norm_w
@@ -176,7 +187,6 @@ def estimate_bias(
     grad_f: GradFn,
     grad_h: GradFn,
     probes: Sequence[Array],
-    threshold: float = 1e-8,
 ) -> BiasEstimate:
     """Least-slack (m, zeta^2) fit so ||grad f - grad h||^2 <= m ||grad f||^2 + zeta^2
     holds on every probe."""
@@ -192,7 +202,7 @@ def estimate_bias(
     b = np.asarray(b)
     g = np.asarray(g)
     floor = float(b.min())
-    big = g > threshold
+    big = g > BIAS_THRESHOLD
     m = float(np.max((b[big] - floor) / g[big], initial=0.0))
     m = max(m, 0.0)
     zeta_sq = float(np.max(b - m * g, initial=0.0))

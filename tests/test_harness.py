@@ -391,6 +391,17 @@ class TestCli:
         assert cli.main(["run", "--config", self._write(tmp_path, raw)]) == 2
         assert "params_mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["AuxMOM", "AuxMVR", "SGDm"])
+    def test_run_and_params_agree_in_theorem_mode(self, tmp_path, capsys, name):
+        raw = toy_config(params_mode="theorem", noise={"sigma_f": 1.0, "sigma_h": 0.5})
+        raw["algorithm"].update(name=name, K=4, T=20)
+        assert cli.main(["params", "--config", self._write(tmp_path, raw)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        mom, mvr = ((e["eta"], e["a"]) for e in (printed["AuxMOM"], printed["AuxMVR"]))
+        assert mom != mvr
+        meta = run_experiment(load_config(json.dumps(raw)))[0].metadata
+        assert (meta["eta"], meta["a"]) == (mvr if name == "AuxMVR" else mom)
+
     def test_sweep_bad_values_exit_2(self, tmp_path):
         path = self._write(tmp_path, toy_config())
         assert cli.main(["sweep", "--config", path, "--axis", "algorithm.K",
@@ -472,6 +483,18 @@ THEOREM_OVERFLOWS = [
      "problem.toy.delta"),
 ]
 
+# Theorem-mode configs whose formula inputs break another TheoryParams rule.
+THEOREM_RULES = [
+    (("params_mode", "problem"), ("theorem", {"quadratic_nd": {  # delta = 4 > 2L = 2
+        "a_f": [[1.0, 0.0], [0.0, 1.0]], "a_h": [[5.0, 0.0], [0.0, 5.0]], "b_h": [0.0, 0.0]}}),
+     "problem.quadratic_nd"),
+    (("params_mode", "problem"), ("theorem", {"quadratic_nd": {  # L = 0
+        "a_f": [[0.0, 0.0], [0.0, 0.0]], "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0, 0.0]}}),
+     "problem.quadratic_nd"),
+    (("params_mode", "algorithm.K"), ("theorem", 10**320), "algorithm.K"),
+    (("params_mode", "algorithm.T"), ("theorem", 10**320), "algorithm.T"),
+]
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("field,value,where", [
@@ -518,6 +541,7 @@ class TestInputErrors:
         ("algorithm.a", 1.5, "algorithm.a"),
         ("algorithm.T", 0, "algorithm.T"),
         ("noise", {"sigma_h": -1}, "noise.sigma_h"),
+        *THEOREM_RULES,
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
@@ -533,6 +557,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("field,value,where", [
         *THEOREM_OVERFLOWS,
         (("params_mode", "problem.toy.delta"), ("theorem", 1e300), "problem.toy.delta"),
+        *THEOREM_RULES,
     ])
     def test_params_exit_2_names_overflowing_field(self, tmp_path, field, value, where):
         raw = toy_config()

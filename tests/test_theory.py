@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxopt.core import RandomToken, rng_from_token
+from auxopt.core import ConfigError, RandomToken, rng_from_token
 from auxopt.optimizers import OptimizerConfig, run
 from auxopt.problems import (
     LogisticTask,
@@ -50,6 +50,12 @@ class TestTheoryParams:
     def test_rejects_nonpositive_l(self):
         with pytest.raises(ValueError):
             TheoryParams(L=0.0, delta=0.0)
+
+    def test_rejects_l_whose_inverse_squared_overflows(self):
+        # eta can reach 1/L, and auxmvr_params squares eta
+        with pytest.raises(ConfigError) as err:
+            TheoryParams(L=1e-160, delta=0.0)
+        assert err.value.path == "L"
 
 
 class TestAuxmomParams:
@@ -116,6 +122,11 @@ class TestAuxmvrParams:
         eta, a = auxmvr_params(p)
         assert eta == pytest.approx(min(1.0, math.sqrt(1.0 / (4 * 25 * 0.5))), abs=1e-15)
         assert a == 0.04
+
+    def test_cubic_branch_dropped_when_its_denominator_underflows(self):
+        # delta**2 underflows to 0; the branch is +inf, so it cannot bind
+        p = TheoryParams(L=1.0, delta=1e-200, sigma_fmh=1.0, F0=1.0, K=1, T=1)
+        assert auxmvr_params(p) == (1.0, 1.0)
 
     def test_a_at_least_inverse_t(self):
         for T in (1, 10, 1000):
