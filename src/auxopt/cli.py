@@ -132,7 +132,7 @@ def _cmd_params(args) -> int:
     cfg = _load(args.config)
     oracle = harness.build_oracle(cfg)
     x0 = harness.initial_point(cfg, oracle)
-    print(json.dumps(harness.theorem_params(cfg, oracle, x0), indent=2))
+    print(json.dumps(harness.theorem_params(cfg, oracle, x0), indent=2, allow_nan=False))
     return EXIT_OK
 
 

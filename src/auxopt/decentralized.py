@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, OraclePair, RandomToken, borrow_generator, rng_from_token, stream_fork
+from .core import Array, OraclePair, RandomToken, borrow_generator, rng_from_token, stream_forks
 from .optimizers import OptimizerConfig, OptimizerState, billed, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
@@ -19,14 +19,14 @@ class HelperSet:
     """N helper oracles with persistent per-helper momenta.
 
     Momenta of unsampled helpers are left untouched by a cycle.  Each helper
-    draws noise from its own token lane.
+    draws noise from its own token lane and bills ``calls`` through ``views[i]``.
     """
 
     oracles: list[OraclePair]
     s: int
     momenta: list[Array] = field(default_factory=list)
-    calls_h: int = 0
-    calls_fmh: int = 0
+    calls: Counter = field(default_factory=Counter, init=False)
+    views: list[OraclePair] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.oracles)
@@ -39,10 +39,14 @@ class HelperSet:
             raise ValueError("helpers must share the parameter dimension")
         if not self.momenta:
             self.momenta = [np.zeros(dim) for _ in range(n)]
+        self.views = [billed(o, self.calls) for o in self.oracles]
 
     @property
     def n(self) -> int:
         return len(self.oracles)
+
+    calls_h = property(lambda self: self.calls["h"])
+    calls_fmh = property(lambda self: self.calls["fmh"])
 
 
 def sample_helpers(token: RandomToken, n: int, s: int) -> list[int]:
@@ -51,37 +55,31 @@ def sample_helpers(token: RandomToken, n: int, s: int) -> list[int]:
     return sorted(int(i) for i in chosen)
 
 
-def decentralized_cycle(
-    x: Array,
-    helpers: HelperSet,
-    cfg: OptimizerConfig,
-    token: RandomToken,
-    variant: str = "AuxMOM",
-    x_prev: Optional[Array] = None,
-) -> tuple[Array, list[int]]:
-    """One cycle: each sampled helper runs one ``cycle`` of ``variant`` from x
-    with its own momentum; the next snapshot is the average of their final
-    iterates.
+def plan_cycles(tokens: list[RandomToken], helpers: HelperSet, cfg: OptimizerConfig) -> list:
+    """Each cycle's sampled set and its helpers' tokens, one fork pass per
+    level: cycle token c samples under label 0, and helper i's cycle token is
+    ``stream_fork(stream_fork(c, 1), i)``."""
+    pairs = stream_forks(tokens, range(2))
+    sampled = [sample_helpers(sampler, helpers.n, helpers.s) for sampler, _ in pairs]
+    lanes = stream_forks([lane for _, lane in pairs], sampled)
+    steps = stream_forks([lane for row in lanes for lane in row], range(cfg.K + 1))
+    return [(chosen, steps[j * helpers.s:(j + 1) * helpers.s]) for j, chosen in enumerate(sampled)]
 
-    Helper i draws under ``stream_fork(stream_fork(token, 1), i)``, the
-    token layout of a single-helper cycle, and is billed the gradients its
-    oracle serves.  Mutates the sampled helpers' momenta; returns (x', sampled).
+
+def decentralized_cycle(x: Array, helpers: HelperSet, cfg: OptimizerConfig, sampled: list[int],
+                        tokens: list[list[RandomToken]], x_prev: Array) -> Array:
+    """One cycle: each sampled helper runs one ``cycle`` of ``cfg.algorithm``
+    from x with its own momentum and its tokens from :func:`plan_cycles`,
+    billed to ``helpers.calls``.  Mutates the sampled helpers' momenta and
+    returns the average of their final iterates, the next snapshot.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    cfg = replace(cfg, algorithm=variant)
-    x_prev = x if x_prev is None else x_prev
-    sampled = sample_helpers(stream_fork(token, 0), helpers.n, helpers.s)
-    lanes = stream_fork(token, 1)
-    calls, finals = Counter(), []
-    for i in sampled:
+    finals = []
+    for i, steps in zip(sampled, tokens, strict=True):
         state = OptimizerState(x_prev=x_prev, x=x, m=helpers.momenta[i])
-        new = cycle(state, billed(helpers.oracles[i], calls), cfg, stream_fork(lanes, i)).state
+        new = cycle(state, helpers.views[i], cfg, steps).state
         helpers.momenta[i] = new.m
         finals.append(new.x)
-    helpers.calls_h += calls["h"]
-    helpers.calls_fmh += calls["fmh"]
-    return np.mean(finals, axis=0), sampled
+    return np.mean(finals, axis=0)
 
 
 @dataclass
@@ -97,14 +95,17 @@ def run_decentralized(
     token: RandomToken,
     variant: str = "AuxMOM",
 ) -> DecentralizedTrajectory:
-    """T decentralized cycles; records snapshots and the sampled helper sets."""
+    """T decentralized cycles of ``variant``, cycle t under label t of
+    ``token``; records snapshots and the sampled helper sets."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    cfg = replace(cfg, algorithm=variant)
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     traj = DecentralizedTrajectory(snapshots=[x.copy()], sampled=[])
-    for t in range(1, cfg.T + 1):
-        x_new, chosen = decentralized_cycle(
-            x, helpers, cfg, stream_fork(token, t), variant=variant, x_prev=x_prev
-        )
+    plan = plan_cycles(stream_forks([token], range(1, cfg.T + 1))[0], helpers, cfg)
+    for chosen, tokens in plan:
+        x_new = decentralized_cycle(x, helpers, cfg, chosen, tokens, x_prev=x_prev)
         x_prev, x = x, x_new
         traj.snapshots.append(x.copy())
         traj.sampled.append(chosen)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, stream_fork
+from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, stream_forks
 
 ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "FineTune")
 
@@ -133,17 +133,17 @@ MOMENTUM = {
 def init_state(
     x0: Array, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
 ) -> OptimizerState:
-    """Initial state; m0 per cfg.m0_mode (zero, one sample, or a T-times batch)."""
+    """Initial state; m0 per cfg.m0_mode (zero, one sample under ``token``, or
+    the mean of T samples under its labels 0..T-1)."""
     x0 = as_vector(x0, oracle.dim)
     m = np.zeros(oracle.dim)
     spec = MOMENTUM.get(cfg.algorithm)
     if cfg.m0_mode != "zero" and spec is not None:
         grad = spec.target(oracle)
-        init_token = stream_fork(token, 0)
         if cfg.m0_mode == "single_sample":
-            m = grad(x0, init_token)
+            m = grad(x0, token)
         else:  # big_batch: mean of T independent samples
-            samples = [grad(x0, stream_fork(init_token, j)) for j in range(cfg.T)]
+            samples = [grad(x0, tok) for tok in stream_forks([token], range(cfg.T))[0]]
             m = np.mean(samples, axis=0)
     return OptimizerState(x_prev=x0.copy(), x=x0.copy(), m=m)
 
@@ -157,19 +157,20 @@ def local_update_step(y: Array, x_snapshot: Array, oracle: OraclePair, eta: floa
 
 
 def cycle(
-    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
+    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, tokens: Sequence[RandomToken]
 ) -> CycleResult:
     """One cycle of ``cfg.algorithm`` from the snapshot ``state.x``.
 
-    A MOMENTUM method refreshes m from draws at the snapshot under label 0
-    of ``token``, then takes its inner steps under labels 1..K.  Naive, GD
-    and FineTune are written out.  The next snapshot is the last iterate.
+    ``tokens[k]`` is label k = 0..K of the cycle's token.  A MOMENTUM method
+    refreshes m from draws at the snapshot under label 0, then takes its
+    inner steps under labels 1..K.  Naive, GD and FineTune are written out.
+    The next snapshot is the last iterate.
     """
     x, a, eta = state.x, cfg.a, cfg.eta
     m, ys = state.m, []
     spec = MOMENTUM.get(cfg.algorithm)
     if spec is not None:
-        grad, tok = spec.target(oracle), stream_fork(token, 0)
+        grad, tok = spec.target(oracle), tokens[0]
         g = grad(x, tok)
         m = (1.0 - a) * m + a * g
         if spec.storm:
@@ -179,7 +180,7 @@ def cycle(
         else:
             y = x.copy()
             for k in range(1, cfg.K + 1):
-                tok = stream_fork(token, k)
+                tok = tokens[k]
                 d = oracle.grad_h(y, tok)
                 if spec.inner == "svrg":
                     d = d - oracle.grad_h(x, tok)
@@ -187,11 +188,11 @@ def cycle(
                 ys.append(y)
     elif cfg.algorithm == "Naive":
         # One f-gradient step followed by K-1 raw h-gradient steps, no correction.
-        m = oracle.grad_f(x, stream_fork(token, 0))
+        m = oracle.grad_f(x, tokens[0])
         y = x - eta * m
         ys.append(y)
         for k in range(1, cfg.K):
-            y = y - eta * oracle.grad_h(y, stream_fork(token, k))
+            y = y - eta * oracle.grad_h(y, tokens[k])
             ys.append(y)
     elif cfg.algorithm == "GD":
         if oracle.exact_grad_f is None:
@@ -207,8 +208,7 @@ def cycle(
             on_h = step <= switch
             if not on_h and step - 1 <= switch:
                 m = np.zeros_like(m)  # phase switch
-            tok = stream_fork(token, k)
-            g = oracle.grad_h(y, tok) if on_h else oracle.grad_f(y, tok)
+            g = oracle.grad_h(y, tokens[k]) if on_h else oracle.grad_f(y, tokens[k])
             m = (1.0 - a) * m + a * g
             y = y - eta * m
             ys.append(y)
@@ -239,15 +239,18 @@ def run(
 ) -> Trajectory:
     """Execute T cycles, recording f(y) and ||grad f(y)||^2 per inner step.
 
-    With diagnostics on (and exact gradients available) also records the
-    momentum error E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the
-    per-step displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
+    m0 draws under label 0 of ``token`` and cycle t under label t, all forked
+    up front, one pass per level of the token tree.  With diagnostics on (and
+    exact gradients available) also records the momentum error
+    E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the per-step
+    displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
     """
     if x0 is None:
         x0 = np.ones(oracle.dim)
     calls = Counter()
     stepper = billed(oracle, calls)
-    state = init_state(x0, stepper, cfg, token)
+    [forks] = stream_forks([token], range(cfg.T + 1))
+    state = init_state(x0, stepper, cfg, forks[0])
     exact = oracle.has_exact_gradients
     spec = MOMENTUM.get(cfg.algorithm)
     track_e = diagnostics_on and exact and spec is not None and spec.fmh
@@ -268,8 +271,8 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         rows.append((0, 0, *observe(state.x), None, None,
                      calls["f"], calls["h"], calls["fmh"]))
-        for t in range(1, cfg.T + 1):
-            result = cycle(state, stepper, cfg, stream_fork(token, t))
+        for t, tokens in enumerate(stream_forks(forks[1:], range(cfg.K + 1)), start=1):
+            result = cycle(state, stepper, cfg, tokens)
             snapshot = state.x
             new = result.state
             e_t = None

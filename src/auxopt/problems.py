@@ -343,11 +343,14 @@ class LogisticTask:
                 raise ValueError("weights must sum to one")
             object.__setattr__(self, "weights", w)
         # Not dataclass fields: the weights with the uniform default built
-        # once, the transposed design as CSR for the gradient's product, and
-        # a one-entry memo (x copy, margins) that loss and grad share.
+        # once, the transposed design as CSR for the gradient's product, the
+        # CSR's index arrays as intp (faster to gather with than int32) for the
+        # minibatch, and a one-entry memo (x copy, margins) that loss and grad share.
         object.__setattr__(self, "_w", self.weights if self.weights is not None
                            else np.full(y.shape[0], 1.0 / y.shape[0]))
         object.__setattr__(self, "_features_t", a.T.tocsr())
+        object.__setattr__(self, "_indptr", a.indptr.astype(np.intp))
+        object.__setattr__(self, "_indices", a.indices.astype(np.intp))
         object.__setattr__(self, "_margin_memo", None)
 
     @property
@@ -387,12 +390,11 @@ class LogisticTask:
         The rows' nonzeros are gathered straight from the CSR arrays (scipy's
         row indexing costs more than the whole product at minibatch sizes).
         """
-        a = self.features
-        start = a.indptr[idx]
-        count = a.indptr[idx + 1] - start
+        start = self._indptr[idx]
+        count = self._indptr[idx + 1] - start
         row = np.repeat(np.arange(len(idx)), count)
         nz = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(len(row))
-        cols, vals = a.indices[nz], a.data[nz]
+        cols, vals = self._indices[nz], self.features.data[nz]
         y = self.labels[idx]
         margins = y * np.bincount(row, weights=vals * x[cols], minlength=len(idx))
         coef = -y * _sigmoid(-margins) / len(idx)

@@ -47,6 +47,8 @@ class TheoryParams:
         for name in ("delta", "sigma_f", "sigma_h", "sigma_fmh", "F0"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(name, f"{name} must be nonnegative")
+        if self.F0 == math.inf:
+            raise ConfigError("F0", "F0 = f(x0) - f* overflows a float")
         # The formulas square these and 1/L, a bound on eta; an int's square is exact.
         squared = [("L", "1/L", 1 / self.L)] + [(n, n, getattr(self, n)) for n in (
             "delta", "sigma_f", "sigma_h", "sigma_fmh", "K", "T")]

@@ -19,6 +19,7 @@ from auxopt.core import (
     gaussian_oracle,
     rng_from_token,
     stream_fork,
+    stream_forks,
 )
 
 
@@ -93,6 +94,26 @@ class TestStreamFork:
     def test_matches_tuple_entropy_formula(self, sid, draw, label):
         parent = RandomToken(sid, draw)
         assert stream_fork(parent, label) == tuple_entropy_fork(parent, label)
+
+    @given(st.integers(min_value=0, max_value=6).flatmap(lambda n: st.lists(st.tuples(
+        st.integers(min_value=-2**130, max_value=2**130),
+        st.integers(min_value=-2**66, max_value=2**66),
+        st.lists(st.integers(min_value=-2**66, max_value=2**66), min_size=n, max_size=n)),
+        max_size=12)))
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_matches_scalar(self, rows):
+        # masked ids, draws and labels of every word count, mixed in one call
+        parents = [RandomToken(sid, draw) for sid, draw, _ in rows]
+        labels = [row for _, _, row in rows]
+        assert stream_forks(parents, labels) == [
+            [stream_fork(p, label) for label in row] for p, row in zip(parents, labels)]
+        if parents:  # one row of labels for every parent
+            assert stream_forks(parents, labels[0]) == [
+                [stream_fork(p, label) for label in labels[0]] for p in parents]
+
+    def test_bulk_rejects_a_label_row_per_wrong_parent_count(self):
+        with pytest.raises(ValueError):
+            stream_forks([RandomToken(1)], [[0, 1], [2, 3]])
 
 
 class TestNoiseSpec:

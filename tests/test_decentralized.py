@@ -11,11 +11,13 @@ from auxopt.core import (
     gaussian_oracle,
     rng_from_token,
     stream_fork,
+    stream_forks,
 )
 from auxopt.decentralized import (
     HelperSet,
     check_weak_convexity,
     decentralized_cycle,
+    plan_cycles,
     run_decentralized,
     sample_helpers,
 )
@@ -23,6 +25,13 @@ from auxopt.optimizers import OptimizerConfig, cycle, init_state
 from auxopt.problems import make_toy_pair
 
 TOK = RandomToken(0)
+
+
+def one_cycle(x, helpers, cfg, token):
+    """``decentralized_cycle`` as planned for the cycle token ``token``:
+    (x', sampled set)."""
+    [(sampled, tokens)] = plan_cycles([token], helpers, cfg)
+    return decentralized_cycle(x, helpers, cfg, sampled, tokens, x_prev=x), sampled
 
 
 def quad_oracle(a, noise=NoiseSpec(), grad_f_matrix=None):
@@ -86,12 +95,13 @@ class TestDecentralizedCycle:
         cfg = OptimizerConfig("AuxMOM", eta=0.2, a=0.7, K=4, T=1, m0_mode="zero")
         hs = HelperSet(oracles=[oracle], s=1)
         x = np.array([1.5])
-        x_dec, sampled = decentralized_cycle(x, hs, cfg, TOK)
+        x_dec, sampled = one_cycle(x, hs, cfg, TOK)
         assert sampled == [0]
         state = init_state(x, oracle, cfg, TOK)
-        x_single = cycle(state, oracle, cfg, TOK).state.x
+        [tokens] = stream_forks([TOK], range(cfg.K + 1))
+        x_single = cycle(state, oracle, cfg, tokens).state.x
         assert np.allclose(x_dec, x_single, atol=1e-15)
-        assert np.allclose(hs.momenta[0], cycle(state, oracle, cfg, TOK).state.m)
+        assert np.allclose(hs.momenta[0], cycle(state, oracle, cfg, tokens).state.m)
 
     def test_averaging(self):
         # two deterministic helpers whose inner loops end at different points:
@@ -109,7 +119,7 @@ class TestDecentralizedCycle:
                        exact_grad_h=lambda x: np.array([-1.0]))
         cfg = OptimizerConfig("AuxMOM", eta=1.0, a=1.0, K=1, T=1)
         hs = HelperSet(oracles=[o1, o2], s=2)
-        x_new, sampled = decentralized_cycle(np.array([0.0]), hs, cfg, TOK)
+        x_new, sampled = one_cycle(np.array([0.0]), hs, cfg, TOK)
         # each helper's step direction is grad_h + m = grad_f = 0, so both stay;
         # instead check with zero momentum by a=1: m_i = -grad_h_i, step = 0
         assert sampled == [0, 1]
@@ -120,7 +130,7 @@ class TestDecentralizedCycle:
         cfg = OptimizerConfig("AuxMOM", eta=0.1, a=0.5, K=3, T=1)
         hs = HelperSet(oracles=oracles, s=2)
         before = [m.copy() for m in hs.momenta]
-        _, sampled = decentralized_cycle(np.array([1.0]), hs, cfg, RandomToken(4))
+        _, sampled = one_cycle(np.array([1.0]), hs, cfg, RandomToken(4))
         for i in range(5):
             if i not in sampled:
                 assert np.array_equal(hs.momenta[i], before[i])
@@ -131,11 +141,11 @@ class TestDecentralizedCycle:
         oracles = [make_toy_pair(0.3, 1.0) for _ in range(4)]
         cfg = OptimizerConfig("AuxMOM", eta=0.1, a=0.5, K=3, T=1)
         hs = HelperSet(oracles=oracles, s=3)
-        decentralized_cycle(np.array([1.0]), hs, cfg, TOK)
+        one_cycle(np.array([1.0]), hs, cfg, TOK)
         assert hs.calls_fmh == 3
         assert hs.calls_h == 9
         hs_mvr = HelperSet(oracles=oracles, s=3)
-        decentralized_cycle(np.array([1.0]), hs_mvr, cfg, TOK, variant="AuxMVR")
+        one_cycle(np.array([1.0]), hs_mvr, dataclasses.replace(cfg, algorithm="AuxMVR"), TOK)
         assert hs_mvr.calls_fmh == 6
 
     def test_merged_helpers_match_single_run(self):

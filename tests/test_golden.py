@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from auxopt import cli
-from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork
+from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork, stream_forks
 from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
 from auxopt.harness import load_config, run_experiment, run_sweep
 from auxopt.optimizers import ALGORITHMS, DivergenceError, OptimizerConfig
@@ -109,15 +109,20 @@ def stream_id_of_bits(bits: int) -> int:
     return (1 << (bits - 1)) | (PATTERN & ((1 << (bits - 1)) - 1))
 
 
-def fork_digest() -> str:
-    """SHA-256 over the child stream ids of a grid of parents and labels."""
+def fork_parents() -> list:
+    """Parents of 0-128 bits with draw indices up to 2**64 - 1."""
+    return [RandomToken(stream_id_of_bits(bits), draw) for bits in FORK_BITS for draw in FORK_DRAWS]
+
+
+def fork_digest(children=None) -> str:
+    """SHA-256 over the child stream ids of every parent under every label
+    of the grid, forked one by one unless ``children`` gives them."""
+    if children is None:
+        children = [stream_fork(p, label) for p in fork_parents() for label in FORK_LABELS]
     h = hashlib.sha256()
-    for bits in FORK_BITS:
-        for draw in FORK_DRAWS:
-            for label in FORK_LABELS:
-                child = stream_fork(RandomToken(stream_id_of_bits(bits), draw), label)
-                h.update(child.stream_id.to_bytes(16, "little"))
-                h.update(child.draw_index.to_bytes(8, "little"))
+    for child in children:
+        h.update(child.stream_id.to_bytes(16, "little"))
+        h.update(child.draw_index.to_bytes(8, "little"))
     return h.hexdigest()
 
 
@@ -263,6 +268,12 @@ def test_cli_sweep_stdout(noisy, tmp_path, capsys):
 
 def test_stream_fork_children():
     assert fork_digest() == FORKS
+
+
+def test_bulk_fork_children():
+    # one call over every entropy word count from 3 to 8
+    rows = stream_forks(fork_parents(), FORK_LABELS)
+    assert fork_digest([child for row in rows for child in row]) == FORKS
 
 
 def test_draw_gaussian_noise_arrays():

@@ -493,6 +493,7 @@ THEOREM_RULES = [
      "problem.quadratic_nd"),
     (("params_mode", "algorithm.K"), ("theorem", 10**320), "algorithm.K"),
     (("params_mode", "algorithm.T"), ("theorem", 10**320), "algorithm.T"),
+    (("params_mode", "x0"), ("theorem", [1e200]), "x0"),  # f(x0) = inf
 ]
 
 

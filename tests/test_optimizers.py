@@ -1,11 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from auxopt import ConfigError
-from auxopt.core import NoiseSpec, RandomToken
+import auxopt
+from auxopt import ConfigError, core, decentralized, harness, optimizers, problems, theory
+from auxopt.core import NoiseSpec, RandomToken, stream_forks
 from auxopt.optimizers import (
+    ALGORITHMS,
     DivergenceError,
     OptimizerConfig,
     cycle,
@@ -176,7 +180,7 @@ class TestEquivalences:
         x0 = np.array([1.0])
         state = init_state(x0, oracle, cfg, TOK)
         assert np.allclose(state.m, oracle.exact_grad_f_minus_h(x0))
-        result = cycle(state, oracle, cfg, TOK)
+        result = cycle(state, oracle, cfg, stream_forks([TOK], range(cfg.K + 1))[0])
         assert np.allclose(result.state.m, oracle.exact_grad_f_minus_h(x0), atol=1e-15)
 
 
@@ -274,6 +278,58 @@ class TestRun:
         oracle = make_toy_pair(0.0, 0.0)
         traj = run(oracle, OptimizerConfig("GD", eta=0.5, T=1), TOK)
         assert traj.rows[0].f_value == pytest.approx(0.5)
+
+
+def count_forks(monkeypatch) -> Counter:
+    """Count calls of scalar ``stream_fork`` and bulk ``stream_forks`` in
+    every module that bound them."""
+    calls = Counter()
+    for name in ("stream_fork", "stream_forks"):
+        real = getattr(core, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        for mod in (auxopt, core, optimizers, decentralized, problems, harness, theory):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestTokenPlan:
+    """A run forks its tokens a tree level at a time, so its fork calls do
+    not grow with the number of cycles."""
+
+    @pytest.mark.parametrize("m0_mode", ("single_sample", "big_batch"))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_forks_independent_of_t(self, monkeypatch, algorithm, m0_mode):
+        oracle = make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5))
+        calls = count_forks(monkeypatch)
+        per_t = []
+        for T in (2, 12):
+            calls.clear()
+            run(oracle, OptimizerConfig(algorithm, eta=0.05, a=0.5, K=3, T=T,
+                                        m0_mode=m0_mode), TOK)
+            per_t.append(dict(calls))
+        assert per_t[0] == per_t[1]
+        assert per_t[0].get("stream_fork", 0) == 0
+
+    @pytest.mark.parametrize("variant", decentralized.VARIANTS)
+    def test_run_decentralized_forks_independent_of_t(self, monkeypatch, variant):
+        noise = NoiseSpec(sigma_f=0.5, sigma_h=0.5)
+        calls = count_forks(monkeypatch)
+        per_t = []
+        for T in (2, 12):
+            calls.clear()
+            helpers = decentralized.HelperSet(
+                [make_toy_pair(0.1, z, noise) for z in (0.5, 1.0, 2.0)], s=2)
+            decentralized.run_decentralized(
+                np.array([1.0]), helpers, OptimizerConfig(variant, eta=0.05, a=0.5, K=3, T=T),
+                TOK, variant=variant)
+            per_t.append(dict(calls))
+        assert per_t[0] == per_t[1]
+        assert per_t[0].get("stream_fork", 0) == 0
 
 
 class TestContractionAndFloors:
