@@ -19,9 +19,12 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    features, labels = make_synthetic_classification(
-        args.rows, args.features, RandomToken(args.seed)
-    )
+    try:
+        features, labels = make_synthetic_classification(
+            args.rows, args.features, RandomToken(args.seed)
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(write_libsvm(features, labels))

@@ -50,18 +50,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> harness.ExperimentConfig:
+    """The config at ``path``, loaded again with AUXOPT_SEED as its seed when that is set."""
     cfg = harness.load_config_file(path)
     seed_env = os.environ.get("AUXOPT_SEED")
-    if seed_env is not None:
-        try:
-            seed = int(seed_env)
-        except ValueError:
-            raise harness.ConfigError("seed", f"AUXOPT_SEED is not an integer: {seed_env!r}")
-        if seed < 0:
-            raise harness.ConfigError("seed", "AUXOPT_SEED must be nonnegative")
-        cfg.seed = seed
-        cfg.raw["seed"] = seed
-    return cfg
+    if seed_env is None:
+        return cfg
+    try:
+        seed = int(seed_env)
+    except ValueError:
+        raise harness.ConfigError("seed", f"AUXOPT_SEED is not an integer: {seed_env!r}") from None
+    return harness.load_config(json.dumps({**cfg.raw, "seed": seed}))
 
 
 def _cmd_run(args) -> int:

@@ -55,6 +55,17 @@ class ConfigError(ValueError):
         self.message = message
 
 
+def at_path(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a bad-input error reported as a ConfigError
+    at ``path``; a ConfigError's own path is put under ``path``."""
+    try:
+        return fn(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 @dataclass(frozen=True, slots=True)
 class RandomToken:
     """Handle into a counter-based random stream.
@@ -166,8 +177,10 @@ def stream_forks(parents: Sequence[RandomToken], labels) -> list[list[RandomToke
     every parent or a row per parent.  A pair's entropy is the words of its
     stream id, draw index and label, each cut after its last nonzero word
     (keeping one); pairs with as many words share one hash sequence."""
-    rows = np.array(labels, dtype=object) & _COUNTER_MASK
-    rows = np.broadcast_to(rows, (len(parents), rows.shape[-1])).astype("<u8")
+    labels = np.array(labels, dtype=object)
+    masked = np.array([int(label) & _COUNTER_MASK for label in labels.flat], dtype="<u8")
+    rows = np.broadcast_to(masked.reshape(labels.shape),
+                           (len(parents), labels.shape[-1])).astype("<u8")
     parent_words = np.frombuffer(b"".join(
         (p.stream_id & _KEY_MASK).to_bytes(16, "little")
         + (p.draw_index & _COUNTER_MASK).to_bytes(8, "little") for p in parents), dtype="<u4")
@@ -266,7 +279,6 @@ class OraclePair:
     exact_grad_f: Optional[ExactGradFn] = None
     exact_grad_h: Optional[ExactGradFn] = None
     f_value: Optional[ValueFn] = None
-    h_value: Optional[ValueFn] = None
     lipschitz: Optional[float] = None
     hessian_gap: Optional[float] = None
     bias_m: Optional[float] = None

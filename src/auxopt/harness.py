@@ -13,7 +13,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import problems, theory
-from .core import ConfigError, NoiseSpec, OraclePair, RandomToken, as_vector, stream_fork
+from .core import ConfigError, NoiseSpec, OraclePair, RandomToken, at_path, stream_fork
 from .optimizers import (
     CSV_COLUMNS,
     DivergenceError,
@@ -43,15 +43,10 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _at(path: str, fn, *args):
-    """``fn(*args)``, with a bad-input error reported as a ConfigError at
-    ``path``; a ConfigError's own path is put under ``path``."""
-    try:
-        return fn(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(path, str(exc)) from None
+def _given(obj: dict, keys) -> dict:
+    """The entries of ``obj`` under ``keys``; a key left out keeps the default
+    of the parameter it would fill."""
+    return {key: obj[key] for key in keys if key in obj}
 
 
 def _check_keys(obj: dict, allowed: set, required: set, path: str):
@@ -82,6 +77,17 @@ class ExperimentConfig:
 
 _PROBLEM_TYPES = ("toy", "quadratic_nd", "logistic")
 
+# The optional top-level fields: the rule each must meet when given, and its message.
+_OPTIONAL = {
+    "params_mode": (lambda v: v in ("manual", "theorem"), "must be 'manual' or 'theorem'"),
+    "repeats": (lambda v: _integer(v) and v >= 1, "must be an integer >= 1"),
+    "output_path": (lambda v: isinstance(v, str) and "\0" not in v,
+                    "must be a string without NUL characters"),
+    "x0": (lambda v: v is None or isinstance(v, list) and all(map(_number, v)),
+           "must be a list of finite numbers"),
+    "diagnostics": (lambda v: isinstance(v, bool), "must be true or false"),
+}
+
 
 def load_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; unknown keys are rejected."""
@@ -90,12 +96,15 @@ def load_config(text: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from None
 
-    _check_keys(raw, {"version", "problem", "algorithm", "noise", "seed", "params_mode",
-                      "repeats", "output_path", "x0", "diagnostics"},
+    _check_keys(raw, {"version", "problem", "algorithm", "noise", "seed", *_OPTIONAL},
                 {"problem", "algorithm", "seed"}, "")
     if "version" in raw:
         _require(_integer(raw["version"]) and raw["version"] == SCHEMA_VERSION, "version",
                  f"unsupported schema version {raw['version']}")
+    given = _given(raw, _OPTIONAL)
+    for key, value in given.items():
+        rule, message = _OPTIONAL[key]
+        _require(rule(value), key, message)
 
     problem = raw["problem"]
     _require(isinstance(problem, dict) and len(problem) == 1, "problem",
@@ -109,62 +118,33 @@ def load_config(text: str) -> ExperimentConfig:
     alg_raw = raw["algorithm"]
     _check_keys(alg_raw, {"name", "eta", "a", "K", "T", "m0_mode", "split_fraction"},
                 {"name", "K", "T"}, "algorithm")
-    params_mode = raw.get("params_mode", "manual")
-    _require(params_mode in ("manual", "theorem"), "params_mode",
-             "must be 'manual' or 'theorem'")
-    if params_mode == "manual":
+    if given.get("params_mode") != "theorem":
         _require("eta" in alg_raw, "algorithm.eta", "required in manual params mode")
     for key in ("K", "T"):
         _require(_integer(alg_raw[key]), f"algorithm.{key}", "must be an integer")
-    eta = alg_raw.get("eta", 1.0)  # placeholder when theorem mode resolves it
-    a = alg_raw.get("a", 1.0)
-    split_fraction = alg_raw.get("split_fraction", 0.5)
-    for key, value in (("eta", eta), ("a", a), ("split_fraction", split_fraction)):
-        _require(_number(value), f"algorithm.{key}", "must be a finite number")
-    algorithm = _at("algorithm", OptimizerConfig, alg_raw["name"], eta, a, alg_raw["K"],
-                    alg_raw["T"], alg_raw.get("m0_mode", "single_sample"), split_fraction)
+    for key in ("eta", "a", "split_fraction"):
+        _require(key not in alg_raw or _number(alg_raw[key]), f"algorithm.{key}",
+                 "must be a finite number")
+    fields = {"eta": 1.0, **alg_raw}  # the eta placeholder that theorem mode resolves
+    algorithm = at_path("algorithm", OptimizerConfig, fields.pop("name"), **fields)
 
     noise_raw = raw.get("noise", {})
     _check_keys(noise_raw, {"sigma_f", "sigma_h", "rho"}, set(), "noise")
     for key, value in noise_raw.items():
         _require(_number(value), f"noise.{key}", "must be a finite number")
-    noise = _at("noise", NoiseSpec, noise_raw.get("sigma_f", 0.0),
-                noise_raw.get("sigma_h", 0.0), noise_raw.get("rho", 0.0))
+    noise = at_path("noise", NoiseSpec, **noise_raw)
 
     seed = raw["seed"]
     _require(_integer(seed) and seed >= 0, "seed", "must be a nonnegative integer")
-    repeats = raw.get("repeats", 1)
-    _require(_integer(repeats) and repeats >= 1, "repeats", "must be an integer >= 1")
-    x0 = raw.get("x0")
-    _require(x0 is None or isinstance(x0, list) and all(map(_number, x0)), "x0",
-             "must be a list of finite numbers")
-    _require(isinstance(raw.get("diagnostics", False), bool), "diagnostics",
-             "must be true or false")
-    output_path = raw.get("output_path", "experiment")
-    _require(isinstance(output_path, str) and "\0" not in output_path, "output_path",
-             "must be a string without NUL characters")
-
-    return ExperimentConfig(
-        raw=raw,
-        problem=problem,
-        algorithm=algorithm,
-        noise=noise,
-        seed=seed,
-        params_mode=params_mode,
-        repeats=repeats,
-        output_path=output_path,
-        x0=x0,
-        diagnostics=raw.get("diagnostics", False),
-    )
+    return ExperimentConfig(raw, problem, algorithm, noise, seed, **given)
 
 
 def _validate_problem(tag: str, body: Any):
     path = f"problem.{tag}"
     if tag == "toy":
         _check_keys(body, {"delta", "zeta"}, {"delta", "zeta"}, path)
-        _require(_number(body["delta"]) and body["delta"] >= 0, f"{path}.delta",
-                 "must be a finite nonnegative number")
-        _require(_number(body["zeta"]), f"{path}.zeta", "must be a finite number")
+        for key in ("delta", "zeta"):
+            _require(_number(body[key]), f"{path}.{key}", "must be a finite number")
     elif tag == "quadratic_nd":
         _check_keys(body, {"a_f", "a_h", "b_h"}, {"a_f", "a_h", "b_h"}, path)
     else:
@@ -174,11 +154,11 @@ def _validate_problem(tag: str, body: Any):
         batch = body.get("batch_size")
         _require(batch is None or _integer(batch) and batch >= 1, f"{path}.batch_size",
                  "must be null or an integer >= 1")
-        l2_reg = body.get("l2_reg", 0.0)
-        _require(_number(l2_reg) and l2_reg >= 0, f"{path}.l2_reg",
+        l2_reg = body.get("l2_reg")
+        _require("l2_reg" not in body or _number(l2_reg) and l2_reg >= 0, f"{path}.l2_reg",
                  "must be a finite nonnegative number")
-        split = body.get("split", [1 / 3, 1 / 3, 1 / 3])
-        _require(isinstance(split, list) and len(split) == 3
+        split = body.get("split")
+        _require("split" not in body or isinstance(split, list) and len(split) == 3
                  and all(_number(f) and f > 0 for f in split)
                  and math.isclose(sum(split), 1.0, rel_tol=1e-9), f"{path}.split",
                  "must be three positive numbers that sum to 1")
@@ -217,32 +197,27 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     ||H_f - H_h|| is not zero in general.
     """
     tag = next(iter(cfg.problem))
-    body = cfg.problem[tag]
+    body, path = cfg.problem[tag], f"problem.{tag}"
     if tag == "toy":
-        return problems.make_toy_pair(body["delta"], body["zeta"], cfg.noise)
-    path = f"problem.{tag}"
+        return at_path(path, problems.make_toy_pair, body["delta"], body["zeta"], cfg.noise)
     if tag == "quadratic_nd":
-        a_f = _at(f"{path}.a_f", problems.check_symmetric_psd, body["a_f"], "a_f")
-        a_h = _at(f"{path}.a_h", problems.check_symmetric_psd, body["a_h"], "a_h")
-        _require(a_h.shape == a_f.shape, f"{path}.a_h", "must have the shape of a_f")
-        b_h = _at(f"{path}.b_h", as_vector, body["b_h"], a_f.shape[0])
-        return problems.make_quadratic_nd(a_f, a_h, b_h, cfg.noise)
+        return at_path(path, problems.make_quadratic_nd, body["a_f"], body["a_h"], body["b_h"],
+                       cfg.noise)
     data_path = Path(body["path"])
     if not data_path.is_file():
         raise ConfigError(f"{path}.path", f"dataset file not found: {data_path}")
-    features, labels = _at(f"{path}.path", problems.parse_libsvm, data_path.read_bytes())
-    labels = _at(f"{path}.path", problems.map_labels_to_pm1, labels)
-    task = _at(path, problems.LogisticTask, features, labels, body.get("l2_reg", 0.0))
+    features, labels = at_path(f"{path}.path", problems.parse_libsvm, data_path.read_bytes())
+    labels = at_path(f"{path}.path", problems.map_labels_to_pm1, labels)
+    task = at_path(path, problems.LogisticTask, features, labels, **_given(body, ["l2_reg"]))
     helper = body["helper"]
-    indices = helper.get("indices")
     split = body.get("split", (1 / 3, 1 / 3, 1 / 3))
-    if indices is not None:
+    if "indices" in helper:
         n_train = problems.split_sizes(task.n_samples, split)[0]
-        _require(max(indices) < n_train, f"{path}.helper.indices",
+        _require(max(helper["indices"]) < n_train, f"{path}.helper.indices",
                  f"must be below the train-part size {n_train}")
-    f_task, h_task, _ = _at(path, problems.build_semisupervised, task, split, helper["kind"],
-                            RandomToken(cfg.seed), helper.get("fraction", 1.0), indices)
-    return problems.logistic_oracle(f_task, h_task, batch_size=body.get("batch_size"))
+    f_task, h_task, _ = at_path(path, problems.build_semisupervised, task, split, helper["kind"],
+                                RandomToken(cfg.seed), **_given(helper, ["fraction", "indices"]))
+    return problems.logistic_oracle(f_task, h_task, **_given(body, ["batch_size"]))
 
 
 def initial_point(cfg: ExperimentConfig, oracle: OraclePair) -> np.ndarray:
@@ -347,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    stem = Path(cfg.output_path).name or "experiment"
+    stem = Path(cfg.output_path).name or ExperimentConfig.output_path
 
     trajectories = []
     root = RandomToken(cfg.seed)

@@ -148,14 +148,6 @@ def init_state(
     return OptimizerState(x_prev=x0.copy(), x=x0.copy(), m=m)
 
 
-def local_update_step(y: Array, x_snapshot: Array, oracle: OraclePair, eta: float) -> Array:
-    """One bias-corrected step y - eta*(grad h(y) - grad h(x) + grad f(x))."""
-    if not oracle.has_exact_gradients:
-        raise ValueError("local_update_step requires exact gradients")
-    d = oracle.exact_grad_h(y) - oracle.exact_grad_h(x_snapshot) + oracle.exact_grad_f(x_snapshot)
-    return y - eta * d
-
-
 def cycle(
     state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, tokens: Sequence[RandomToken]
 ) -> CycleResult:

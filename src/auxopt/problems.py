@@ -15,10 +15,12 @@ import scipy.sparse as sp
 
 from .core import (
     Array,
+    ConfigError,
     NoiseSpec,
     OraclePair,
     RandomToken,
     as_vector,
+    at_path,
     borrow_generator,
     gaussian_oracle,
     rng_from_token,
@@ -46,7 +48,7 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
     and residual 2 zeta^2.
     """
     if delta < 0:
-        raise ValueError("delta must be nonnegative")
+        raise ConfigError("delta", "must be nonnegative")
 
     def grad_f(x: Array) -> Array:
         return x.copy()
@@ -60,7 +62,6 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
         noise,
         dim=1,
         f_value=lambda x: 0.5 * _square(float(x[0])),
-        h_value=lambda x: 0.5 * (1.0 + delta) * _square(float(x[0]) - zeta / (1.0 + delta)),
         lipschitz=1.0 + delta,
         hessian_gap=delta,
         bias_m=2.0 * _square(delta),
@@ -70,13 +71,15 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
 
 
 def check_symmetric_psd(a: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+    """``a`` as a float64 matrix; a ConfigError at ``name`` unless it is square,
+    symmetric and positive semidefinite."""
+    a = at_path(name, np.asarray, a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+        raise ConfigError(name, f"must be a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=tol):
-        raise ValueError(f"{name} must be symmetric")
+        raise ConfigError(name, "must be symmetric")
     if np.linalg.eigvalsh(a).min() < -tol * max(1.0, np.abs(a).max()):
-        raise ValueError(f"{name} must be positive semidefinite")
+        raise ConfigError(name, "must be positive semidefinite")
     return a
 
 
@@ -90,14 +93,15 @@ def make_quadratic_nd(
 
     The Hessian gap ||A_f - A_h||_2 and smoothness ||A_f||_2 are computed
     analytically; the gradient bias and the curvature gap are independent
-    knobs (b_h shifts gradients without touching Hessians).
+    knobs (b_h shifts gradients without touching Hessians).  A bad input is a
+    ConfigError naming ``a_f``, ``a_h`` or ``b_h``.
     """
     a_f = check_symmetric_psd(a_f, "a_f")
     a_h = check_symmetric_psd(a_h, "a_h")
-    if a_f.shape != a_h.shape:
-        raise ValueError("a_f and a_h must have the same shape")
+    if a_h.shape != a_f.shape:
+        raise ConfigError("a_h", "must have the shape of a_f")
     dim = a_f.shape[0]
-    b_h = as_vector(b_h, dim)
+    b_h = at_path("b_h", as_vector, b_h, dim)
 
     lipschitz = float(np.linalg.norm(a_f, 2))
     gap = float(np.linalg.norm(a_f - a_h, 2))
@@ -108,7 +112,6 @@ def make_quadratic_nd(
         noise,
         dim=dim,
         f_value=lambda x: 0.5 * float(x @ (a_f @ x)),
-        h_value=lambda x: 0.5 * float(x @ (a_h @ x)) - float(b_h @ x),
         lipschitz=lipschitz,
         hessian_gap=gap,
         f_star=0.0,
@@ -407,19 +410,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def exact_hessian_logistic(task: LogisticTask, x: Array) -> np.ndarray:
-    """Weighted sum of sigma_i (1 - sigma_i) a_i a_i' plus the ridge term.
-
-    Label-free: relabeling any subset of rows leaves the output unchanged.
-    Works on a dense copy of the features.
-    """
-    x = as_vector(x, task.dim)
-    a = task.features.toarray()
-    s = _sigmoid(a @ x)
-    d = s * (1.0 - s) * task._w
-    return (a * d[:, None]).T @ a + task.l2_reg * np.eye(task.dim)
-
-
 def split_sizes(n: int, split) -> list[int]:
     """Part sizes of ``n`` rows: floors of the fractions, the remainder to the first."""
     sizes = [int(math.floor(f * n)) for f in split]
@@ -538,7 +528,6 @@ def logistic_oracle(
         exact_grad_f=f_task.grad,
         exact_grad_h=h_task.grad,
         f_value=f_task.loss,
-        h_value=h_task.loss,
         f_star=0.0 if f_task.l2_reg == 0 else None,
     )
 
@@ -556,6 +545,9 @@ def make_synthetic_classification(
     groups, exactly one active feature per group per row; labels are {1, 2}.
     The features are CSR, n_groups nonzeros per row.
     """
+    if n_features < n_groups:
+        raise ValueError(f"n_features = {n_features} is below n_groups = {n_groups}: "
+                         "every group needs at least one feature")
     rng = rng_from_token(seed)
     group_sizes = np.full(n_groups, n_features // n_groups)
     group_sizes[: n_features % n_groups] += 1

@@ -75,6 +75,16 @@ def auxmom_beta(p: TheoryParams) -> float:
     )
 
 
+def _step_size(p: TheoryParams, *branches: float) -> float:
+    """min(1/L, 1/(192 delta K), *branches).  A zero branch is dropped from the
+    min (treated as +inf): 1/(192 delta K) when delta = 0, and any of
+    ``branches`` given as 0 for a zero denominator or a quotient that underflows."""
+    eta = [1.0 / p.L] + [b for b in branches if b > 0]
+    if p.delta > 0:
+        eta.append(1.0 / (CONSTANTS["mom_eta_delta_k"] * p.delta * p.K))
+    return min(eta)
+
+
 def auxmom_params(p: TheoryParams) -> tuple[float, float, float]:
     """Step size, momentum parameter, and beta for the classical-momentum method.
 
@@ -83,15 +93,8 @@ def auxmom_params(p: TheoryParams) -> tuple[float, float, float]:
     the min (treated as +inf) and contribute 0 to the max.
     """
     beta = auxmom_beta(p)
-    branches = [1.0 / p.L]
-    if p.delta > 0:
-        branches.append(1.0 / (CONSTANTS["mom_eta_delta_k"] * p.delta * p.K))
     var_denom = CONSTANTS["mom_eta_variance"] * p.L * beta * p.K**2 * p.T * p.sigma_f**2
-    if var_denom > 0 and p.F0 > 0:
-        branch = math.sqrt(p.F0 / var_denom)
-        if branch > 0:  # guard against underflow of tiny F0 / huge denom
-            branches.append(branch)
-    eta = min(branches)
+    eta = _step_size(p, math.sqrt(p.F0 / var_denom) if var_denom > 0 else 0.0)
     a = max(1.0 / p.T, CONSTANTS["mom_a"] * p.delta * p.K * eta)
     return eta, min(a, 1.0), beta
 
@@ -103,19 +106,10 @@ def auxmvr_params(p: TheoryParams) -> tuple[float, float]:
               sqrt(F0/(K T (L/2 + 8 delta K)))) and
     a = max(1/T, 1156 delta^2 K^2 eta^2).
     """
-    branches = [1.0 / p.L]
-    if p.delta > 0:
-        branches.append(1.0 / (CONSTANTS["mom_eta_delta_k"] * p.delta * p.K))
+    # the cubic branch's denominator underflows for tiny delta or sigma_fmh
     cubic_denom = CONSTANTS["mvr_eta_cubic"] * p.delta**2 * p.T * p.sigma_fmh**2
-    if cubic_denom > 0 and p.F0 > 0:  # the denominator underflows for tiny delta or sigma_fmh
-        branch = (p.F0 / cubic_denom) ** (1.0 / 3.0) / p.K
-        if branch > 0:
-            branches.append(branch)
-    if p.F0 > 0:
-        branch = math.sqrt(p.F0 / (p.K * p.T * (p.L / 2 + 8 * p.delta * p.K)))
-        if branch > 0:  # guard against underflow of tiny F0
-            branches.append(branch)
-    eta = min(branches)
+    eta = _step_size(p, (p.F0 / cubic_denom) ** (1.0 / 3.0) / p.K if cubic_denom > 0 else 0.0,
+                     math.sqrt(p.F0 / (p.K * p.T * (p.L / 2 + 8 * p.delta * p.K))))
     a = max(1.0 / p.T, CONSTANTS["mvr_a"] * p.delta**2 * p.K**2 * eta**2)
     return eta, min(a, 1.0)
 

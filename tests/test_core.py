@@ -110,6 +110,9 @@ class TestStreamFork:
         if parents:  # one row of labels for every parent
             assert stream_forks(parents, labels[0]) == [
                 [stream_fork(p, label) for label in labels[0]] for p in parents]
+        # numpy integer labels, wherever they fit, are masked as their int value
+        np_labels = [[np.int64(v) if -2**63 <= v < 2**63 else v for v in row] for row in labels]
+        assert stream_forks(parents, np_labels) == stream_forks(parents, labels)
 
     def test_bulk_rejects_a_label_row_per_wrong_parent_count(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auxopt import cli, harness
+from auxopt import cli, harness, problems
 from auxopt.core import RandomToken, rng_from_token
 from auxopt.harness import (
     CSV_COLUMNS,
@@ -102,6 +102,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(json.dumps(toy_config(version=99)))
         assert err.value.path == "version"
+
+    def test_quadratic_build_checks_each_matrix_once(self, monkeypatch):
+        checked, check = [], problems.check_symmetric_psd
+        monkeypatch.setattr(problems, "check_symmetric_psd",
+                            lambda a, name: checked.append(name) or check(a, name))
+        build_oracle(load_config(json.dumps(toy_config(problem=QUADRATIC))))
+        assert checked == ["a_f", "a_h"]
 
     def test_theorem_mode_metadata_matches_formula(self, tmp_path):
         raw = toy_config(params_mode="theorem", x0=[1.0])
@@ -343,6 +350,8 @@ class TestCli:
         path = self._write(tmp_path, raw)
         cli.main(["run", "--config", path, "--out", str(tmp_path / "a")])
         monkeypatch.setenv("AUXOPT_SEED", "12345")
+        cfg = cli._load(path)
+        assert cfg.seed == cfg.raw["seed"] == 12345
         cli.main(["run", "--config", path, "--out", str(tmp_path / "b")])
         a = (tmp_path / "a" / "experiment_rep0.csv").read_bytes()
         b = (tmp_path / "b" / "experiment_rep0.csv").read_bytes()
@@ -355,6 +364,13 @@ class TestCli:
         path = self._write(tmp_path, toy_config())
         monkeypatch.setenv("AUXOPT_SEED", "not-a-number")
         assert cli.main(["run", "--config", path]) == 2
+
+    def test_negative_seed_env_exit_2_names_seed(self, tmp_path, monkeypatch):
+        path = self._write(tmp_path, toy_config())
+        monkeypatch.setenv("AUXOPT_SEED", "-1")
+        code, err = _main_quietly(["run", "--config", path])
+        assert code == 2
+        assert err.startswith("config error: seed: ")
 
     def test_params_subcommand(self, tmp_path, capsys):
         raw = toy_config(x0=[1.0])
@@ -465,8 +481,14 @@ def logistic_block(kind="random_labels", **fields) -> dict:
     return {"logistic": {"path": "missing.libsvm", "helper": helper, **fields}}
 
 
+QUADRATIC = {"quadratic_nd": {"a_f": [[2.0, 0.0], [0.0, 1.0]],
+                              "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0, 1.0]}}
 NON_SYMMETRIC = {"quadratic_nd": {"a_f": [[1.0, 0.5], [0.0, 1.0]],
                                   "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0, 1.0]}}
+WRONG_SHAPE_A_H = {"quadratic_nd": {"a_f": [[1.0, 0.0], [0.0, 1.0]], "a_h": [[1.0]],
+                                    "b_h": [0.0, 1.0]}}
+WRONG_LENGTH_B_H = {"quadratic_nd": {"a_f": [[1.0, 0.0], [0.0, 1.0]],
+                                     "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0]}}
 
 FUZZ_FIELDS = ("version", "problem", "problem.toy", "problem.toy.delta", "problem.toy.zeta",
                "algorithm", "algorithm.name", "algorithm.eta", "algorithm.a", "algorithm.K",
@@ -509,6 +531,9 @@ class TestInputErrors:
         ("problem.toy.zeta", "big", "problem.toy.zeta"),
         ("noise", {"sigma_f": "big"}, "noise.sigma_f"),
         ("problem", NON_SYMMETRIC, "problem.quadratic_nd.a_f"),
+        ("problem", WRONG_SHAPE_A_H, "problem.quadratic_nd.a_h"),
+        ("problem", WRONG_LENGTH_B_H, "problem.quadratic_nd.b_h"),
+        ("problem.toy.delta", -1.0, "problem.toy.delta"),
         ("x0", [1.0, 2.0], "x0"),
         ("x0", ["one"], "x0"),
         ("output_path", "a\0b", "output_path"),

@@ -14,7 +14,6 @@ from auxopt.optimizers import (
     OptimizerConfig,
     cycle,
     init_state,
-    local_update_step,
     run,
 )
 from auxopt.problems import make_toy_pair, make_quadratic_nd
@@ -80,22 +79,29 @@ class TestOptimizerConfig:
         assert cfg.eta == eta
 
 
+def local_steps(oracle, x, eta, K):
+    """The inner iterates of one noise-free AuxMOM_V0 cycle with a = 1 from x:
+    bias-corrected steps y - eta*(grad h(y) - grad h(x) + grad f(x)) from y = x."""
+    cfg = OptimizerConfig("AuxMOM_V0", eta=eta, a=1.0, K=K, T=1)
+    state = init_state(np.array([x]), oracle, cfg, TOK)
+    result = cycle(state, oracle, cfg, stream_forks([TOK], range(K + 1))[0])
+    return [float(y[0]) for y in result.inner_iterates]
+
+
 class TestLocalUpdateStep:
     def test_delta0_zeta_cancels(self):
         oracle = make_toy_pair(0.0, 7.0)
-        x = np.array([2.0])
-        assert local_update_step(x, x, oracle, 0.5)[0] == pytest.approx(1.0)
+        assert local_steps(oracle, 2.0, 0.5, K=1) == [pytest.approx(1.0)]
 
     def test_h_equals_f_reduces_to_gd(self):
         oracle = make_toy_pair(0.0, 0.0)  # h == f
-        y, x = np.array([3.0]), np.array([-1.0])
-        assert local_update_step(y, x, oracle, 0.5)[0] == pytest.approx(1.5)
+        assert local_steps(oracle, 3.0, 0.5, K=1) == [pytest.approx(1.5)]
 
     def test_hand_example(self):
-        # delta=1, zeta=0, x=1, y=0.5, eta=0.5: d = 2(0.5-1)+1 = 0
+        # delta=1, zeta=0, x=1, eta=0.5: step 1 from y=1 has d = 2(1-1)+1 = 1,
+        # so y=0.5; step 2 from y=0.5 has d = 2(0.5-1)+1 = 0
         oracle = make_toy_pair(1.0, 0.0)
-        out = local_update_step(np.array([0.5]), np.array([1.0]), oracle, 0.5)
-        assert out[0] == pytest.approx(0.5)
+        assert local_steps(oracle, 1.0, 0.5, K=2) == [pytest.approx(0.5), pytest.approx(0.5)]
 
 
 class TestNaive:
@@ -128,12 +134,14 @@ class TestNaive:
 
 
 def reference_local_trajectory(oracle, eta, K, T, x0):
-    """Independent oracle: iterate the bias-corrected local step directly."""
+    """Independent oracle: iterate the bias-corrected local step
+    y - eta*(grad h(y) - grad h(x) + grad f(x)) directly, from exact gradients."""
     x = np.asarray(x0, dtype=np.float64)
     for _ in range(T):
         y = x.copy()
         for _ in range(K):
-            y = local_update_step(y, x, oracle, eta)
+            y = y - eta * (oracle.exact_grad_h(y) - oracle.exact_grad_h(x)
+                           + oracle.exact_grad_f(x))
         x = y
     return x
 

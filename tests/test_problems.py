@@ -4,14 +4,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxopt.core import RandomToken, rng_from_token, stream_fork
+from auxopt.core import ConfigError, RandomToken, rng_from_token, stream_fork
 from auxopt.problems import (
     LibsvmParseError,
     LogisticTask,
     _sigmoid,
     build_coreset_helper,
     build_semisupervised,
-    exact_hessian_logistic,
     logistic_oracle,
     make_quadratic_nd,
     make_synthetic_classification,
@@ -20,6 +19,16 @@ from auxopt.problems import (
     parse_libsvm,
     write_libsvm,
 )
+
+
+def exact_hessian_logistic(task, x):
+    """Weighted sum of sigma_i (1 - sigma_i) a_i a_i' plus the ridge term, from
+    a dense copy of the features.  Label-free: relabeling any subset of rows
+    leaves the output unchanged."""
+    a = task.features.toarray()
+    s = _sigmoid(a @ np.asarray(x, dtype=np.float64))
+    d = s * (1.0 - s) * task._w
+    return (a * d[:, None]).T @ a + task.l2_reg * np.eye(task.dim)
 
 
 def central_diff_grad(f, x, step):
@@ -54,6 +63,11 @@ class TestToyPair:
         with pytest.raises(ValueError):
             make_toy_pair(-0.1, 0.0)
 
+    def test_negative_delta_error_names_delta(self):
+        with pytest.raises(ConfigError) as err:
+            make_toy_pair(-0.1, 0.0)
+        assert err.value.path == "delta"
+
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False))
@@ -68,7 +82,6 @@ class TestToyPair:
         oracle = make_toy_pair(delta, zeta)
         c = 1.0 + delta
         assert oracle.f_value(np.array([x])) == 0.5 * pow_or_inf(x)
-        assert oracle.h_value(np.array([x])) == 0.5 * c * pow_or_inf(x - zeta / c)
         assert oracle.bias_m == 2.0 * pow_or_inf(delta)
         assert oracle.bias_zeta_sq == 2.0 * pow_or_inf(zeta)
 
@@ -116,29 +129,49 @@ class TestQuadraticND:
         with pytest.raises(ValueError):
             make_quadratic_nd(np.eye(2), np.eye(3), np.zeros(2))
 
+    @pytest.mark.parametrize("a_f,a_h,b_h,path", [
+        ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), np.zeros(2), "a_f"),  # asymmetric
+        ([[1.0, 0.0], [0.0]], np.eye(2), np.zeros(2), "a_f"),  # ragged
+        ([1.0, 2.0], np.eye(2), np.zeros(2), "a_f"),  # not a matrix
+        (np.eye(2), -np.eye(2), np.zeros(2), "a_h"),  # indefinite
+        (np.eye(2), np.eye(3), np.zeros(2), "a_h"),  # shape of a_f
+        (np.eye(2), np.eye(2), np.zeros(3), "b_h"),
+        (np.eye(2), np.eye(2), "x", "b_h"),
+    ])
+    def test_errors_name_their_field(self, a_f, a_h, b_h, path):
+        with pytest.raises(ConfigError) as err:
+            make_quadratic_nd(a_f, a_h, b_h)
+        assert err.value.path == path
+
 
 class TestFiniteDifferenceGradients:
-    def _check(self, oracle, dim):
+    def _check(self, oracle, h_value, dim):
+        # h_value: h from the family's formula, since the pair carries only f
         rng = rng_from_token(RandomToken(99))
         for _ in range(20):
             x = rng.standard_normal(dim)
             step = 1e-6 * (1.0 + np.linalg.norm(x))
             for value, grad in ((oracle.f_value, oracle.exact_grad_f),
-                                (oracle.h_value, oracle.exact_grad_h)):
+                                (h_value, oracle.exact_grad_h)):
                 fd = central_diff_grad(value, x, step)
                 g = grad(x)
                 denom = max(1.0, float(np.linalg.norm(g)))
                 assert np.linalg.norm(fd - g) / denom < 1e-5
 
     def test_toy(self):
-        self._check(make_toy_pair(0.4, 2.0), 1)
+        delta, zeta = 0.4, 2.0
+        c = 1.0 + delta
+        self._check(make_toy_pair(delta, zeta),
+                    lambda x: 0.5 * c * float(x[0] - zeta / c) ** 2, 1)
 
     def test_quadratic(self):
         rng = rng_from_token(RandomToken(3))
         g = rng.standard_normal((4, 4))
         a_h = g @ g.T
         a_f = a_h + 0.5 * np.eye(4)
-        self._check(make_quadratic_nd(a_f, a_h, rng.standard_normal(4)), 4)
+        b_h = rng.standard_normal(4)
+        self._check(make_quadratic_nd(a_f, a_h, b_h),
+                    lambda x: 0.5 * float(x @ (a_h @ x)) - float(b_h @ x), 4)
 
     def test_logistic(self):
         rng = rng_from_token(RandomToken(4))
@@ -147,7 +180,7 @@ class TestFiniteDifferenceGradients:
         labels[labels == 0] = 1.0
         f_task = LogisticTask(features, labels, l2_reg=0.1)
         h_task = LogisticTask(features, -labels, l2_reg=0.1)
-        self._check(logistic_oracle(f_task, h_task), 5)
+        self._check(logistic_oracle(f_task, h_task), h_task.loss, 5)
 
 
 def _parse_libsvm_loop(text):
@@ -638,6 +671,10 @@ class TestSyntheticDataset:
         features, _ = make_synthetic_classification(100, 112, RandomToken(0), n_groups=16)
         assert np.all(features.sum(axis=1) == 16)
         assert set(np.unique(features.toarray())) == {0.0, 1.0}
+
+    def test_rejects_fewer_features_than_groups(self):
+        with pytest.raises(ValueError, match="n_features = 10 is below n_groups = 16"):
+            make_synthetic_classification(5, 10, RandomToken(0))
 
     def test_label_mapping(self):
         assert map_labels_to_pm1(np.array([1.0, 2.0, 1.0])).tolist() == [1.0, -1.0, 1.0]
