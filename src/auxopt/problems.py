@@ -32,20 +32,13 @@ from .core import (
 # Quadratic pairs
 # ---------------------------------------------------------------------------
 
-def _square(v: float) -> float:
-    """``v ** 2`` by Python's float pow, or inf where that overflows."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
-
-
 def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> OraclePair:
     """1-D pair f(x) = x^2/2 helped by h(x) = (1+delta)/2 (x - zeta/(1+delta))^2.
 
     The Hessian gap is exactly ``delta`` and the gradient bias is
     (zeta - delta*x), so the (m, zeta^2) bias bound holds with m = 2 delta^2
-    and residual 2 zeta^2.
+    and residual 2 zeta^2.  Squares are float products, inf where they
+    overflow, so f(x) is exactly ||grad f(x)||^2 / 2.
     """
     if delta < 0:
         raise ConfigError("delta", "must be nonnegative")
@@ -61,11 +54,11 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
         grad_h,
         noise,
         dim=1,
-        f_value=lambda x: 0.5 * _square(float(x[0])),
+        f_value=lambda x: 0.5 * (float(x[0]) * float(x[0])),
         lipschitz=1.0 + delta,
         hessian_gap=delta,
-        bias_m=2.0 * _square(delta),
-        bias_zeta_sq=2.0 * _square(zeta),
+        bias_m=2.0 * (delta * delta),
+        bias_zeta_sq=2.0 * (zeta * zeta),
         f_star=0.0,
     )
 

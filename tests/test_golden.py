@@ -156,9 +156,9 @@ NOISY_CSV = {
     ("AuxMOM", "zero"):
         "24d6c2d47ec875bebf4055261f55d26203371ac2af0b5a8d3d34cbbce68fa440",
     ("AuxMOM", "big_batch"):
-        "56f09fd71e5c31ed9532dcdda60a8c2e3ce57983f06d2e10a530fd45ccaed709",
+        "003033d7d0656d8d273ba2b421a39c0f699bc73325dc42c5c0e8716310ce49c8",
     ("AuxMOM_V0", "single_sample"):
-        "65e64b031005fce15dfdb60e55af4cea79b56e823642f4f157a07dc8560706f1",
+        "a30c01ffe555e1ee6058b6d2c221e986afecac05e25f2684fb10bb4a3049d9fc",
     ("AuxMOM_V0", "zero"):
         "e081cb23b7bc4c7d48e04dc494a2bcbd39e5e70f1dbf175a60e84e67bfa36557",
     ("AuxMOM_V0", "big_batch"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auxopt.core import ConfigError, RandomToken, rng_from_token, stream_fork
@@ -72,18 +72,17 @@ class TestToyPair:
            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=200, deadline=None)
-    def test_values_are_python_pow_or_inf(self, x, delta, zeta):
-        def pow_or_inf(v):
-            try:
-                return v**2
-            except OverflowError:
-                return float("inf")
-
+    @example(x=1.393564773707595, delta=0.0, zeta=0.0)  # x ** 2 misses x * x by one ulp
+    def test_values_are_products_or_inf(self, x, delta, zeta):
+        # float products, which overflow to inf rather than raise
         oracle = make_toy_pair(delta, zeta)
-        c = 1.0 + delta
-        assert oracle.f_value(np.array([x])) == 0.5 * pow_or_inf(x)
-        assert oracle.bias_m == 2.0 * pow_or_inf(delta)
-        assert oracle.bias_zeta_sq == 2.0 * pow_or_inf(zeta)
+        f = oracle.f_value(np.array([x]))
+        assert f == 0.5 * (x * x)
+        with np.errstate(over="ignore"):  # ||grad f||^2 as run observes it
+            grad_norm_sq = float((oracle.exact_grad_f(np.array([x])) ** 2).sum())
+        assert f == grad_norm_sq / 2
+        assert oracle.bias_m == 2.0 * (delta * delta)
+        assert oracle.bias_zeta_sq == 2.0 * (zeta * zeta)
 
     def test_huge_constants_give_inf(self):
         oracle = make_toy_pair(1e300, -1e300)
