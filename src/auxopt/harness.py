@@ -197,7 +197,8 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     ||H_f - H_h|| is not zero in general.
     """
     tag = next(iter(cfg.problem))
-    body, path = cfg.problem[tag], f"problem.{tag}"
+    body = cfg.problem[tag]
+    path = f"problem.{tag}"
     if tag == "toy":
         return at_path(path, problems.make_toy_pair, body["delta"], body["zeta"], cfg.noise)
     if tag == "quadratic_nd":

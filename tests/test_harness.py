@@ -531,9 +531,6 @@ class TestInputErrors:
         ("problem.toy.zeta", "big", "problem.toy.zeta"),
         ("noise", {"sigma_f": "big"}, "noise.sigma_f"),
         ("problem", NON_SYMMETRIC, "problem.quadratic_nd.a_f"),
-        ("problem", WRONG_SHAPE_A_H, "problem.quadratic_nd.a_h"),
-        ("problem", WRONG_LENGTH_B_H, "problem.quadratic_nd.b_h"),
-        ("problem.toy.delta", -1.0, "problem.toy.delta"),
         ("x0", [1.0, 2.0], "x0"),
         ("x0", ["one"], "x0"),
         ("output_path", "a\0b", "output_path"),
@@ -568,6 +565,9 @@ class TestInputErrors:
         ("algorithm.T", 0, "algorithm.T"),
         ("noise", {"sigma_h": -1}, "noise.sigma_h"),
         *THEOREM_RULES,
+        ("problem", WRONG_SHAPE_A_H, "problem.quadratic_nd.a_h"),
+        ("problem", WRONG_LENGTH_B_H, "problem.quadratic_nd.b_h"),
+        ("problem.toy.delta", -1.0, "problem.toy.delta"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
