@@ -485,10 +485,8 @@ QUADRATIC = {"quadratic_nd": {"a_f": [[2.0, 0.0], [0.0, 1.0]],
                               "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0, 1.0]}}
 NON_SYMMETRIC = {"quadratic_nd": {"a_f": [[1.0, 0.5], [0.0, 1.0]],
                                   "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0, 1.0]}}
-WRONG_SHAPE_A_H = {"quadratic_nd": {"a_f": [[1.0, 0.0], [0.0, 1.0]], "a_h": [[1.0]],
-                                    "b_h": [0.0, 1.0]}}
-WRONG_LENGTH_B_H = {"quadratic_nd": {"a_f": [[1.0, 0.0], [0.0, 1.0]],
-                                     "a_h": [[1.0, 0.0], [0.0, 1.0]], "b_h": [0.0]}}
+WRONG_SHAPE_A_H = {"quadratic_nd": {**QUADRATIC["quadratic_nd"], "a_h": [[1.0]]}}
+WRONG_LENGTH_B_H = {"quadratic_nd": {**QUADRATIC["quadratic_nd"], "b_h": [0.0]}}
 
 FUZZ_FIELDS = ("version", "problem", "problem.toy", "problem.toy.delta", "problem.toy.zeta",
                "algorithm", "algorithm.name", "algorithm.eta", "algorithm.a", "algorithm.K",
