@@ -139,6 +139,19 @@ def load_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(raw, problem, algorithm, noise, seed, **given)
 
 
+# The JSON type of each logistic field, and its message.
+_LOGISTIC_TYPES = {
+    "path": (lambda v: isinstance(v, str), "must be a string"),
+    "batch_size": (lambda v: v is None or _integer(v), "must be null or an integer"),
+    "l2_reg": (_number, "must be a finite number"),
+    "split": (lambda v: isinstance(v, list) and all(map(_number, v)),
+              "must be a list of finite numbers"),
+    "helper.fraction": (_number, "must be a finite number"),
+    "helper.indices": (lambda v: isinstance(v, list) and all(map(_integer, v)),
+                       "must be a list of integers"),
+}
+
+
 def _validate_problem(tag: str, body: Any):
     path = f"problem.{tag}"
     if tag == "toy":
@@ -147,38 +160,14 @@ def _validate_problem(tag: str, body: Any):
             _require(_number(body[key]), f"{path}.{key}", "must be a finite number")
     elif tag == "quadratic_nd":
         _check_keys(body, {"a_f", "a_h", "b_h"}, {"a_f", "a_h", "b_h"}, path)
-    else:
+    else:  # the JSON types only; the problems builders hold the range rules
         _check_keys(body, {"path", "split", "helper", "l2_reg", "batch_size"},
                     {"path", "helper"}, path)
-        _require(isinstance(body["path"], str), f"{path}.path", "must be a string")
-        batch = body.get("batch_size")
-        _require(batch is None or _integer(batch) and batch >= 1, f"{path}.batch_size",
-                 "must be null or an integer >= 1")
-        l2_reg = body.get("l2_reg")
-        _require("l2_reg" not in body or _number(l2_reg) and l2_reg >= 0, f"{path}.l2_reg",
-                 "must be a finite nonnegative number")
-        split = body.get("split")
-        _require("split" not in body or isinstance(split, list) and len(split) == 3
-                 and all(_number(f) and f > 0 for f in split)
-                 and math.isclose(sum(split), 1.0, rel_tol=1e-9), f"{path}.split",
-                 "must be three positive numbers that sum to 1")
         helper = body["helper"]
         _check_keys(helper, {"kind", "fraction", "indices"}, {"kind"}, f"{path}.helper")
-        kind = helper["kind"]
-        _require(kind in ("random_labels", "coreset", "subset_batch"),
-                 f"{path}.helper.kind", "unknown helper kind")
-        if "fraction" in helper:
-            _require(kind == "coreset", f"{path}.helper.fraction", "only a coreset helper has one")
-            fraction = helper["fraction"]
-            _require(_number(fraction) and 0 < fraction <= 1, f"{path}.helper.fraction",
-                     "must lie in (0, 1]")
-        if kind == "subset_batch" or "indices" in helper:
-            _require(kind == "subset_batch", f"{path}.helper.indices",
-                     "only a subset_batch helper has them")
-            indices = helper.get("indices")
-            _require(isinstance(indices, list) and indices
-                     and all(_integer(i) and i >= 0 for i in indices),
-                     f"{path}.helper.indices", "must be a nonempty list of train-part row numbers")
+        fields = {**body, **{f"helper.{key}": value for key, value in helper.items()}}
+        for key, (rule, message) in _LOGISTIC_TYPES.items():
+            _require(key not in fields or rule(fields[key]), f"{path}.{key}", message)
 
 
 def load_config_file(path: str) -> ExperimentConfig:
@@ -211,14 +200,10 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     labels = at_path(f"{path}.path", problems.map_labels_to_pm1, labels)
     task = at_path(path, problems.LogisticTask, features, labels, **_given(body, ["l2_reg"]))
     helper = body["helper"]
-    split = body.get("split", (1 / 3, 1 / 3, 1 / 3))
-    if "indices" in helper:
-        n_train = problems.split_sizes(task.n_samples, split)[0]
-        _require(max(helper["indices"]) < n_train, f"{path}.helper.indices",
-                 f"must be below the train-part size {n_train}")
-    f_task, h_task, _ = at_path(path, problems.build_semisupervised, task, split, helper["kind"],
+    f_task, h_task, _ = at_path(path, problems.build_semisupervised, task,
+                                body.get("split", (1 / 3, 1 / 3, 1 / 3)), helper["kind"],
                                 RandomToken(cfg.seed), **_given(helper, ["fraction", "indices"]))
-    return problems.logistic_oracle(f_task, h_task, **_given(body, ["batch_size"]))
+    return at_path(path, problems.logistic_oracle, f_task, h_task, **_given(body, ["batch_size"]))
 
 
 def initial_point(cfg: ExperimentConfig, oracle: OraclePair) -> np.ndarray:

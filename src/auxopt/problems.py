@@ -63,17 +63,18 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
     )
 
 
-def check_symmetric_psd(a: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
-    """``a`` as a float64 matrix; a ConfigError at ``name`` unless it is square,
-    symmetric and positive semidefinite."""
+def check_symmetric_psd(a, name: str, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as a float64 matrix and its eigenvalues; a ConfigError at ``name``
+    unless it is square, symmetric and positive semidefinite."""
     a = at_path(name, np.asarray, a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigError(name, f"must be a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=tol):
         raise ConfigError(name, "must be symmetric")
-    if np.linalg.eigvalsh(a).min() < -tol * max(1.0, np.abs(a).max()):
+    eigenvalues = np.linalg.eigvalsh(a)
+    if eigenvalues.min() < -tol * max(1.0, np.abs(a).max()):
         raise ConfigError(name, "must be positive semidefinite")
-    return a
+    return a, eigenvalues
 
 
 def make_quadratic_nd(
@@ -89,14 +90,14 @@ def make_quadratic_nd(
     knobs (b_h shifts gradients without touching Hessians).  A bad input is a
     ConfigError naming ``a_f``, ``a_h`` or ``b_h``.
     """
-    a_f = check_symmetric_psd(a_f, "a_f")
-    a_h = check_symmetric_psd(a_h, "a_h")
+    a_f, eig_f = check_symmetric_psd(a_f, "a_f")
+    a_h, _ = check_symmetric_psd(a_h, "a_h")
     if a_h.shape != a_f.shape:
         raise ConfigError("a_h", "must have the shape of a_f")
     dim = a_f.shape[0]
     b_h = at_path("b_h", as_vector, b_h, dim)
 
-    lipschitz = float(np.linalg.norm(a_f, 2))
+    lipschitz = float(np.abs(eig_f).max())
     gap = float(np.linalg.norm(a_f - a_h, 2))
 
     return gaussian_oracle(
@@ -326,8 +327,8 @@ class LogisticTask:
             raise ValueError("task must have at least one sample")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
-        if self.l2_reg < 0:
-            raise ValueError("l2_reg must be nonnegative")
+        if not self.l2_reg >= 0:
+            raise ConfigError("l2_reg", "must be nonnegative")
         a = sp.csr_matrix(a, dtype=np.float64)
         object.__setattr__(self, "features", a)
         object.__setattr__(self, "labels", y)
@@ -403,36 +404,40 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def split_sizes(n: int, split) -> list[int]:
-    """Part sizes of ``n`` rows: floors of the fractions, the remainder to the first."""
-    sizes = [int(math.floor(f * n)) for f in split]
-    sizes[0] += n - sum(sizes)
-    return sizes
-
-
 def build_semisupervised(
     task: LogisticTask,
-    split: tuple[float, float, float],
+    split: Sequence[float],
     helper: str,
     seed: RandomToken,
-    fraction: float = 1.0,
+    fraction: Optional[float] = None,
     indices: Optional[Sequence[int]] = None,
 ) -> tuple[LogisticTask, LogisticTask, LogisticTask]:
     """Split into (train, test, unlabeled) and build the ``helper`` task.
 
     ``helper`` is ``random_labels`` (the unlabeled part with random labels),
-    ``coreset`` (a uniform ``fraction`` of the train part, weights 1/M) or
-    ``subset_batch`` (the train-part rows ``indices``).  Split sizes come
-    from :func:`split_sizes`; the shuffle and any random labels are
-    deterministic in ``seed``.
+    ``coreset`` (a uniform ``fraction`` of the train part, 1 when None,
+    weights 1/M) or ``subset_batch`` (the train-part rows ``indices``).  Part
+    sizes are the floors of the ``split`` fractions, the remainder going to
+    the train part; the shuffle and any random labels are deterministic in
+    ``seed``.  A bad input is a ConfigError at its config field: ``split``,
+    ``helper.kind``, ``helper.fraction`` or ``helper.indices``.
     """
-    fr = tuple(float(f) for f in split)
-    if len(fr) != 3 or any(f <= 0 for f in fr) or not math.isclose(sum(fr), 1.0, rel_tol=1e-9):
-        raise ValueError("split fractions must be positive and sum to 1")
+    if len(split) != 3 or min(split) <= 0 or not math.isclose(sum(split), 1.0, rel_tol=1e-9):
+        raise ConfigError("split", "must be three positive numbers that sum to 1")
     n = task.n_samples
-    sizes = split_sizes(n, fr)
-    if any(s == 0 for s in sizes):
-        raise ValueError("split produces an empty part")
+    sizes = [int(math.floor(f * n)) for f in split]
+    sizes[0] += n - sum(sizes)
+    if 0 in sizes:
+        raise ConfigError("split", "produces an empty part")
+    if helper not in ("random_labels", "coreset", "subset_batch"):
+        raise ConfigError("helper.kind", f"unknown helper kind {helper!r}")
+    if fraction is not None and helper != "coreset":
+        raise ConfigError("helper.fraction", "only a coreset helper has one")
+    if (indices is not None) != (helper == "subset_batch"):
+        raise ConfigError("helper.indices", "only a subset_batch helper has them; it needs them")
+    if indices is not None and not (len(indices) and 0 <= min(indices) <= max(indices) < sizes[0]):
+        raise ConfigError("helper.indices", "must be a nonempty list of row numbers below "
+                          f"the train-part size {sizes[0]}")
 
     perm = borrow_generator(stream_fork(seed, 0)).permutation(n)
     tr = perm[: sizes[0]]
@@ -453,23 +458,22 @@ def build_semisupervised(
         rad = borrow_generator(stream_fork(seed, 1)).integers(0, 2, size=len(un)) * 2.0 - 1.0
         h_task = subtask(un, labels=rad)
     elif helper == "coreset":
-        h_task = build_coreset_helper(f_task, fraction, stream_fork(seed, 2))
-    elif helper == "subset_batch":
-        if indices is None:
-            raise ValueError("subset_batch helper requires explicit indices")
-        h_task = subtask(tr[np.asarray(indices)])
+        h_task = at_path("helper", build_coreset_helper, f_task,
+                         1.0 if fraction is None else fraction, stream_fork(seed, 2))
     else:
-        raise ValueError(f"unknown helper kind {helper!r}")
+        h_task = subtask(tr[np.asarray(indices)])
     return f_task, h_task, test_task
 
 
 def build_coreset_helper(task: LogisticTask, fraction: float, seed: RandomToken) -> LogisticTask:
-    """Uniform random subset of size floor(fraction * n) with weights 1/M."""
+    """Uniform random subset of size floor(fraction * n) with weights 1/M; a
+    ``fraction`` outside (0, 1] or too small for one row is a ConfigError at
+    ``fraction``."""
     if not 0 < fraction <= 1:
-        raise ValueError("fraction must lie in (0, 1]")
+        raise ConfigError("fraction", "must lie in (0, 1]")
     m = int(math.floor(fraction * task.n_samples))
     if m == 0:
-        raise ValueError("fraction yields an empty coreset")
+        raise ConfigError("fraction", "yields an empty coreset")
     idx = np.sort(borrow_generator(seed).choice(task.n_samples, size=m, replace=False))
     return LogisticTask(
         task.features[idx],
@@ -488,10 +492,13 @@ def logistic_oracle(
 
     ``batch_size`` None gives exact (deterministic) gradients; otherwise
     stochastic gradients average over a with-replacement minibatch drawn from
-    the token.  No analytic smoothness bound or Hessian gap is carried.
+    the token, and a ``batch_size`` below 1 is a ConfigError at ``batch_size``.
+    No analytic smoothness bound or Hessian gap is carried.
     """
     if f_task.dim != h_task.dim:
         raise ValueError("tasks must share the parameter dimension")
+    if batch_size is not None and batch_size < 1:
+        raise ConfigError("batch_size", "must be >= 1")
     dim = f_task.dim
 
     def _batch(task: LogisticTask, x: Array, token: RandomToken) -> Array:

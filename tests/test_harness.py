@@ -471,14 +471,15 @@ def _main_quietly(args):
 
 
 def logistic_block(kind="random_labels", **fields) -> dict:
-    """A logistic problem block with one helper kind and extra fields; its data
-    file does not exist unless ``path`` names one, so by default only
-    load-time checks can reject it."""
+    """A logistic problem block with one helper kind and extra fields.  Its
+    data file is ``data.libsvm`` in the working directory, the 90-row file
+    ``logistic_config`` writes, so a block with well-typed fields reaches the
+    ``problems`` builders and the range rules they state."""
     helper = {"kind": kind}
     for key in ("fraction", "indices"):
         if key in fields:
             helper[key] = fields.pop(key)
-    return {"logistic": {"path": "missing.libsvm", "helper": helper, **fields}}
+    return {"logistic": {"path": "data.libsvm", "helper": helper, **fields}}
 
 
 QUADRATIC = {"quadratic_nd": {"a_f": [[2.0, 0.0], [0.0, 1.0]],
@@ -566,6 +567,9 @@ class TestInputErrors:
         ("problem", WRONG_SHAPE_A_H, "problem.quadratic_nd.a_h"),
         ("problem", WRONG_LENGTH_B_H, "problem.quadratic_nd.b_h"),
         ("problem.toy.delta", -1.0, "problem.toy.delta"),
+        ("problem", logistic_block(split=[0.98, 0.01, 0.01]), "problem.logistic.split"),
+        ("problem", logistic_block(kind="coreset", fraction=0.01),
+         "problem.logistic.helper.fraction"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file

@@ -116,6 +116,14 @@ class TestQuadraticND:
         x = np.array([0.7, -1.2])
         assert np.linalg.norm(oracle.exact_grad_f_minus_h(x)) == pytest.approx(5.0)
 
+    def test_smoothness_is_largest_eigenvalue(self):
+        rng = rng_from_token(RandomToken(8))
+        b = rng.standard_normal((20, 20))
+        a_f = b @ b.T
+        oracle = make_quadratic_nd(a_f, np.eye(20), np.zeros(20))
+        assert oracle.lipschitz == np.linalg.eigvalsh(a_f).max()
+        assert oracle.lipschitz == pytest.approx(np.linalg.norm(a_f, 2), rel=1e-12)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             make_quadratic_nd(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), np.zeros(2))
@@ -393,6 +401,12 @@ class TestLogisticTask:
             LogisticTask(np.ones((2, 2)), np.array([1.0, -1.0]),
                          weights=np.array([0.9, 0.9]))
 
+    @pytest.mark.parametrize("l2_reg", [-1.0, float("nan")])
+    def test_rejects_bad_l2_reg(self, l2_reg):
+        with pytest.raises(ConfigError) as err:
+            LogisticTask(np.ones((2, 2)), np.array([1.0, -1.0]), l2_reg=l2_reg)
+        assert err.value.path == "l2_reg"
+
     def test_loss_at_zero_is_log2(self):
         task = LogisticTask(np.ones((4, 3)), np.array([1.0, -1.0, 1.0, -1.0]))
         assert task.loss(np.zeros(3)) == pytest.approx(np.log(2.0))
@@ -526,6 +540,12 @@ class TestLogisticOracle:
             assert np.array_equal(oracle.grad_f(x, token), f_task.grad_minibatch(x, idx_f))
             assert np.array_equal(oracle.grad_h(x, token), h_task.grad_minibatch(x, idx_h))
 
+    def test_rejects_empty_batch(self):
+        task = LogisticTask(np.ones((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
+        with pytest.raises(ConfigError) as err:
+            logistic_oracle(task, task, batch_size=0)
+        assert err.value.path == "batch_size"
+
 
 def _masked_sigmoid(z):
     """The earlier two-branch formula, kept here as the reference bits."""
@@ -605,6 +625,34 @@ class TestSemisupervised:
             build_semisupervised(self._task(n=30), (1 / 3, 1 / 3, 1 / 3),
                                  "labels", RandomToken(0))
 
+    @pytest.mark.parametrize("kind,fields,path", [
+        ("subset_batch", {"indices": [-1, 0]}, "helper.indices"),  # negative
+        ("subset_batch", {"indices": [0, 10]}, "helper.indices"),  # beyond the 10-row train part
+        ("subset_batch", {"indices": []}, "helper.indices"),
+        ("subset_batch", {}, "helper.indices"),
+        ("random_labels", {"fraction": 0.5}, "helper.fraction"),
+        ("random_labels", {"indices": [0]}, "helper.indices"),
+        ("coreset", {"indices": [0]}, "helper.indices"),
+        ("coreset", {"fraction": 0.05}, "helper.fraction"),  # no row of the train part
+    ])
+    def test_helper_errors_name_their_field(self, kind, fields, path):
+        with pytest.raises(ConfigError) as err:
+            build_semisupervised(self._task(n=30), (1 / 3, 1 / 3, 1 / 3), kind,
+                                 RandomToken(0), **fields)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("split", [(0.5, 0.5), (0.5, 0.6, -0.1), (0.98, 0.01, 0.01)])
+    def test_split_errors_name_their_field(self, split):
+        with pytest.raises(ConfigError) as err:
+            build_semisupervised(self._task(n=30), split, "random_labels", RandomToken(0))
+        assert err.value.path == "split"
+
+    def test_last_train_row_is_a_valid_index(self):
+        task = self._task(n=30)
+        f_task, h_task, _ = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3), "subset_batch",
+                                                 RandomToken(0), indices=[9, 0])
+        assert np.array_equal(h_task.features.toarray(), f_task.features.toarray()[[9, 0]])
+
     def test_split_and_labels_are_what_a_fresh_generator_draws(self):
         task = self._task(n=90)
         seed = RandomToken(6)
@@ -648,8 +696,15 @@ class TestCoreset:
         assert not np.array_equal(h1.features.toarray(), h2.features.toarray())
 
     def test_rejects_empty_fraction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:
             build_coreset_helper(self._task(n=3), 0.1, RandomToken(0))
+        assert err.value.path == "fraction"
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_rejects_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ConfigError) as err:
+            build_coreset_helper(self._task(n=3), fraction, RandomToken(0))
+        assert err.value.path == "fraction"
 
     def test_subset_is_what_a_fresh_generator_draws(self):
         task = self._task()
