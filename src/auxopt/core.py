@@ -12,9 +12,9 @@ token; a caller that draws once and drops it (:func:`draw_gaussian_noise`,
 minibatch and helper sampling) borrows, and never holds the borrowed
 generator across another call.
 
-Tokens form a tree: :func:`stream_fork` derives one child.  A run derives
-all of its tokens a tree level at a time with :func:`stream_forks`, one
-vectorised pass per level that gives the same children bit for bit.
+Tokens form a tree: :func:`stream_fork` derives one child.  A run derives its
+tokens a :func:`plan_blocks` block of cycles and a tree level at a time with
+:func:`stream_forks`, one vectorised pass that gives the same children bit for bit.
 """
 from __future__ import annotations
 
@@ -202,6 +202,16 @@ def stream_forks(parents: Sequence[RandomToken], labels) -> list[list[RandomToke
     return [flat[i * width:(i + 1) * width] for i in range(len(parents))]
 
 
+PLAN_LANES = 4096  # the most tokens a run plans at a time
+
+
+def plan_blocks(n: int, lanes: int):
+    """Labels 1..n in ranges of ``PLAN_LANES // lanes`` (one at least): planning
+    ``lanes`` tokens per label holds at most max(PLAN_LANES, lanes) at a time."""
+    step = max(1, PLAN_LANES // lanes)
+    return (range(lo, min(lo + step, n + 1)) for lo in range(1, n + 1, step))
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian noise levels of the f and h gradient estimates.
@@ -289,10 +299,11 @@ class OraclePair:
     def has_exact_gradients(self) -> bool:
         return self.exact_grad_f is not None and self.exact_grad_h is not None
 
-    def exact_grad_f_minus_h(self, x: Array) -> Array:
+    def exact_grad_f_minus_h(self, x: Array, grad_f: Optional[Array] = None) -> Array:
+        """grad f(x) - grad h(x); ``grad_f``, when given, is grad f(x) already computed."""
         if not self.has_exact_gradients:
             raise ValueError("oracle does not expose exact gradients")
-        return self.exact_grad_f(x) - self.exact_grad_h(x)
+        return (self.exact_grad_f(x) if grad_f is None else grad_f) - self.exact_grad_h(x)
 
 
 def gaussian_oracle(

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, OraclePair, RandomToken, borrow_generator, rng_from_token, stream_forks
+from .core import (Array, OraclePair, RandomToken, borrow_generator, plan_blocks,
+                   rng_from_token, stream_forks)
 from .optimizers import OptimizerConfig, OptimizerState, billed, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
@@ -95,20 +96,21 @@ def run_decentralized(
     token: RandomToken,
     variant: str = "AuxMOM",
 ) -> DecentralizedTrajectory:
-    """T decentralized cycles of ``variant``, cycle t under label t of
-    ``token``; records snapshots and the sampled helper sets."""
+    """T decentralized cycles of ``variant``, cycle t under label t of ``token``,
+    planned a ``plan_blocks`` block at a time; records snapshots and sampled sets."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cfg = replace(cfg, algorithm=variant)
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     traj = DecentralizedTrajectory(snapshots=[x.copy()], sampled=[])
-    plan = plan_cycles(stream_forks([token], range(1, cfg.T + 1))[0], helpers, cfg)
-    for chosen, tokens in plan:
-        x_new = decentralized_cycle(x, helpers, cfg, chosen, tokens, x_prev=x_prev)
-        x_prev, x = x, x_new
-        traj.snapshots.append(x.copy())
-        traj.sampled.append(chosen)
+    # per cycle: its token, the two under it, S helper lanes and their K+1 steps
+    for block in plan_blocks(cfg.T, 3 + helpers.s * (cfg.K + 2)):
+        for chosen, tokens in plan_cycles(stream_forks([token], block)[0], helpers, cfg):
+            x_new = decentralized_cycle(x, helpers, cfg, chosen, tokens, x_prev=x_prev)
+            x_prev, x = x, x_new
+            traj.snapshots.append(x.copy())
+            traj.sampled.append(chosen)
     return traj
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, stream_forks
+from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, plan_blocks, stream_forks
 
 ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "FineTune")
 
@@ -231,18 +231,18 @@ def run(
 ) -> Trajectory:
     """Execute T cycles, recording f(y) and ||grad f(y)||^2 per inner step.
 
-    m0 draws under label 0 of ``token`` and cycle t under label t, all forked
-    up front, one pass per level of the token tree.  With diagnostics on (and
-    exact gradients available) also records the momentum error
-    E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the per-step
-    displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
+    m0 draws under label 0 of ``token`` and cycle t under label t, forked a
+    ``plan_blocks`` block of cycles at a time, one pass per level of the token
+    tree.  With diagnostics on (and exact gradients available) also records the
+    momentum error E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the
+    per-step displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
     """
     if x0 is None:
         x0 = np.ones(oracle.dim)
     calls = Counter()
     stepper = billed(oracle, calls)
-    [forks] = stream_forks([token], range(cfg.T + 1))
-    state = init_state(x0, stepper, cfg, forks[0])
+    [[m0_token]] = stream_forks([token], [0])
+    state = init_state(x0, stepper, cfg, m0_token)
     exact = oracle.has_exact_gradients
     spec = MOMENTUM.get(cfg.algorithm)
     track_e = diagnostics_on and exact and spec is not None and spec.fmh
@@ -251,8 +251,8 @@ def run(
 
     def observe(x: Array):
         f_val = oracle.f_value(x) if oracle.f_value is not None else None
-        g_sq = float((oracle.exact_grad_f(x) ** 2).sum()) if exact else None
-        return f_val, g_sq
+        grad = oracle.exact_grad_f(x) if exact else None
+        return f_val, float((grad ** 2).sum()) if exact else None, grad
 
     rows = []
 
@@ -261,26 +261,28 @@ def run(
 
     # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        rows.append((0, 0, *observe(state.x), None, None,
-                     calls["f"], calls["h"], calls["fmh"]))
-        for t, tokens in enumerate(stream_forks(forks[1:], range(cfg.K + 1)), start=1):
-            result = cycle(state, stepper, cfg, tokens)
-            snapshot = state.x
-            new = result.state
-            e_t = None
-            if track_e:
-                e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot)) ** 2).sum())
-            for k, y in enumerate(result.inner_iterates, start=1):
-                if not np.isfinite(y).all():
-                    raise diverged(f"non-finite iterate at cycle {t}, step {k}")
-                f_val, g_sq = observe(y)
-                if f_val is not None and not f_val <= DIVERGENCE_LIMIT:
-                    raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
-                                   f"(limit {DIVERGENCE_LIMIT:g})")
-                delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
-                rows.append((t, k, f_val, g_sq, e_t, delta,
-                             calls["f"], calls["h"], calls["fmh"]))
-            state = new
+        f_val, g_sq, grad = observe(state.x)
+        rows.append((0, 0, f_val, g_sq, None, None, calls["f"], calls["h"], calls["fmh"]))
+        for block in plan_blocks(cfg.T, cfg.K + 2):  # a cycle token and its K + 1 children
+            [cycle_tokens] = stream_forks([token], block)
+            for t, tokens in zip(block, stream_forks(cycle_tokens, range(cfg.K + 1))):
+                result = cycle(state, stepper, cfg, tokens)
+                snapshot = state.x
+                new = result.state
+                e_t = None
+                if track_e:  # grad is grad f(snapshot), observed for its row
+                    e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot, grad)) ** 2).sum())
+                for k, y in enumerate(result.inner_iterates, start=1):
+                    if not np.isfinite(y).all():
+                        raise diverged(f"non-finite iterate at cycle {t}, step {k}")
+                    f_val, g_sq, grad = observe(y)
+                    if f_val is not None and not f_val <= DIVERGENCE_LIMIT:
+                        raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
+                                       f"(limit {DIVERGENCE_LIMIT:g})")
+                    delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
+                    rows.append((t, k, f_val, g_sq, e_t, delta,
+                                 calls["f"], calls["h"], calls["fmh"]))
+                state = new
 
     metadata["final_x"] = state.x.tolist()
     return Trajectory(row_table(rows), metadata)

@@ -2,7 +2,8 @@
 
 Covers the 1-D toy quadratic pair, general quadratic pairs, logistic
 regression with semi-supervised / coreset helper constructions, and a LIBSVM
-text-format parser.
+text-format parser.  Only the functions that build sparse matrices import
+scipy, at their first call, so the quadratic families never load it.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     Array,
@@ -201,6 +201,7 @@ def parse_libsvm(text: Union[str, bytes]) -> tuple[sp.csr_matrix, np.ndarray]:
     bytes, ``inf``, ``nan``, ``1_0``, an index of 2**53 or more) is a
     :class:`LibsvmParseError` naming the first offending line.
     """
+    import scipy.sparse as sp
     if isinstance(text, str):
         text = text.encode()
     buf = np.frombuffer(text, dtype=np.uint8)
@@ -280,6 +281,7 @@ def parse_libsvm(text: Union[str, bytes]) -> tuple[sp.csr_matrix, np.ndarray]:
 def write_libsvm(features, labels: np.ndarray) -> str:
     """Serialize a dense or sparse feature matrix and labels into LIBSVM text;
     stored zeros are left out."""
+    import scipy.sparse as sp
     a = sp.csr_matrix(features, dtype=np.float64, copy=True)
     a.sum_duplicates()
     a.eliminate_zeros()
@@ -317,6 +319,7 @@ class LogisticTask:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        import scipy.sparse as sp
         a = self.features
         if not sp.issparse(a):
             a = np.asarray(a, dtype=np.float64)
@@ -548,6 +551,7 @@ def make_synthetic_classification(
     if n_features < n_groups:
         raise ValueError(f"n_features = {n_features} is below n_groups = {n_groups}: "
                          "every group needs at least one feature")
+    import scipy.sparse as sp
     rng = rng_from_token(seed)
     group_sizes = np.full(n_groups, n_features // n_groups)
     group_sizes[: n_features % n_groups] += 1

@@ -287,6 +287,30 @@ class TestRun:
         traj = run(oracle, OptimizerConfig("GD", eta=0.5, T=1), TOK)
         assert traj.rows[0].f_value == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("algorithm", ("AuxMOM", "AuxMVR"))
+    def test_e_t_reuses_the_observed_gradient(self, monkeypatch, algorithm):
+        """E_t from grad f as observed for the snapshot's row is bit for bit the
+        E_t of ``exact_grad_f_minus_h`` computing grad f at the snapshot again."""
+        features, labels = problems.make_synthetic_classification(120, 12, RandomToken(4),
+                                                                   n_groups=4)
+        task = problems.LogisticTask(features, problems.map_labels_to_pm1(labels), l2_reg=0.01)
+        f_task, h_task, _ = problems.build_semisupervised(
+            task, (0.5, 0.25, 0.25), "coreset", RandomToken(5), fraction=0.5)
+        oracle = problems.logistic_oracle(f_task, h_task, batch_size=8)
+        cfg = OptimizerConfig(algorithm, eta=0.5, a=0.3, K=4, T=6)
+        got = run(oracle, cfg, TOK, diagnostics_on=True)
+        same_grad = []
+
+        def recomputed(self, x, grad_f=None):
+            same_grad.append(np.array_equal(grad_f, self.exact_grad_f(x)))
+            return self.exact_grad_f(x) - self.exact_grad_h(x)
+
+        monkeypatch.setattr(core.OraclePair, "exact_grad_f_minus_h", recomputed)
+        want = run(oracle, cfg, TOK, diagnostics_on=True)
+        assert same_grad == [True] * cfg.T
+        assert not np.isnan(got.rows.E_t[1:]).any()
+        assert harness.trajectory_to_csv(got) == harness.trajectory_to_csv(want)
+
 
 def count_forks(monkeypatch) -> Counter:
     """Count calls of scalar ``stream_fork`` and bulk ``stream_forks`` in
@@ -306,8 +330,8 @@ def count_forks(monkeypatch) -> Counter:
 
 
 class TestTokenPlan:
-    """A run forks its tokens a tree level at a time, so its fork calls do
-    not grow with the number of cycles."""
+    """A run forks its tokens a tree level at a time, so within a plan block
+    its fork calls do not grow with the number of cycles."""
 
     @pytest.mark.parametrize("m0_mode", ("single_sample", "big_batch"))
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -338,6 +362,40 @@ class TestTokenPlan:
             per_t.append(dict(calls))
         assert per_t[0] == per_t[1]
         assert per_t[0].get("stream_fork", 0) == 0
+
+
+    def test_blocked_plan_forks_the_unblocked_tokens(self, monkeypatch):
+        """Cut into blocks of a few cycles, a plan gives the same run CSV and
+        decentralized snapshots, and no fork call holds more than a block."""
+        noise = NoiseSpec(sigma_f=0.5, sigma_h=0.5, rho=0.3)
+        oracle = make_toy_pair(0.1, 1.0, noise)
+        cfg = OptimizerConfig("AuxMVR", eta=0.05, a=0.5, K=3, T=12)
+
+        def outputs():
+            helpers = decentralized.HelperSet(
+                [make_toy_pair(0.1, z, noise) for z in (0.5, 1.0, 2.0)], s=2)
+            traj = decentralized.run_decentralized(np.array([1.0]), helpers, cfg, TOK,
+                                                   variant="AuxMOM")
+            csv = harness.trajectory_to_csv(run(oracle, cfg, TOK, diagnostics_on=True))
+            return csv, np.stack(traj.snapshots).tobytes()
+
+        lanes = []
+        want = outputs()
+        real = core.stream_forks
+
+        def recorded(parents, labels):
+            children = real(parents, labels)
+            lanes.append(sum(map(len, children)))
+            return children
+
+        for mod in (optimizers, decentralized):
+            monkeypatch.setattr(mod, "stream_forks", recorded)
+        monkeypatch.setattr(core, "PLAN_LANES", 30)  # 6 run cycles or 2 decentralized ones
+        assert outputs() == want
+        # the run: m0, then two blocks of two levels; the decentralized run: six
+        # blocks of four levels
+        assert len(lanes) == 1 + 2 * 2 + 6 * 4
+        assert max(lanes) <= 30
 
 
 class TestContractionAndFloors:
