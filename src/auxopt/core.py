@@ -56,13 +56,14 @@ class ConfigError(ValueError):
 
 
 def at_path(path: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with a bad-input error reported as a ConfigError
-    at ``path``; a ConfigError's own path is put under ``path``."""
+    """``fn(*args, **kwargs)``, with a bad-input error (an unreadable file too)
+    reported as a ConfigError at ``path``; a ConfigError's own path is put
+    under ``path``."""
     try:
         return fn(*args, **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}.{exc.path}", exc.message) from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OSError) as exc:
         raise ConfigError(path, str(exc)) from None
 
 

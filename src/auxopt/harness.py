@@ -171,10 +171,7 @@ def _validate_problem(tag: str, body: Any):
 
 
 def load_config_file(path: str) -> ExperimentConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("", f"config file not found: {path}")
-    return load_config(p.read_text())
+    return load_config(at_path("", Path(path).read_text, encoding="utf-8"))
 
 
 def build_oracle(cfg: ExperimentConfig) -> OraclePair:
@@ -196,7 +193,8 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     data_path = Path(body["path"])
     if not data_path.is_file():
         raise ConfigError(f"{path}.path", f"dataset file not found: {data_path}")
-    features, labels = at_path(f"{path}.path", problems.parse_libsvm, data_path.read_bytes())
+    features, labels = at_path(f"{path}.path",
+                               lambda: problems.parse_libsvm(data_path.read_bytes()))
     labels = at_path(f"{path}.path", problems.map_labels_to_pm1, labels)
     task = at_path(path, problems.LogisticTask, features, labels, **_given(body, ["l2_reg"]))
     helper = body["helper"]

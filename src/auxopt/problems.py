@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -123,6 +124,7 @@ class LibsvmParseError(ValueError):
 # An integer of up to 15 digits is an exact float64 sum of digit * 10**k.
 _POW10 = 10.0 ** np.arange(15)
 _MAX_INDEX = 2**53  # indices are held as float64, exact below this
+_BLOCK_BYTES = 1 << 16  # the least LIBSVM text parsed at a time
 
 
 def _between(buf: np.ndarray, first: int, last: int) -> np.ndarray:
@@ -200,11 +202,39 @@ def parse_libsvm(text: Union[str, bytes]) -> tuple[sp.csr_matrix, np.ndarray]:
     plain decimals read as ``float`` reads them.  Anything else (non-ASCII
     bytes, ``inf``, ``nan``, ``1_0``, an index of 2**53 or more) is a
     :class:`LibsvmParseError` naming the first offending line.
+
+    The text is parsed in blocks of whole lines, at least ``_BLOCK_BYTES``
+    long, whose arrays are joined once: the temporaries are one block's.
     """
     import scipy.sparse as sp
     if isinstance(text, str):
         text = text.encode()
-    buf = np.frombuffer(text, dtype=np.uint8)
+    blocks, start, line0 = [], 0, 0
+    while not blocks or start < len(text):
+        # A block ends just after a "\n", so it splits no line and no "\r\n";
+        # empty text is one empty block.
+        stop = text.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(text)
+        *arrays, n_breaks = _parse_block(np.frombuffer(text, np.uint8, stop - start, start), line0)
+        blocks.append(arrays)
+        start, line0 = stop, line0 + n_breaks
+    # Each name below holds the only references to its blocks' arrays, so
+    # rebinding it to their join frees them: one array is joined at a time.
+    labels, data, indices, row_nnz = zip(*blocks)
+    del blocks
+    n_rows, nnz = sum(map(len, labels)), sum(map(len, data))
+    n_cols = max(int(idx.max(initial=-1)) for idx in indices) + 1
+    # The index dtype csr_matrix picks for this shape, so it copies nothing.
+    idx_t = np.int32 if max(n_rows, n_cols, nnz) < 2**31 else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=idx_t)
+    np.cumsum(np.concatenate(row_nnz), dtype=idx_t, out=indptr[1:])
+    data = np.concatenate(data)
+    indices = np.concatenate(indices, dtype=idx_t)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), np.concatenate(labels)
+
+
+def _parse_block(buf: np.ndarray, line0: int):
+    """The labels, values, 0-based indices and row lengths of the whole lines
+    in ``buf``, and its line-break count; ``line0`` breaks come before it."""
     # Byte positions and token numbers as int32 where they fit: it halves
     # the parser's peak memory.
     int_t = np.int32 if len(buf) < 2**31 else np.int64
@@ -224,7 +254,7 @@ def parse_libsvm(text: Union[str, bytes]) -> tuple[sp.csr_matrix, np.ndarray]:
     n_labels, n_feats = len(label_tok), len(feat)
 
     def line(tok: int) -> int:
-        return int(np.searchsorted(breaks, starts[tok])) + 1
+        return line0 + int(np.searchsorted(breaks, starts[tok])) + 1
 
     # A feature token splits at its first colon into an index and a value,
     # empty when it has none.  A well-formed file has one colon per feature
@@ -266,16 +296,14 @@ def parse_libsvm(text: Union[str, bytes]) -> tuple[sp.csr_matrix, np.ndarray]:
             raise LibsvmParseError(f"{where}: index {value} is too large")
         raise LibsvmParseError(f"{where}: non-ascending index {value} after {int(prev[i])}")
     if n_ok < len(starts):
-        token = text[starts[n_ok]:ends[n_ok]].decode("utf-8", "backslashreplace")
+        token = buf[starts[n_ok]:ends[n_ok]].tobytes().decode("utf-8", "backslashreplace")
         what = "invalid label" if is_label[n_ok] else "malformed token"
         raise LibsvmParseError(f"line {line(n_ok)}: {what} {token!r}")
 
     row_nnz = np.diff(np.append(label_tok, len(starts))) - 1
-    features = sp.csr_matrix(
-        (data, idx.astype(np.int64) - 1, np.concatenate(([0], np.cumsum(row_nnz)))),
-        shape=(n_labels, int(idx.max(initial=0))),
-    )
-    return features, labels
+    idx_t = np.int32 if idx.max(initial=0) <= 2**31 else np.int64
+    # Copies, so that the block's arrays do not keep ``values`` alive.
+    return labels.copy(), data.copy(), (idx - 1).astype(idx_t), row_nnz, len(breaks)
 
 
 def write_libsvm(features, labels: np.ndarray) -> str:
@@ -343,15 +371,17 @@ class LogisticTask:
                 raise ValueError("weights must sum to one")
             object.__setattr__(self, "weights", w)
         # Not dataclass fields: the weights with the uniform default built
-        # once, the transposed design as CSR for the gradient's product, the
-        # CSR's index arrays as intp (faster to gather with than int32) for the
-        # minibatch, and a one-entry memo (x copy, margins) that loss and grad share.
+        # once, and a one-entry memo (x copy, margins) that loss and grad share.
         object.__setattr__(self, "_w", self.weights if self.weights is not None
                            else np.full(y.shape[0], 1.0 / y.shape[0]))
-        object.__setattr__(self, "_features_t", a.T.tocsr())
-        object.__setattr__(self, "_indptr", a.indptr.astype(np.intp))
-        object.__setattr__(self, "_indices", a.indices.astype(np.intp))
         object.__setattr__(self, "_margin_memo", None)
+
+    # Built at the first gradient that needs them: the transposed design as
+    # CSR for the gradient's product, and the CSR's index arrays as intp
+    # (faster to gather with than int32) for the minibatch.
+    _features_t = cached_property(lambda self: self.features.T.tocsr())
+    _indptr = cached_property(lambda self: self.features.indptr.astype(np.intp))
+    _indices = cached_property(lambda self: self.features.indices.astype(np.intp))
 
     @property
     def n_samples(self) -> int:

@@ -646,6 +646,33 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("config error: problem.logistic.path: line 2")
 
+    @pytest.mark.parametrize("name,why", [
+        ("latin1.json", "'utf-8' codec can't decode byte 0xe9"),
+        ("dir.json", "Is a directory"),
+        ("missing.json", "No such file or directory"),
+    ])
+    def test_unreadable_config_exit_2(self, tmp_path, name, why):
+        (tmp_path / "latin1.json").write_bytes(json.dumps(toy_config()).encode() + b" \xe9")
+        (tmp_path / "dir.json").mkdir()
+        code, err = _main_quietly(["run", "--config", str(tmp_path / name)])
+        assert code == 2
+        assert err.startswith("config error: : ") and why in err
+        assert err.count("\n") == 1
+
+    def test_unreadable_libsvm_exit_2(self, tmp_path, monkeypatch):
+        raw = logistic_config(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        code, err = _main_quietly(["run", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("config error: problem.logistic.path: ")
+        assert "Permission denied" in err and err.count("\n") == 1
+
     @settings(max_examples=60, deadline=None)
     @given(field=st.sampled_from(FUZZ_FIELDS),
            value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),

@@ -1,9 +1,14 @@
+import functools
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from auxopt import harness, problems
 from auxopt.core import ConfigError, RandomToken, rng_from_token, stream_fork
 from auxopt.problems import (
     LibsvmParseError,
@@ -391,6 +396,93 @@ class TestLibsvmParser:
         assert write_libsvm(csr, labels) == write_libsvm(dense, labels) == want
 
 
+@functools.lru_cache(maxsize=None)
+def _mushrooms_text() -> bytes:
+    """An 8124 x 112 one-hot LIBSVM file, the shape of the benchmark's."""
+    features, labels = make_synthetic_classification(8124, 112, RandomToken(8))
+    return write_libsvm(features, labels).encode()
+
+
+def _line_of(n: int) -> str:
+    """A valid line of ``n`` characters (a label and spaces), empty for 0."""
+    return ("1" + " " * n)[:n]
+
+
+_BLOCK_SIZES = [1, 7, 64]
+
+
+class TestLibsvmBlocks:
+    """parse_libsvm over blocks of a few bytes, so that every kind of line
+    and break meets a block boundary, against the per-token loop."""
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @given(text=_libsvm_text())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_on_structured_text(self, block, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "_BLOCK_BYTES", block)
+            _assert_same_parse(text)
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @pytest.mark.parametrize("case", [
+        # "\r" the last byte of the first block's minimum, its "\n" the next
+        lambda b: _line_of(b - 1) + "\r\n2 1:1\r\n3 2:1 1:1\n",
+        lambda b: _line_of(b - 1) + "\r\n2 1:1\r\nx 1:1",
+        # blank and whitespace-only lines at the start of a block
+        lambda b: _line_of(b - 1) + "\n \t\n\n1 2:1\n  \n3 x\n",
+        lambda b: _line_of(b - 1) + "\n\n \n1 3:1\n",
+        # "\r" breaks only: one block
+        lambda b: "1 1:1\r2 2:2\r\r3 3:1 4:4\r" * b,
+        lambda b: "1 1:1\r2 2:2\r\r3 3:1 4:x\r" * b,
+    ])
+    def test_matches_loop_at_boundaries(self, monkeypatch, block, case):
+        monkeypatch.setattr(problems, "_BLOCK_BYTES", block)
+        _assert_same_parse(case(block))
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    def test_error_in_a_late_block_names_its_line(self, monkeypatch, block):
+        monkeypatch.setattr(problems, "_BLOCK_BYTES", block)
+        text = _mushrooms_text() + b"1 3:1 2:1\nx 1:1\n"
+        with pytest.raises(LibsvmParseError) as exc:
+            parse_libsvm(text)
+        assert str(exc.value) == "line 8125: non-ascending index 2 after 3"
+
+
+class TestParseMemory:
+    def test_parse_peak_is_a_small_multiple_of_its_output(self):
+        text = _mushrooms_text() * 7
+        assert len(text) >= 4 * 2**20
+        tracemalloc.start()
+        try:
+            features, labels = parse_libsvm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert features.shape == (7 * 8124, 112)
+        returned = sum(a.nbytes for a in (features.data, features.indices,
+                                          features.indptr, labels))
+        assert peak <= 3 * returned, (peak, returned)
+
+    def test_build_oracle_peak(self, tmp_path):
+        data = tmp_path / "data.libsvm"
+        data.write_bytes(_mushrooms_text())
+        cfg = harness.load_config(json.dumps({
+            "version": 1,
+            "problem": {"logistic": {"path": str(data), "helper": {"kind": "random_labels"},
+                                     "batch_size": 128}},
+            "algorithm": {"name": "AuxMOM", "eta": 0.5, "a": 0.1, "K": 1, "T": 20},
+            "seed": 1,
+        }))
+        harness.build_oracle(cfg)  # imports scipy, outside the trace
+        tracemalloc.start()
+        try:
+            harness.build_oracle(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20, peak
+
+
 class TestLogisticTask:
     def test_rejects_non_pm1_labels(self):
         with pytest.raises(ValueError):
@@ -400,6 +492,16 @@ class TestLogisticTask:
         with pytest.raises(ValueError):
             LogisticTask(np.ones((2, 2)), np.array([1.0, -1.0]),
                          weights=np.array([0.9, 0.9]))
+
+    def test_derived_arrays_are_built_at_first_gradient_use(self):
+        task = LogisticTask(np.eye(3), np.array([1.0, -1.0, 1.0]))
+        derived = {"_features_t", "_indptr", "_indices"}
+        task.loss(np.ones(3))
+        assert not derived & vars(task).keys()
+        task.grad(np.ones(3))
+        assert derived & vars(task).keys() == {"_features_t"}
+        task.grad_minibatch(np.ones(3), np.array([0, 2]))
+        assert derived <= vars(task).keys()
 
     @pytest.mark.parametrize("l2_reg", [-1.0, float("nan")])
     def test_rejects_bad_l2_reg(self, l2_reg):
