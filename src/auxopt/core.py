@@ -12,16 +12,18 @@ token; a caller that draws once and drops it (:func:`draw_gaussian_noise`,
 minibatch and helper sampling) borrows, and never holds the borrowed
 generator across another call.
 
-Tokens form a tree: :func:`stream_fork` derives one child.  A run derives its
-tokens a :func:`plan_blocks` block of cycles and a tree level at a time with
-:func:`stream_forks`, one vectorised pass that gives the same children bit for bit.
+A token's key names a stream and its draw index the position in it.
+:func:`stream_fork` derives a child stream at program structure (a repeat,
+a run's draws, a multi-helper run's sampler and helper lanes, a data
+split); inside a run, successive draws take successive draw indices of one
+stream, and a token that is forked is not drawn from.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,7 +52,7 @@ class ConfigError(ValueError):
     """Bad input; ``path`` names the offending field."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
         self.message = message
 
@@ -76,6 +78,10 @@ class RandomToken:
 
     stream_id: int
     draw_index: int = 0
+
+    def skip(self, n: int) -> "RandomToken":
+        """The token ``n`` draws further along the same stream."""
+        return RandomToken(self.stream_id, self.draw_index + n)
 
 
 def _philox_key_counter(token: RandomToken) -> tuple[int, int]:
@@ -138,79 +144,6 @@ def stream_fork(parent: RandomToken, label: int) -> RandomToken:
     ss = np.random.SeedSequence(entropy=np.array(words, dtype=np.uint32))
     child_id = int.from_bytes(ss.generate_state(4, np.uint32).tobytes(), "little")
     return RandomToken(child_id, 0)
-
-
-# SeedSequence's hash constants: its entropy hash XORs with INIT_A * MULT_A^k
-# and multiplies by INIT_A * MULT_A^(k+1) at its k-th call, of at most 32 here.
-_HASH_A = np.array([0x43B0D7E5 * pow(0x931E8875, k, 2**32) % 2**32 for k in range(33)],
-                   dtype=np.uint32)[:, None]
-_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, k, 2**32) % 2**32 for k in range(5)],
-                   dtype=np.uint32)[:, None]
-
-
-def _seed_words(entropy: Array) -> Array:
-    """``SeedSequence(e).generate_state(4, np.uint32)`` of every row e of an
-    (L, n) uint32 array: its ``mix_entropy`` over uint32 lanes, with the 4
-    pool words as rows, so hashing one word into several is one operation."""
-    words = np.pad(entropy.T, ((0, max(0, 4 - entropy.shape[1])), (0, 0)))
-
-    def hashmix(v, k, rows):  # the hash's calls k..k+rows-1, one per row
-        v = (v ^ _HASH_A[k:k + rows]) * _HASH_A[k + 1:k + rows + 1]
-        return v ^ (v >> 16)
-
-    def mix(pool, h):
-        r = np.uint32(0xCA01F9DD) * pool - np.uint32(0x4973F715) * h
-        return r ^ (r >> 16)
-
-    pool = hashmix(words[:4], 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
-    for j, w in enumerate(words[4:]):
-        pool = mix(pool, hashmix(w, 16 + 4 * j, 4))
-    out = (pool ^ _HASH_B[:4]) * _HASH_B[1:]
-    return (out ^ (out >> 16)).T
-
-
-def stream_forks(parents: Sequence[RandomToken], labels) -> list[list[RandomToken]]:
-    """``[[stream_fork(p, label) for label in row] for p, row in zip(parents, rows)]``
-    in one vectorised pass, bit for bit, with ``labels`` one row of ints for
-    every parent or a row per parent.  A pair's entropy is the words of its
-    stream id, draw index and label, each cut after its last nonzero word
-    (keeping one); pairs with as many words share one hash sequence."""
-    labels = np.array(labels, dtype=object)
-    masked = np.array([int(label) & _COUNTER_MASK for label in labels.flat], dtype="<u8")
-    rows = np.broadcast_to(masked.reshape(labels.shape),
-                           (len(parents), labels.shape[-1])).astype("<u8")
-    parent_words = np.frombuffer(b"".join(
-        (p.stream_id & _KEY_MASK).to_bytes(16, "little")
-        + (p.draw_index & _COUNTER_MASK).to_bytes(8, "little") for p in parents), dtype="<u4")
-    words = np.empty(rows.shape + (8,), dtype="<u4")
-    words[..., :6] = parent_words.reshape(-1, 1, 6)
-    words[..., 6:] = rows[..., None].view("<u4")
-    words = words.reshape(-1, 8)
-    keep = words != 0
-    for lo, hi in ((0, 4), (4, 6), (6, 8)):
-        keep[:, lo:hi] = np.logical_or.accumulate(keep[:, lo:hi][:, ::-1], axis=1)[:, ::-1]
-        keep[:, lo] = True
-    counts, children = keep.sum(axis=1), np.empty((len(words), 4), dtype="<u4")
-    for n in np.unique(counts):
-        lanes = counts == n
-        children[lanes] = _seed_words(words[lanes][keep[lanes]].reshape(-1, n))
-    buf = children.tobytes()
-    flat = [RandomToken(int.from_bytes(buf[i:i + 16], "little")) for i in range(0, len(buf), 16)]
-    width = rows.shape[1]
-    return [flat[i * width:(i + 1) * width] for i in range(len(parents))]
-
-
-PLAN_LANES = 4096  # the most tokens a run plans at a time
-
-
-def plan_blocks(n: int, lanes: int):
-    """Labels 1..n in ranges of ``PLAN_LANES // lanes`` (one at least): planning
-    ``lanes`` tokens per label holds at most max(PLAN_LANES, lanes) at a time."""
-    step = max(1, PLAN_LANES // lanes)
-    return (range(lo, min(lo + step, n + 1)) for lo in range(1, n + 1, step))
 
 
 @dataclass(frozen=True)

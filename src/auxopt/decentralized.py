@@ -8,8 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Array, OraclePair, RandomToken, borrow_generator, plan_blocks,
-                   rng_from_token, stream_forks)
+from .core import Array, OraclePair, RandomToken, borrow_generator, rng_from_token, stream_fork
 from .optimizers import OptimizerConfig, OptimizerState, billed, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
@@ -56,28 +55,17 @@ def sample_helpers(token: RandomToken, n: int, s: int) -> list[int]:
     return sorted(int(i) for i in chosen)
 
 
-def plan_cycles(tokens: list[RandomToken], helpers: HelperSet, cfg: OptimizerConfig) -> list:
-    """Each cycle's sampled set and its helpers' tokens, one fork pass per
-    level: cycle token c samples under label 0, and helper i's cycle token is
-    ``stream_fork(stream_fork(c, 1), i)``."""
-    pairs = stream_forks(tokens, range(2))
-    sampled = [sample_helpers(sampler, helpers.n, helpers.s) for sampler, _ in pairs]
-    lanes = stream_forks([lane for _, lane in pairs], sampled)
-    steps = stream_forks([lane for row in lanes for lane in row], range(cfg.K + 1))
-    return [(chosen, steps[j * helpers.s:(j + 1) * helpers.s]) for j, chosen in enumerate(sampled)]
-
-
 def decentralized_cycle(x: Array, helpers: HelperSet, cfg: OptimizerConfig, sampled: list[int],
-                        tokens: list[list[RandomToken]], x_prev: Array) -> Array:
+                        tokens: list[RandomToken], x_prev: Array) -> Array:
     """One cycle: each sampled helper runs one ``cycle`` of ``cfg.algorithm``
-    from x with its own momentum and its tokens from :func:`plan_cycles`,
-    billed to ``helpers.calls``.  Mutates the sampled helpers' momenta and
-    returns the average of their final iterates, the next snapshot.
+    from x with its own momentum, under its own token in ``tokens``, billed
+    to ``helpers.calls``.  Mutates the sampled helpers' momenta and returns
+    the average of their final iterates, the next snapshot.
     """
     finals = []
-    for i, steps in zip(sampled, tokens, strict=True):
+    for i, token in zip(sampled, tokens, strict=True):
         state = OptimizerState(x_prev=x_prev, x=x, m=helpers.momenta[i])
-        new = cycle(state, helpers.views[i], cfg, steps).state
+        new = cycle(state, helpers.views[i], cfg, token).state
         helpers.momenta[i] = new.m
         finals.append(new.x)
     return np.mean(finals, axis=0)
@@ -96,21 +84,27 @@ def run_decentralized(
     token: RandomToken,
     variant: str = "AuxMOM",
 ) -> DecentralizedTrajectory:
-    """T decentralized cycles of ``variant``, cycle t under label t of ``token``,
-    planned a ``plan_blocks`` block at a time; records snapshots and sampled sets."""
+    """T decentralized cycles of ``variant``; records snapshots and sampled sets.
+
+    A run forks ``token`` N + 2 times: a sampler stream (label 0) and helper
+    i's lane (label i under label 1).  Cycle t = 1..T samples its helpers at
+    the sampler's draw index t - 1, and helper i runs it from its lane's draw
+    index (t - 1)(K + 1)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cfg = replace(cfg, algorithm=variant)
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     traj = DecentralizedTrajectory(snapshots=[x.copy()], sampled=[])
-    # per cycle: its token, the two under it, S helper lanes and their K+1 steps
-    for block in plan_blocks(cfg.T, 3 + helpers.s * (cfg.K + 2)):
-        for chosen, tokens in plan_cycles(stream_forks([token], block)[0], helpers, cfg):
-            x_new = decentralized_cycle(x, helpers, cfg, chosen, tokens, x_prev=x_prev)
-            x_prev, x = x, x_new
-            traj.snapshots.append(x.copy())
-            traj.sampled.append(chosen)
+    sampler, lane_root = stream_fork(token, 0), stream_fork(token, 1)
+    lanes = [stream_fork(lane_root, i) for i in range(helpers.n)]
+    for t in range(cfg.T):
+        chosen = sample_helpers(sampler.skip(t), helpers.n, helpers.s)
+        tokens = [lanes[i].skip(t * (cfg.K + 1)) for i in chosen]
+        x_new = decentralized_cycle(x, helpers, cfg, chosen, tokens, x_prev=x_prev)
+        x_prev, x = x, x_new
+        traj.snapshots.append(x.copy())
+        traj.sampled.append(chosen)
     return traj
 
 

@@ -11,15 +11,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, plan_blocks, stream_forks
+from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, stream_fork
 
 ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "FineTune")
 
 DIVERGENCE_LIMIT = 1e12
+
+# The cap on 2 (K + 1) T, the most draws a run can bill.  It keeps float64 call
+# counts, summed over up to 2**13 repeats, exact (below 2**53).  It does not
+# bound run time: K = 2**39 - 1 at T = 1 is admitted.
+MAX_DRAWS = 2**40
 
 
 class DivergenceError(RuntimeError):
@@ -51,6 +56,10 @@ class OptimizerConfig:
         for name in ("K", "T"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
+        if 2 * (self.K + 1) * self.T > MAX_DRAWS:
+            raise ConfigError("K" if 2 * (self.K + 1) > MAX_DRAWS else "T",
+                              f"2 (K + 1) T, the most draws a run can bill, must be at most "
+                              f"{MAX_DRAWS}")
         if self.m0_mode not in ("zero", "single_sample", "big_batch"):
             raise ConfigError("m0_mode", f"unknown m0_mode {self.m0_mode!r}")
         if not 0 <= self.split_fraction <= 1:
@@ -134,7 +143,7 @@ def init_state(
     x0: Array, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
 ) -> OptimizerState:
     """Initial state; m0 per cfg.m0_mode (zero, one sample under ``token``, or
-    the mean of T samples under its labels 0..T-1)."""
+    the mean of T samples at its draw indices 0..T-1)."""
     x0 = as_vector(x0, oracle.dim)
     m = np.zeros(oracle.dim)
     spec = MOMENTUM.get(cfg.algorithm)
@@ -143,36 +152,36 @@ def init_state(
         if cfg.m0_mode == "single_sample":
             m = grad(x0, token)
         else:  # big_batch: mean of T independent samples
-            samples = [grad(x0, tok) for tok in stream_forks([token], range(cfg.T))[0]]
+            samples = [grad(x0, token.skip(i)) for i in range(cfg.T)]
             m = np.mean(samples, axis=0)
     return OptimizerState(x_prev=x0.copy(), x=x0.copy(), m=m)
 
 
 def cycle(
-    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, tokens: Sequence[RandomToken]
+    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
 ) -> CycleResult:
     """One cycle of ``cfg.algorithm`` from the snapshot ``state.x``.
 
-    ``tokens[k]`` is label k = 0..K of the cycle's token.  A MOMENTUM method
-    refreshes m from draws at the snapshot under label 0, then takes its
-    inner steps under labels 1..K.  Naive, GD and FineTune are written out.
+    Step k = 0..K draws under ``token.skip(k)``.  A MOMENTUM method refreshes
+    m from draws at the snapshot at step 0, then takes its inner steps at
+    steps 1..K.  Naive, GD and FineTune are written out.
     The next snapshot is the last iterate.
     """
     x, a, eta = state.x, cfg.a, cfg.eta
     m, ys = state.m, []
     spec = MOMENTUM.get(cfg.algorithm)
     if spec is not None:
-        grad, tok = spec.target(oracle), tokens[0]
-        g = grad(x, tok)
+        grad = spec.target(oracle)
+        g = grad(x, token)
         m = (1.0 - a) * m + a * g
         if spec.storm:
-            m = m + (1.0 - a) * (g - grad(state.x_prev, tok))
+            m = m + (1.0 - a) * (g - grad(state.x_prev, token))
         if spec.inner is None:
             ys.append(x - eta * m)
         else:
             y = x.copy()
             for k in range(1, cfg.K + 1):
-                tok = tokens[k]
+                tok = token.skip(k)
                 d = oracle.grad_h(y, tok)
                 if spec.inner == "svrg":
                     d = d - oracle.grad_h(x, tok)
@@ -180,11 +189,11 @@ def cycle(
                 ys.append(y)
     elif cfg.algorithm == "Naive":
         # One f-gradient step followed by K-1 raw h-gradient steps, no correction.
-        m = oracle.grad_f(x, tokens[0])
+        m = oracle.grad_f(x, token)
         y = x - eta * m
         ys.append(y)
         for k in range(1, cfg.K):
-            y = y - eta * oracle.grad_h(y, tokens[k])
+            y = y - eta * oracle.grad_h(y, token.skip(k))
             ys.append(y)
     elif cfg.algorithm == "GD":
         if oracle.exact_grad_f is None:
@@ -200,7 +209,8 @@ def cycle(
             on_h = step <= switch
             if not on_h and step - 1 <= switch:
                 m = np.zeros_like(m)  # phase switch
-            g = oracle.grad_h(y, tokens[k]) if on_h else oracle.grad_f(y, tokens[k])
+            tok = token.skip(k)
+            g = oracle.grad_h(y, tok) if on_h else oracle.grad_f(y, tok)
             m = (1.0 - a) * m + a * g
             y = y - eta * m
             ys.append(y)
@@ -231,18 +241,20 @@ def run(
 ) -> Trajectory:
     """Execute T cycles, recording f(y) and ||grad f(y)||^2 per inner step.
 
-    m0 draws under label 0 of ``token`` and cycle t under label t, forked a
-    ``plan_blocks`` block of cycles at a time, one pass per level of the token
-    tree.  With diagnostics on (and exact gradients available) also records the
-    momentum error E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the
-    per-step displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
+    A run forks once and draws from ``stream_fork(token, 0)``, never from
+    ``token``, so no draw of a run repeats one taken under its parent's other
+    children (a data split).  m0 takes draw indices 0..T-1 of that stream;
+    cycle t = 1..T takes its K + 1 steps at draw indices from
+    T + (t - 1)(K + 1) on.  With diagnostics on (and exact gradients available)
+    also records the momentum error E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2
+    and the per-step displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
     """
     if x0 is None:
         x0 = np.ones(oracle.dim)
     calls = Counter()
     stepper = billed(oracle, calls)
-    [[m0_token]] = stream_forks([token], [0])
-    state = init_state(x0, stepper, cfg, m0_token)
+    stream = stream_fork(token, 0)
+    state = init_state(x0, stepper, cfg, stream)
     exact = oracle.has_exact_gradients
     spec = MOMENTUM.get(cfg.algorithm)
     track_e = diagnostics_on and exact and spec is not None and spec.fmh
@@ -263,26 +275,24 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         f_val, g_sq, grad = observe(state.x)
         rows.append((0, 0, f_val, g_sq, None, None, calls["f"], calls["h"], calls["fmh"]))
-        for block in plan_blocks(cfg.T, cfg.K + 2):  # a cycle token and its K + 1 children
-            [cycle_tokens] = stream_forks([token], block)
-            for t, tokens in zip(block, stream_forks(cycle_tokens, range(cfg.K + 1))):
-                result = cycle(state, stepper, cfg, tokens)
-                snapshot = state.x
-                new = result.state
-                e_t = None
-                if track_e:  # grad is grad f(snapshot), observed for its row
-                    e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot, grad)) ** 2).sum())
-                for k, y in enumerate(result.inner_iterates, start=1):
-                    if not np.isfinite(y).all():
-                        raise diverged(f"non-finite iterate at cycle {t}, step {k}")
-                    f_val, g_sq, grad = observe(y)
-                    if f_val is not None and not f_val <= DIVERGENCE_LIMIT:
-                        raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
-                                       f"(limit {DIVERGENCE_LIMIT:g})")
-                    delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
-                    rows.append((t, k, f_val, g_sq, e_t, delta,
-                                 calls["f"], calls["h"], calls["fmh"]))
-                state = new
+        for t in range(1, cfg.T + 1):
+            result = cycle(state, stepper, cfg, stream.skip(cfg.T + (t - 1) * (cfg.K + 1)))
+            snapshot = state.x
+            new = result.state
+            e_t = None
+            if track_e:  # grad is grad f(snapshot), observed for its row
+                e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot, grad)) ** 2).sum())
+            for k, y in enumerate(result.inner_iterates, start=1):
+                if not np.isfinite(y).all():
+                    raise diverged(f"non-finite iterate at cycle {t}, step {k}")
+                f_val, g_sq, grad = observe(y)
+                if f_val is not None and not f_val <= DIVERGENCE_LIMIT:
+                    raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
+                                   f"(limit {DIVERGENCE_LIMIT:g})")
+                delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
+                rows.append((t, k, f_val, g_sq, e_t, delta,
+                             calls["f"], calls["h"], calls["fmh"]))
+            state = new
 
     metadata["final_x"] = state.x.tolist()
     return Trajectory(row_table(rows), metadata)

@@ -524,9 +524,10 @@ def logistic_oracle(
     """Oracle pair over two logistic tasks sharing a parameter space.
 
     ``batch_size`` None gives exact (deterministic) gradients; otherwise
-    stochastic gradients average over a with-replacement minibatch drawn from
-    the token, and a ``batch_size`` below 1 is a ConfigError at ``batch_size``.
-    No analytic smoothness bound or Hessian gap is carried.
+    stochastic gradients average over with-replacement minibatches drawn from
+    the token: f's rows first in its stream, then h's, so the h gradient draws
+    f's rows and drops them.  A ``batch_size`` below 1 is a ConfigError at
+    ``batch_size``.  No analytic smoothness bound or Hessian gap is carried.
     """
     if f_task.dim != h_task.dim:
         raise ValueError("tasks must share the parameter dimension")
@@ -534,21 +535,22 @@ def logistic_oracle(
         raise ConfigError("batch_size", "must be >= 1")
     dim = f_task.dim
 
-    def _batch(task: LogisticTask, x: Array, token: RandomToken) -> Array:
-        if batch_size is None:
-            return task.grad(x)
-        rng = borrow_generator(token)
+    def rows(task: LogisticTask, rng: np.random.Generator) -> np.ndarray:
         if task.weights is not None:
-            idx = rng.choice(task.n_samples, size=batch_size, replace=True, p=task.weights)
-        else:
-            idx = rng.integers(0, task.n_samples, size=batch_size)
-        return task.grad_minibatch(x, idx)
+            return rng.choice(task.n_samples, size=batch_size, replace=True, p=task.weights)
+        return rng.integers(0, task.n_samples, size=batch_size)
 
     def grad_f(x, token):
-        return _batch(f_task, x, stream_fork(token, 0))
+        if batch_size is None:
+            return f_task.grad(x)
+        return f_task.grad_minibatch(x, rows(f_task, borrow_generator(token)))
 
     def grad_h(x, token):
-        return _batch(h_task, x, stream_fork(token, 1))
+        if batch_size is None:
+            return h_task.grad(x)
+        rng = borrow_generator(token)
+        rows(f_task, rng)
+        return h_task.grad_minibatch(x, rows(h_task, rng))
 
     def grad_f_minus_h(x, token):
         return grad_f(x, token) - grad_h(x, token)

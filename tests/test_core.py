@@ -19,7 +19,6 @@ from auxopt.core import (
     gaussian_oracle,
     rng_from_token,
     stream_fork,
-    stream_forks,
 )
 
 
@@ -58,6 +57,22 @@ class TestRandomToken:
         b = draw_gaussian_noise(spec, RandomToken(42, 1), 5)[0]
         assert not np.array_equal(a, b)
 
+    def test_consecutive_draw_indices_have_the_noise_moments(self):
+        # a cycle takes its draws at consecutive indices of one stream: each
+        # draw keeps the per-coordinate variance sigma^2/d and f/h correlation
+        # rho, and draw k tells nothing of draw k + 1
+        n, dim, rho = 100_000, 3, 0.4
+        spec = NoiseSpec(sigma_f=2.0, sigma_h=1.0, rho=rho)
+        start = RandomToken(2**100 + 5, 2**40)
+        nf, nh = map(np.stack, zip(*(draw_gaussian_noise(spec, start.skip(k), dim)
+                                     for k in range(n))))
+        np.testing.assert_allclose(nf.var(axis=0), 4.0 / dim, rtol=0.03)
+        np.testing.assert_allclose(nh.var(axis=0), 1.0 / dim, rtol=0.03)
+        for i in range(dim):
+            assert abs(np.corrcoef(nf[:, i], nh[:, i])[0, 1] - rho) < 0.015
+            for a, b in ((nf, nf), (nh, nh), (nf, nh), (nh, nf)):
+                assert abs(np.corrcoef(a[:-1, i], b[1:, i])[0, 1]) < 0.02
+
     @given(st.integers(min_value=0, max_value=2**160), st.integers(min_value=0, max_value=2**63))
     @settings(max_examples=50, deadline=None)
     def test_rng_construction_total(self, sid, idx):
@@ -94,29 +109,6 @@ class TestStreamFork:
     def test_matches_tuple_entropy_formula(self, sid, draw, label):
         parent = RandomToken(sid, draw)
         assert stream_fork(parent, label) == tuple_entropy_fork(parent, label)
-
-    @given(st.integers(min_value=0, max_value=6).flatmap(lambda n: st.lists(st.tuples(
-        st.integers(min_value=-2**130, max_value=2**130),
-        st.integers(min_value=-2**66, max_value=2**66),
-        st.lists(st.integers(min_value=-2**66, max_value=2**66), min_size=n, max_size=n)),
-        max_size=12)))
-    @settings(max_examples=200, deadline=None)
-    def test_bulk_matches_scalar(self, rows):
-        # masked ids, draws and labels of every word count, mixed in one call
-        parents = [RandomToken(sid, draw) for sid, draw, _ in rows]
-        labels = [row for _, _, row in rows]
-        assert stream_forks(parents, labels) == [
-            [stream_fork(p, label) for label in row] for p, row in zip(parents, labels)]
-        if parents:  # one row of labels for every parent
-            assert stream_forks(parents, labels[0]) == [
-                [stream_fork(p, label) for label in labels[0]] for p in parents]
-        # numpy integer labels, wherever they fit, are masked as their int value
-        np_labels = [[np.int64(v) if -2**63 <= v < 2**63 else v for v in row] for row in labels]
-        assert stream_forks(parents, np_labels) == stream_forks(parents, labels)
-
-    def test_bulk_rejects_a_label_row_per_wrong_parent_count(self):
-        with pytest.raises(ValueError):
-            stream_forks([RandomToken(1)], [[0, 1], [2, 3]])
 
 
 class TestNoiseSpec:

@@ -11,13 +11,11 @@ from auxopt.core import (
     gaussian_oracle,
     rng_from_token,
     stream_fork,
-    stream_forks,
 )
 from auxopt.decentralized import (
     HelperSet,
     check_weak_convexity,
     decentralized_cycle,
-    plan_cycles,
     run_decentralized,
     sample_helpers,
 )
@@ -28,9 +26,10 @@ TOK = RandomToken(0)
 
 
 def one_cycle(x, helpers, cfg, token):
-    """``decentralized_cycle`` as planned for the cycle token ``token``:
-    (x', sampled set)."""
-    [(sampled, tokens)] = plan_cycles([token], helpers, cfg)
+    """``decentralized_cycle`` sampling its helpers under ``token`` and running
+    helper i under label i of it: (x', sampled set)."""
+    sampled = sample_helpers(token, helpers.n, helpers.s)
+    tokens = [stream_fork(token, i) for i in sampled]
     return decentralized_cycle(x, helpers, cfg, sampled, tokens, x_prev=x), sampled
 
 
@@ -98,10 +97,9 @@ class TestDecentralizedCycle:
         x_dec, sampled = one_cycle(x, hs, cfg, TOK)
         assert sampled == [0]
         state = init_state(x, oracle, cfg, TOK)
-        [tokens] = stream_forks([TOK], range(cfg.K + 1))
-        x_single = cycle(state, oracle, cfg, tokens).state.x
+        x_single = cycle(state, oracle, cfg, TOK).state.x
         assert np.allclose(x_dec, x_single, atol=1e-15)
-        assert np.allclose(hs.momenta[0], cycle(state, oracle, cfg, tokens).state.m)
+        assert np.allclose(hs.momenta[0], cycle(state, oracle, cfg, TOK).state.m)
 
     def test_averaging(self):
         # two deterministic helpers whose inner loops end at different points:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from auxopt import cli
-from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork, stream_forks
+from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork
 from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
 from auxopt.harness import load_config, run_experiment, run_sweep
 from auxopt.optimizers import ALGORITHMS, DivergenceError, OptimizerConfig
@@ -114,13 +114,10 @@ def fork_parents() -> list:
     return [RandomToken(stream_id_of_bits(bits), draw) for bits in FORK_BITS for draw in FORK_DRAWS]
 
 
-def fork_digest(children=None) -> str:
-    """SHA-256 over the child stream ids of every parent under every label
-    of the grid, forked one by one unless ``children`` gives them."""
-    if children is None:
-        children = [stream_fork(p, label) for p in fork_parents() for label in FORK_LABELS]
+def fork_digest() -> str:
+    """SHA-256 over the child stream ids of every parent under every label of the grid."""
     h = hashlib.sha256()
-    for child in children:
+    for child in (stream_fork(p, label) for p in fork_parents() for label in FORK_LABELS):
         h.update(child.stream_id.to_bytes(16, "little"))
         h.update(child.draw_index.to_bytes(8, "little"))
     return h.hexdigest()
@@ -146,41 +143,41 @@ NOISE = "0f1c3bf20b2e309323a5b4bb9a076ebf486530bf9ad17353d02dd06e15c10b1d"
 
 NOISY_CSV = {
     ("Naive", "single_sample"):
-        "570b15c3758ab91eff0d004bf5a5f9f9b286d4d12e6846b25aed69114870db32",
+        "0c2a8b4e7823d92ca752bd964b35d438d071bb714f3b3b71ae628127c381e259",
     ("Naive", "zero"):
-        "570b15c3758ab91eff0d004bf5a5f9f9b286d4d12e6846b25aed69114870db32",
+        "0c2a8b4e7823d92ca752bd964b35d438d071bb714f3b3b71ae628127c381e259",
     ("Naive", "big_batch"):
-        "570b15c3758ab91eff0d004bf5a5f9f9b286d4d12e6846b25aed69114870db32",
+        "0c2a8b4e7823d92ca752bd964b35d438d071bb714f3b3b71ae628127c381e259",
     ("AuxMOM", "single_sample"):
-        "52f0000ab3fcee0ec6d2e9a5537f79596135775aaed85877139e7c602380667d",
+        "5cbde22136b0649b619a0e572eeaef86645104857d421b4ce528995a1afd98d8",
     ("AuxMOM", "zero"):
-        "24d6c2d47ec875bebf4055261f55d26203371ac2af0b5a8d3d34cbbce68fa440",
+        "e09aa749d7eac35bb194560242fb03e380a1c0c0081334b8c73a3daefc000abb",
     ("AuxMOM", "big_batch"):
-        "003033d7d0656d8d273ba2b421a39c0f699bc73325dc42c5c0e8716310ce49c8",
+        "a75aa2fb1d2cb76aa4f24540f23ee1a04dd10b1239689fc951f3c4f3421214e8",
     ("AuxMOM_V0", "single_sample"):
-        "a30c01ffe555e1ee6058b6d2c221e986afecac05e25f2684fb10bb4a3049d9fc",
+        "b638f18636e7b32552753cf43114f5782345e00a00658f21266623210906ddcd",
     ("AuxMOM_V0", "zero"):
-        "e081cb23b7bc4c7d48e04dc494a2bcbd39e5e70f1dbf175a60e84e67bfa36557",
+        "9ea9ce9bb046ddd9f11618cd1c5abd7a980b20ff92cd8b90506e397c976ccc28",
     ("AuxMOM_V0", "big_batch"):
-        "51fa8151d17f00732e181e3fa29e89ff1fa18997cf15570786e8910117c1379c",
+        "46aa1be69646eb2d6e83a5da3ad67ee0a84440817b88243d031028655869fe77",
     ("AuxMVR", "single_sample"):
-        "9cd077dbdea39833e32e2cb227410eb6a7f86796c1c015071438445ba3a5038b",
+        "0ce8f8bc0d975deb98bdb623d1e7b991b3873c0ac5c8601d0eab970aa6e2b9fe",
     ("AuxMVR", "zero"):
-        "df514003dec6b40acffd5ef75fa68718056f783d80211fd1a96673cc721a47fd",
+        "8b391a65acb0f7040eefc63c475dd2cb9b91720e481088425775a8d4617a1152",
     ("AuxMVR", "big_batch"):
-        "6da212335264657f2ac6f7f78b993fa05a1e0cdedd0bf40387ecb4c061fee5ae",
+        "f290df557f0b6b99d57a0faf532eec156a30663eb21d9cab5f90e02166510a2a",
     ("SGDm", "single_sample"):
-        "c302a5220e864b8e155553aa7cfba82c20a627baeb0c833c63603d8eb832408b",
+        "3fd2e1a9dccad346f2fe329eea1e5c1ebb649329e29b375dcd1bc4eb141abe81",
     ("SGDm", "zero"):
-        "b5845df788324314eecf0c37781c39d04e1a9c17f258c387951d86dba5bec421",
+        "a7a67751943d31f3f6cfda3dde9718f8a3653b19c9366ed030ed5dd7b338791f",
     ("SGDm", "big_batch"):
-        "3154845b2e1daa35504e712a1a2f2ecb5365a3b422aa8f8a7004ecafa9120e47",
+        "b7f6b15906a515e52e34053051c0db0005e2fe29392ba439496d571f0cee62f5",
     ("MVR", "single_sample"):
-        "bbf4d0a85ef5caad56f27bf2b8ec6453dd3cba357d17915b22de6c6a0a4510ff",
+        "4c6421270845e5c06cb5e1aaa43eeee5590dba83d00ffb4e582bc202604f2600",
     ("MVR", "zero"):
-        "cff00baec9dd5651001857f46efc7ff46c0778af67e8ae8782c8c833fd290840",
+        "231c45e0399d2d448e8f83723bd8d9ff8d5ac2cb886ac1af3e56e4d10a7cbd37",
     ("MVR", "big_batch"):
-        "d6f488b6223e9cace50c1e83ab7692aaa2d895eaef2f8916e74d037974cd911c",
+        "adfc14fb545d19ee2f9556b0ad8c9ff546a2fc1c9dabaa8b1f0556e5d9fb272a",
     ("GD", "single_sample"):
         "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
     ("GD", "zero"):
@@ -188,11 +185,11 @@ NOISY_CSV = {
     ("GD", "big_batch"):
         "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
     ("FineTune", "single_sample"):
-        "1be9c44cdd6db80fc5740cae79c853abe111d48c0c5a20302c1f7c9395682a8e",
+        "496dfc9ce39f3551f5d250db605f77931b1f5955fff5288e60e7494ea3d1b82a",
     ("FineTune", "zero"):
-        "1be9c44cdd6db80fc5740cae79c853abe111d48c0c5a20302c1f7c9395682a8e",
+        "496dfc9ce39f3551f5d250db605f77931b1f5955fff5288e60e7494ea3d1b82a",
     ("FineTune", "big_batch"):
-        "1be9c44cdd6db80fc5740cae79c853abe111d48c0c5a20302c1f7c9395682a8e",
+        "496dfc9ce39f3551f5d250db605f77931b1f5955fff5288e60e7494ea3d1b82a",
 }
 
 EXACT_CSV = {
@@ -207,19 +204,19 @@ EXACT_CSV = {
 }
 
 SWEEP_FILES = {
-    True: "58bbdeabcd8567c90b1370c27a6d5b6794f292af2b23c73a5b5978c36f4ceed2",
+    True: "6e7257ff0c179adae3a762200c5904b1b710c1c8e13e29e48f75a25d6f3f0d06",
     False: "18c51e3e9b576735e1b575b185174bc278ebe6f6fb5f9a32af7b9c17ca1ffd53",
 }
 DIVERGING_PARTIAL = "d94890bd3324a4e97091ad86cab2de9a7c5d3955750dc27e111a47ae4781c2d5"
-CLI_RUN = "09cb8725414cbccac90dccefbb2f91833b18bad01ffe42412c09650d33212d7d"
+CLI_RUN = "6095c4818efe9d35c61ed68b0431ad6c0802179d21c15d4c600e13920f37518b"
 CLI_SWEEP = {
-    True: "4f0576bef3486657a0ba250c6d3c1b5aef9a59fd2866cfbec25fcb0c8a8737f9",
+    True: "c8e2826f1cf2ba185261daf0854e71b402febf2a9a5906a1589f2d50dab9a80d",
     False: "69ab59f0ce076c8f940d3f731433f08ad43f581e36234e0ad0360bdc8289db27",
 }
 
 DECENTRALIZED = {
-    "AuxMOM": "a7042cbdd122a89f5c53bd11d099fe8b33833afc8366d8c765350bc6bca34ccb",
-    "AuxMVR": "2f18217c23b41427d870482fe390565e87adca4a35df53e3ff029222f4289ca4",
+    "AuxMOM": "4046b14ba0b20494479438ea1a2f5907cbe7b0089dceb70f4fa1ea51a6015f5f",
+    "AuxMVR": "6273627f2b4468c5bc132e1a27af00dce45593c8a18408a4ce4f8cfedf993208",
 }
 
 
@@ -268,12 +265,6 @@ def test_cli_sweep_stdout(noisy, tmp_path, capsys):
 
 def test_stream_fork_children():
     assert fork_digest() == FORKS
-
-
-def test_bulk_fork_children():
-    # one call over every entropy word count from 3 to 8
-    rows = stream_forks(fork_parents(), FORK_LABELS)
-    assert fork_digest([child for row in rows for child in row]) == FORKS
 
 
 def test_draw_gaussian_noise_arrays():

@@ -224,6 +224,28 @@ class TestRunExperimentBehavior:
             finals[zeta] = traj.final_grad_norm_sq()
         assert 80.0 <= finals[10.0] / finals[1.0] <= 120.0
 
+    @pytest.mark.parametrize("kind", ("random_labels", "coreset"))
+    def test_runs_never_draw_from_a_data_stream(self, tmp_path, monkeypatch, kind):
+        # the data split forks children 0..2 of the seed token, and repeat r
+        # runs under child r; no repeat may draw where the split drew
+        drawn = []
+        real = problems.borrow_generator
+
+        def borrow(token):
+            drawn.append(token)
+            return real(token)
+
+        monkeypatch.setattr(problems, "borrow_generator", borrow)
+        raw = logistic_config(tmp_path)
+        raw["problem"]["logistic"]["helper"]["kind"] = kind
+        raw["repeats"] = 3
+        cfg = load_config(json.dumps(raw))
+        oracle = build_oracle(cfg)
+        data, drawn[:] = list(drawn), []
+        run_experiment(cfg, oracle=oracle)
+        assert len(data) == 2 and drawn
+        assert not {t.stream_id for t in data} & {t.stream_id for t in drawn}
+
 
 class TestRunSweep:
     def test_k_benefit(self, tmp_path):
@@ -423,6 +445,14 @@ class TestCli:
         assert cli.main(["sweep", "--config", path, "--axis", "algorithm.K",
                          "--values", "1,banana"]) == 2
 
+    @pytest.mark.parametrize("values", ["1e30", "1,1e30", "1e400"])
+    def test_sweep_huge_k_exits_2_at_k(self, tmp_path, values):
+        path = self._write(tmp_path, toy_config())
+        code, err = _main_quietly(["sweep", "--config", path, "--axis", "algorithm.K",
+                                   "--values", values])
+        assert code == 2
+        assert err.startswith("config error: algorithm.K: ") and err.count("\n") == 1
+
     def test_wide_sparse_file_runs_in_little_memory(self, tmp_path, capsys):
         # 2,000 x 50,000 with 16 nonzeros per row: the dense matrix alone
         # would take 800 MB
@@ -489,11 +519,28 @@ NON_SYMMETRIC = {"quadratic_nd": {"a_f": [[1.0, 0.5], [0.0, 1.0]],
 WRONG_SHAPE_A_H = {"quadratic_nd": {**QUADRATIC["quadratic_nd"], "a_h": [[1.0]]}}
 WRONG_LENGTH_B_H = {"quadratic_nd": {**QUADRATIC["quadratic_nd"], "b_h": [0.0]}}
 
+# The messages of load_config's errors at the config's root, which name no path.
+ROOT_ERRORS = ("invalid JSON: ", "expected an object\n")
+# The top-level config keys: the head of every field path an error names.
+CONFIG_KEYS = ("version", "problem", "algorithm", "noise", "seed", "params_mode", "repeats",
+               "output_path", "x0", "diagnostics")
 FUZZ_FIELDS = ("version", "problem", "problem.toy", "problem.toy.delta", "problem.toy.zeta",
                "algorithm", "algorithm.name", "algorithm.eta", "algorithm.a", "algorithm.K",
                "algorithm.T", "algorithm.m0_mode", "algorithm.split_fraction", "noise",
                "noise.sigma_f", "noise.sigma_h", "noise.rho", "seed", "params_mode",
                "repeats", "output_path", "x0", "diagnostics")
+
+
+def fuzz_values(field: str):
+    """Values a fuzzed field takes.  Integers reach 2**128 in size, but a
+    huge positive one only where the draw cap rejects it (K and T), so every
+    run the fuzz starts stays small: T K repeats <= 10**4."""
+    ints = st.integers(-2**128, 100)
+    if field in ("algorithm.K", "algorithm.T"):
+        ints |= st.integers(2**39, 2**128)
+    return st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                     st.lists(st.floats(), max_size=2), st.just(1e400), st.just(1e300),
+                     st.just(-1e300), ints)
 
 
 # Theorem-mode configs whose constants overflow when squared.
@@ -570,6 +617,10 @@ class TestInputErrors:
         ("problem", logistic_block(split=[0.98, 0.01, 0.01]), "problem.logistic.split"),
         ("problem", logistic_block(kind="coreset", fraction=0.01),
          "problem.logistic.helper.fraction"),
+        ("algorithm.K", 2**64, "algorithm.K"),  # past the draw cap
+        ("algorithm.K", 10**30, "algorithm.K"),
+        ("algorithm.K", 2**40, "algorithm.K"),
+        ("algorithm.T", 2**40, "algorithm.T"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
@@ -656,7 +707,8 @@ class TestInputErrors:
         (tmp_path / "dir.json").mkdir()
         code, err = _main_quietly(["run", "--config", str(tmp_path / name)])
         assert code == 2
-        assert err.startswith("config error: : ") and why in err
+        assert err.startswith("config error: ") and why in err
+        assert not err.startswith("config error: :")
         assert err.count("\n") == 1
 
     def test_unreadable_libsvm_exit_2(self, tmp_path, monkeypatch):
@@ -673,24 +725,37 @@ class TestInputErrors:
         assert err.startswith("config error: problem.logistic.path: ")
         assert "Permission denied" in err and err.count("\n") == 1
 
-    @settings(max_examples=60, deadline=None)
-    @given(field=st.sampled_from(FUZZ_FIELDS),
-           value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),
-                           st.lists(st.floats(), max_size=2), st.just(1e400),
-                           st.just(1e300), st.just(-1e300)),
-           mode=st.sampled_from(("manual", "theorem")))
-    @example(field="problem.toy.zeta", value=1e300, mode="manual")
-    @example(field="noise.sigma_f", value=1e300, mode="theorem")
-    @example(field="problem.toy.delta", value=1e300, mode="theorem")
-    def test_fuzzed_field_exits_cleanly(self, field, value, mode):
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(FUZZ_FIELDS).flatmap(
+               lambda field: st.tuples(st.just(field), fuzz_values(field))),
+           mode=st.sampled_from(("manual", "theorem")),
+           command=st.sampled_from(("run", "params")))
+    @example(case=("problem.toy.zeta", 1e300), mode="manual", command="run")
+    @example(case=("noise.sigma_f", 1e300), mode="theorem", command="run")
+    @example(case=("problem.toy.delta", 1e300), mode="theorem", command="run")
+    @example(case=("algorithm.K", 2**64), mode="manual", command="run")
+    @example(case=("algorithm.K", 10**30), mode="manual", command="run")
+    @example(case=("algorithm.K", 2**40), mode="manual", command="run")
+    @example(case=("algorithm.K", 2**40), mode="theorem", command="params")
+    def test_fuzzed_field_exits_cleanly(self, case, mode, command):
         raw = toy_config(noise={"sigma_f": 1.0, "sigma_h": 0.5, "rho": 0.2},
                          params_mode=mode, repeats=1, output_path="fuzz", x0=[1.0],
                          diagnostics=True)
         raw["algorithm"].update(K=2, T=2, m0_mode="single_sample", split_fraction=0.5)
-        _set_field(raw, field, value)
+        _set_field(raw, *case)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(raw))
-            code, err = _main_quietly(["run", "--config", str(path), "--out", tmp])
-        assert code in (0, 2, 3)
+            code, err = _main_quietly([command, "--config", str(path)] +
+                                      (["--out", tmp] if command == "run" else []))
+        capped = case[0] in ("algorithm.K", "algorithm.T") and type(case[1]) is int \
+            and case[1] >= 2**39
+        assert code == 2 if capped else code in (0, 2, 3)
+        if code == 2:  # one line: a field path under a config key, or a root error alone
+            line = err.removeprefix("config error: ")
+            where, _, message = line.partition(": ")
+            assert line != err and err.count("\n") == 1
+            assert line.startswith(ROOT_ERRORS) or (
+                where.split(".")[0] in CONFIG_KEYS and message.strip())
+            assert where == case[0] or not capped
         assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import auxopt
 from auxopt import ConfigError, core, decentralized, harness, optimizers, problems, theory
-from auxopt.core import NoiseSpec, RandomToken, stream_forks
+from auxopt.core import NoiseSpec, RandomToken, stream_fork
 from auxopt.optimizers import (
     ALGORITHMS,
     DivergenceError,
@@ -59,6 +60,10 @@ class TestOptimizerConfig:
             (NoiseSpec, {"sigma_f": -1}, "sigma_f"),
             (NoiseSpec, {"sigma_h": -1}, "sigma_h"),
             (NoiseSpec, {"rho": 1.5}, "rho"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "K": 2**39}, "K"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "K": 2**64, "T": 2}, "K"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "K": 2**39 - 1, "T": 2}, "T"),
+            (OptimizerConfig, {"algorithm": "AuxMOM", "eta": 0.1, "T": 2**38 + 1}, "T"),
         ],
     )
     def test_errors_name_their_field(self, make, kwargs, path):
@@ -67,6 +72,21 @@ class TestOptimizerConfig:
             make(**kwargs)
         assert isinstance(err.value, ValueError)
         assert err.value.path == path
+
+    def test_draw_cap_admits_its_bound(self):
+        # the most draws a run can bill, 2 (K + 1) T, may reach MAX_DRAWS and no more
+        assert optimizers.MAX_DRAWS == 2**40
+        for K, T in ((2**39 - 1, 1), (1, 2**38), (2**19 - 1, 2**20)):
+            assert 2 * (K + 1) * T == optimizers.MAX_DRAWS
+            OptimizerConfig("AuxMOM", eta=0.1, K=K, T=T)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("m0_mode", ("single_sample", "big_batch"))
+    def test_draw_cap_bounds_every_bill(self, algorithm, m0_mode):
+        oracle = make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5))
+        cfg = OptimizerConfig(algorithm, eta=0.01, a=0.5, K=3, T=5, m0_mode=m0_mode)
+        last = run(oracle, cfg, TOK).rows[-1]
+        assert last.calls_f + last.calls_h + last.calls_fmh <= 2 * (cfg.K + 1) * cfg.T
 
     @given(
         st.floats(min_value=1e-6, max_value=10),
@@ -84,7 +104,7 @@ def local_steps(oracle, x, eta, K):
     bias-corrected steps y - eta*(grad h(y) - grad h(x) + grad f(x)) from y = x."""
     cfg = OptimizerConfig("AuxMOM_V0", eta=eta, a=1.0, K=K, T=1)
     state = init_state(np.array([x]), oracle, cfg, TOK)
-    result = cycle(state, oracle, cfg, stream_forks([TOK], range(K + 1))[0])
+    result = cycle(state, oracle, cfg, TOK)
     return [float(y[0]) for y in result.inner_iterates]
 
 
@@ -188,7 +208,7 @@ class TestEquivalences:
         x0 = np.array([1.0])
         state = init_state(x0, oracle, cfg, TOK)
         assert np.allclose(state.m, oracle.exact_grad_f_minus_h(x0))
-        result = cycle(state, oracle, cfg, stream_forks([TOK], range(cfg.K + 1))[0])
+        result = cycle(state, oracle, cfg, TOK)
         assert np.allclose(result.state.m, oracle.exact_grad_f_minus_h(x0), atol=1e-15)
 
 
@@ -313,89 +333,97 @@ class TestRun:
 
 
 def count_forks(monkeypatch) -> Counter:
-    """Count calls of scalar ``stream_fork`` and bulk ``stream_forks`` in
-    every module that bound them."""
+    """Count calls of ``stream_fork`` in every module that bound it."""
     calls = Counter()
-    for name in ("stream_fork", "stream_forks"):
-        real = getattr(core, name)
+    real = core.stream_fork
 
-        def counted(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
+    def counted(*args):
+        calls["stream_fork"] += 1
+        return real(*args)
 
-        for mod in (auxopt, core, optimizers, decentralized, problems, harness, theory):
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counted)
+    for mod in (auxopt, core, optimizers, decentralized, problems, harness, theory):
+        if getattr(mod, "stream_fork", None) is real:
+            monkeypatch.setattr(mod, "stream_fork", counted)
     return calls
 
 
+def recording(oracle, seen: list, name=None):
+    """Copy of ``oracle`` appending ``(name, token)`` to ``seen`` for each
+    stochastic draw it serves."""
+    def record(grad):
+        def served(x, token):
+            seen.append((name, token))
+            return grad(x, token)
+        return served
+
+    return dataclasses.replace(oracle, grad_f=record(oracle.grad_f), grad_h=record(oracle.grad_h),
+                               grad_f_minus_h=record(oracle.grad_f_minus_h))
+
+
 class TestTokenPlan:
-    """A run forks its tokens a tree level at a time, so within a plan block
-    its fork calls do not grow with the number of cycles."""
+    """Inside a run, draws are named by counter, not by fork: a run forks once,
+    a decentralized run N + 2 times, whatever T is."""
 
     @pytest.mark.parametrize("m0_mode", ("single_sample", "big_batch"))
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_run_forks_independent_of_t(self, monkeypatch, algorithm, m0_mode):
         oracle = make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5))
         calls = count_forks(monkeypatch)
-        per_t = []
-        for T in (2, 12):
+        for T in (1, 2, 12):
             calls.clear()
             run(oracle, OptimizerConfig(algorithm, eta=0.05, a=0.5, K=3, T=T,
                                         m0_mode=m0_mode), TOK)
-            per_t.append(dict(calls))
-        assert per_t[0] == per_t[1]
-        assert per_t[0].get("stream_fork", 0) == 0
+            assert calls == {"stream_fork": 1}
 
     @pytest.mark.parametrize("variant", decentralized.VARIANTS)
     def test_run_decentralized_forks_independent_of_t(self, monkeypatch, variant):
         noise = NoiseSpec(sigma_f=0.5, sigma_h=0.5)
         calls = count_forks(monkeypatch)
-        per_t = []
-        for T in (2, 12):
+        for T in (1, 2, 12):
             calls.clear()
             helpers = decentralized.HelperSet(
                 [make_toy_pair(0.1, z, noise) for z in (0.5, 1.0, 2.0)], s=2)
             decentralized.run_decentralized(
                 np.array([1.0]), helpers, OptimizerConfig(variant, eta=0.05, a=0.5, K=3, T=T),
                 TOK, variant=variant)
-            per_t.append(dict(calls))
-        assert per_t[0] == per_t[1]
-        assert per_t[0].get("stream_fork", 0) == 0
+            assert calls == {"stream_fork": helpers.n + 2}
 
+    @pytest.mark.parametrize("algorithm,has_m0,steps", [
+        ("AuxMVR", True, [0, 0, 1, 2, 3]),  # STORM reuses step 0's sample at x_prev
+        ("AuxMOM_V0", True, [0, 1, 1, 2, 2, 3, 3]),  # svrg reuses step k's sample at x
+        ("SGDm", True, [0]),
+        ("Naive", False, [0, 1, 2]),
+        ("FineTune", False, [1, 2, 3]),
+    ])
+    def test_run_draws_by_counter(self, algorithm, has_m0, steps):
+        # m0 takes draws 0..T-1 of stream_fork(token, 0) and cycle t's step k
+        # its draw T + (t - 1)(K + 1) + k; the token itself is never drawn from
+        seen, token = [], RandomToken(5, 7)
+        oracle = recording(make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5)), seen)
+        cfg = OptimizerConfig(algorithm, eta=0.05, a=0.5, K=3, T=4, m0_mode="big_batch")
+        run(oracle, cfg, token)
+        stream = stream_fork(token, 0)
+        m0 = [stream.skip(i) for i in range(cfg.T) if has_m0]
+        cycles = [stream.skip(cfg.T + t * (cfg.K + 1) + k) for t in range(cfg.T) for k in steps]
+        assert [tok for _, tok in seen] == m0 + cycles
 
-    def test_blocked_plan_forks_the_unblocked_tokens(self, monkeypatch):
-        """Cut into blocks of a few cycles, a plan gives the same run CSV and
-        decentralized snapshots, and no fork call holds more than a block."""
-        noise = NoiseSpec(sigma_f=0.5, sigma_h=0.5, rho=0.3)
-        oracle = make_toy_pair(0.1, 1.0, noise)
-        cfg = OptimizerConfig("AuxMVR", eta=0.05, a=0.5, K=3, T=12)
-
-        def outputs():
-            helpers = decentralized.HelperSet(
-                [make_toy_pair(0.1, z, noise) for z in (0.5, 1.0, 2.0)], s=2)
-            traj = decentralized.run_decentralized(np.array([1.0]), helpers, cfg, TOK,
-                                                   variant="AuxMOM")
-            csv = harness.trajectory_to_csv(run(oracle, cfg, TOK, diagnostics_on=True))
-            return csv, np.stack(traj.snapshots).tobytes()
-
-        lanes = []
-        want = outputs()
-        real = core.stream_forks
-
-        def recorded(parents, labels):
-            children = real(parents, labels)
-            lanes.append(sum(map(len, children)))
-            return children
-
-        for mod in (optimizers, decentralized):
-            monkeypatch.setattr(mod, "stream_forks", recorded)
-        monkeypatch.setattr(core, "PLAN_LANES", 30)  # 6 run cycles or 2 decentralized ones
-        assert outputs() == want
-        # the run: m0, then two blocks of two levels; the decentralized run: six
-        # blocks of four levels
-        assert len(lanes) == 1 + 2 * 2 + 6 * 4
-        assert max(lanes) <= 30
+    def test_decentralized_draws_by_counter(self):
+        # cycle t samples at the sampler's draw t - 1, and sampled helper i
+        # takes step k at draw (t - 1)(K + 1) + k of its lane
+        seen = []
+        noise = NoiseSpec(sigma_f=0.5, sigma_h=0.5)
+        oracles = [recording(make_toy_pair(0.1, z, noise), seen, i)
+                   for i, z in enumerate((0.5, 1.0, 2.0))]
+        cfg = OptimizerConfig("AuxMOM", eta=0.05, a=0.5, K=3, T=5)
+        traj = decentralized.run_decentralized(np.array([1.0]), decentralized.HelperSet(
+            oracles, s=2), cfg, TOK)
+        sampler, lanes = stream_fork(TOK, 0), stream_fork(TOK, 1)
+        want = []
+        for t, chosen in enumerate(traj.sampled):
+            assert chosen == decentralized.sample_helpers(sampler.skip(t), 3, 2)
+            want += [(i, stream_fork(lanes, i).skip(t * (cfg.K + 1) + k))
+                     for i in chosen for k in range(cfg.K + 1)]
+        assert seen == want
 
 
 class TestContractionAndFloors:

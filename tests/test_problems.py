@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -624,8 +625,9 @@ class TestSparseMatchesDense:
 
 class TestLogisticOracle:
     def test_minibatches_are_what_a_fresh_generator_draws(self):
-        # the oracle borrows the thread's generator; uniform (f) and weighted
-        # (h) minibatches must be the rows rng_from_token draws on each token
+        # the oracle borrows the thread's generator: f's uniform rows must be
+        # the first draws of rng_from_token(token), and h's weighted rows the
+        # draws that follow them, whichever gradient is asked for
         rng = rng_from_token(RandomToken(15))
         features = rng.standard_normal((40, 3))
         labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
@@ -636,11 +638,52 @@ class TestLogisticOracle:
         x = rng.standard_normal(3)
         for i in range(300):
             token = RandomToken(i, i)
-            idx_f = rng_from_token(stream_fork(token, 0)).integers(0, 40, size=7)
-            idx_h = rng_from_token(stream_fork(token, 1)).choice(
-                40, size=7, replace=True, p=h_task.weights)
-            assert np.array_equal(oracle.grad_f(x, token), f_task.grad_minibatch(x, idx_f))
-            assert np.array_equal(oracle.grad_h(x, token), h_task.grad_minibatch(x, idx_h))
+            fresh = rng_from_token(token)
+            idx_f = fresh.integers(0, 40, size=7)
+            idx_h = fresh.choice(40, size=7, replace=True, p=h_task.weights)
+            g_f, g_h = f_task.grad_minibatch(x, idx_f), h_task.grad_minibatch(x, idx_h)
+            assert np.array_equal(oracle.grad_f(x, token), g_f)
+            assert np.array_equal(oracle.grad_h(x, token), g_h)
+            assert np.array_equal(oracle.grad_f_minus_h(x, token), g_f - g_h)
+
+    @pytest.mark.parametrize("helper", ["unweighted", "coreset", "weighted"])
+    def test_minibatch_rows_are_uniform_weighted_and_independent(self, helper, monkeypatch):
+        # chi-square tests over the rows of draws at consecutive indices of one
+        # stream: f's rows are uniform, h's uniform or following its weights
+        # (1/M over a coreset, or random ones), and a draw's f and h rows are
+        # independent
+        rng = rng_from_token(RandomToken(19))
+        n_f, n_h = 8, 6
+        f_task = LogisticTask(rng.standard_normal((n_f, 2)), np.ones(n_f))
+        if helper == "unweighted":
+            h_task = LogisticTask(rng.standard_normal((n_h, 2)), np.ones(n_h))
+        elif helper == "coreset":
+            h_task = build_coreset_helper(LogisticTask(rng.standard_normal((2 * n_h, 2)),
+                                                       np.ones(2 * n_h)), 0.5, RandomToken(20))
+        else:
+            w = rng.random(n_h) + 0.1
+            h_task = LogisticTask(rng.standard_normal((n_h, 2)), np.ones(n_h),
+                                  weights=w / w.sum())
+        rows = {}
+
+        def record(task, x, idx):
+            rows.setdefault(id(task), []).append(idx)
+            return np.zeros(2)
+
+        monkeypatch.setattr(LogisticTask, "grad_minibatch", record)
+        oracle = logistic_oracle(f_task, h_task, batch_size=16)
+        start = RandomToken(21)
+        for k in range(2_000):
+            oracle.grad_f_minus_h(np.zeros(2), start.skip(k))
+        idx_f = np.concatenate(rows[id(f_task)])
+        idx_h = np.concatenate(rows[id(h_task)])
+        n = len(idx_f)
+        assert scipy.stats.chisquare(np.bincount(idx_f, minlength=n_f)).pvalue > 1e-3
+        weights = np.full(n_h, 1 / n_h) if h_task.weights is None else h_task.weights
+        assert scipy.stats.chisquare(np.bincount(idx_h, minlength=n_h), n * weights).pvalue > 1e-3
+        table = np.zeros((n_f, n_h))
+        np.add.at(table, (idx_f, idx_h), 1)
+        assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
 
     def test_rejects_empty_batch(self):
         task = LogisticTask(np.ones((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
