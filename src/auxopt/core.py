@@ -9,7 +9,7 @@ Generators are owned or borrowed.  :func:`rng_from_token` returns a fresh
 generator that the caller owns and may keep.  :func:`borrow_generator`
 returns the calling thread's one Philox generator with its state set from the
 token; a caller that draws once and drops it (:func:`draw_gaussian_noise`,
-minibatch and helper sampling) borrows, and never holds the borrowed
+an oracle's ``draw``, helper sampling) borrows, and never holds the borrowed
 generator across another call.
 
 A token's key names a stream and its draw index the position in it.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -201,25 +201,35 @@ def draw_gaussian_noise(
     return noise_f, noise_h
 
 
-GradFn = Callable[[Array, RandomToken], Array]
+Sample = Any  # one draw of an oracle's noise; None where it draws nothing
+DrawFn = Callable[[RandomToken, int], list]
+GradFn = Callable[[Array, Sample], Array]
 ExactGradFn = Callable[[Array], Array]
 ValueFn = Callable[[Array], float]
+
+
+def draw_nothing(token: RandomToken, n: int) -> list:
+    """The ``draw`` of an oracle whose gradients are exact: n empty samples."""
+    return [None] * n
 
 
 @dataclass(frozen=True)
 class OraclePair:
     """Stochastic gradient sources for the target f and the helper h.
 
-    The three stochastic gradients are unbiased.  When ``grad_f`` and
-    ``grad_h`` receive the same token their noise realizations may be
-    correlated.  Analytic constants (smoothness, Hessian gap, bias
-    bound, minimum value) are carried when the problem family knows them.
+    Drawing is split from evaluating: ``draw(token, n)`` returns n samples
+    drawn at ``token`` in one block, and each stochastic gradient evaluates
+    at ``(x, sample)``.  The three are unbiased, and the f and h gradients
+    at one sample may have correlated noise.  Analytic constants
+    (smoothness, Hessian gap, bias bound, minimum value) are carried when
+    the problem family knows them.
     """
 
     dim: int
     grad_f: GradFn
     grad_h: GradFn
     grad_f_minus_h: GradFn
+    draw: DrawFn = draw_nothing
     exact_grad_f: Optional[ExactGradFn] = None
     exact_grad_h: Optional[ExactGradFn] = None
     f_value: Optional[ValueFn] = None
@@ -249,34 +259,32 @@ def gaussian_oracle(
 ) -> OraclePair:
     """Build an OraclePair by adding correlated Gaussian noise to exact gradients.
 
-    With a deterministic ``noise_spec`` the stochastic gradients are the exact
-    ones and nothing is drawn: the draws would be multiplied by zero.
+    Sample k of ``draw(token, n)`` is row k of each array of
+    ``draw_gaussian_noise(noise_spec, token, dim, n)``.  With a deterministic
+    ``noise_spec`` nothing is drawn, the draws would be multiplied by zero,
+    and the gradients are the exact ones.
     """
-    exact = noise_spec.is_deterministic
+    def draw(token: RandomToken, n: int) -> list:
+        return list(zip(*draw_gaussian_noise(noise_spec, token, dim, n)))
 
-    def grad_f(x: Array, token: RandomToken) -> Array:
-        if exact:
-            return exact_grad_f(x)
-        nf, _ = draw_gaussian_noise(noise_spec, token, dim)
-        return exact_grad_f(x) + nf
+    def grad_f(x: Array, sample: Sample) -> Array:
+        g = exact_grad_f(x)
+        return g if sample is None else g + sample[0]
 
-    def grad_h(x: Array, token: RandomToken) -> Array:
-        if exact:
-            return exact_grad_h(x)
-        _, nh = draw_gaussian_noise(noise_spec, token, dim)
-        return exact_grad_h(x) + nh
+    def grad_h(x: Array, sample: Sample) -> Array:
+        g = exact_grad_h(x)
+        return g if sample is None else g + sample[1]
 
-    def grad_f_minus_h(x: Array, token: RandomToken) -> Array:
-        if exact:
-            return exact_grad_f(x) - exact_grad_h(x)
-        nf, nh = draw_gaussian_noise(noise_spec, token, dim)
-        return exact_grad_f(x) - exact_grad_h(x) + (nf - nh)
+    def grad_f_minus_h(x: Array, sample: Sample) -> Array:
+        g = exact_grad_f(x) - exact_grad_h(x)
+        return g if sample is None else g + (sample[0] - sample[1])
 
     return OraclePair(
         dim=dim,
         grad_f=grad_f,
         grad_h=grad_h,
         grad_f_minus_h=grad_f_minus_h,
+        draw=draw_nothing if noise_spec.is_deterministic else draw,
         exact_grad_f=exact_grad_f,
         exact_grad_h=exact_grad_h,
         **extras,

@@ -88,8 +88,8 @@ def run_decentralized(
 
     A run forks ``token`` N + 2 times: a sampler stream (label 0) and helper
     i's lane (label i under label 1).  Cycle t = 1..T samples its helpers at
-    the sampler's draw index t - 1, and helper i runs it from its lane's draw
-    index (t - 1)(K + 1)."""
+    the sampler's draw index t - 1, and helper i draws its cycle at its
+    lane's draw index t."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cfg = replace(cfg, algorithm=variant)
@@ -98,9 +98,9 @@ def run_decentralized(
     traj = DecentralizedTrajectory(snapshots=[x.copy()], sampled=[])
     sampler, lane_root = stream_fork(token, 0), stream_fork(token, 1)
     lanes = [stream_fork(lane_root, i) for i in range(helpers.n)]
-    for t in range(cfg.T):
-        chosen = sample_helpers(sampler.skip(t), helpers.n, helpers.s)
-        tokens = [lanes[i].skip(t * (cfg.K + 1)) for i in chosen]
+    for t in range(1, cfg.T + 1):
+        chosen = sample_helpers(sampler.skip(t - 1), helpers.n, helpers.s)
+        tokens = [lanes[i].skip(t) for i in chosen]
         x_new = decentralized_cycle(x, helpers, cfg, chosen, tokens, x_prev=x_prev)
         x_prev, x = x, x_new
         traj.snapshots.append(x.copy())

@@ -16,6 +16,7 @@ from . import problems, theory
 from .core import ConfigError, NoiseSpec, OraclePair, RandomToken, at_path, stream_fork
 from .optimizers import (
     CSV_COLUMNS,
+    MAX_REPEATS,
     DivergenceError,
     OptimizerConfig,
     Trajectory,
@@ -80,7 +81,8 @@ _PROBLEM_TYPES = ("toy", "quadratic_nd", "logistic")
 # The optional top-level fields: the rule each must meet when given, and its message.
 _OPTIONAL = {
     "params_mode": (lambda v: v in ("manual", "theorem"), "must be 'manual' or 'theorem'"),
-    "repeats": (lambda v: _integer(v) and v >= 1, "must be an integer >= 1"),
+    "repeats": (lambda v: _integer(v) and 1 <= v <= MAX_REPEATS,
+                f"must be an integer in [1, {MAX_REPEATS}]"),
     "output_path": (lambda v: isinstance(v, str) and "\0" not in v,
                     "must be a string without NUL characters"),
     "x0": (lambda v: v is None or isinstance(v, list) and all(map(_number, v)),
@@ -255,8 +257,17 @@ def _csv(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_csv(rows) -> str:
+    """``_csv(CSV_COLUMNS, rows)`` for rows of floats, one format per row:
+    ``"%.17g" % v`` is ``format(v, ".17g")``, and "nan", which no other
+    float prints as, becomes the empty cell."""
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+    body = "".join([row % tuple(r) for r in rows])
+    return ",".join(CSV_COLUMNS) + "\n" + body.replace("nan", "")
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    return _csv(CSV_COLUMNS, traj.rows.tolist())
+    return _float_csv(traj.rows.tolist())
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
@@ -278,7 +289,7 @@ def _aggregate(trajectories: Sequence[Trajectory]) -> str:
     n_rows = min(len(t.rows) for t in trajectories)
     cells = np.stack([t.rows[:n_rows].view(np.float64).reshape(n_rows, -1)
                       for t in trajectories], axis=-1)
-    return _csv(CSV_COLUMNS, cells.mean(axis=-1).tolist())
+    return _float_csv(cells.mean(axis=-1).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "Fi
 
 DIVERGENCE_LIMIT = 1e12
 
-# The cap on 2 (K + 1) T, the most draws a run can bill.  It keeps float64 call
-# counts, summed over up to 2**13 repeats, exact (below 2**53).  It does not
-# bound run time: K = 2**39 - 1 at T = 1 is admitted.
-MAX_DRAWS = 2**40
+# The caps on 2 (K + 1) T, the most draws a run can bill, and on a config's
+# repeats.  They keep float64 call counts, summed over the repeats, exact
+# (below 2**53).  They do not bound run time: K = 2**39 - 1 at T = 1 is admitted.
+MAX_DRAWS, MAX_REPEATS = 2**40, 2**13
 
 
 class DivergenceError(RuntimeError):
@@ -142,18 +142,15 @@ MOMENTUM = {
 def init_state(
     x0: Array, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
 ) -> OptimizerState:
-    """Initial state; m0 per cfg.m0_mode (zero, one sample under ``token``, or
-    the mean of T samples at its draw indices 0..T-1)."""
+    """Initial state; m0 per cfg.m0_mode: zero, or the mean of one
+    (single_sample) or T (big_batch) samples drawn at ``token``."""
     x0 = as_vector(x0, oracle.dim)
     m = np.zeros(oracle.dim)
     spec = MOMENTUM.get(cfg.algorithm)
     if cfg.m0_mode != "zero" and spec is not None:
         grad = spec.target(oracle)
-        if cfg.m0_mode == "single_sample":
-            m = grad(x0, token)
-        else:  # big_batch: mean of T independent samples
-            samples = [grad(x0, token.skip(i)) for i in range(cfg.T)]
-            m = np.mean(samples, axis=0)
+        samples = oracle.draw(token, cfg.T if cfg.m0_mode == "big_batch" else 1)
+        m = np.mean([grad(x0, s) for s in samples], axis=0)
     return OptimizerState(x_prev=x0.copy(), x=x0.copy(), m=m)
 
 
@@ -162,38 +159,40 @@ def cycle(
 ) -> CycleResult:
     """One cycle of ``cfg.algorithm`` from the snapshot ``state.x``.
 
-    Step k = 0..K draws under ``token.skip(k)``.  A MOMENTUM method refreshes
-    m from draws at the snapshot at step 0, then takes its inner steps at
-    steps 1..K.  Naive, GD and FineTune are written out.
-    The next snapshot is the last iterate.
+    The cycle draws its K + 1 samples at ``token`` in one block (GD draws
+    none).  A MOMENTUM method refreshes m from sample 0 at the snapshot
+    (STORM reuses it at x_prev), then takes inner step k = 1..K on sample k
+    (svrg reuses it at x).  Naive, GD and FineTune are written out.  The
+    next snapshot is the last iterate.
     """
     x, a, eta = state.x, cfg.a, cfg.eta
     m, ys = state.m, []
     spec = MOMENTUM.get(cfg.algorithm)
+    if cfg.algorithm != "GD":
+        samples = oracle.draw(token, cfg.K + 1)
     if spec is not None:
         grad = spec.target(oracle)
-        g = grad(x, token)
+        g = grad(x, samples[0])
         m = (1.0 - a) * m + a * g
         if spec.storm:
-            m = m + (1.0 - a) * (g - grad(state.x_prev, token))
+            m = m + (1.0 - a) * (g - grad(state.x_prev, samples[0]))
         if spec.inner is None:
             ys.append(x - eta * m)
         else:
             y = x.copy()
             for k in range(1, cfg.K + 1):
-                tok = token.skip(k)
-                d = oracle.grad_h(y, tok)
+                d = oracle.grad_h(y, samples[k])
                 if spec.inner == "svrg":
-                    d = d - oracle.grad_h(x, tok)
+                    d = d - oracle.grad_h(x, samples[k])
                 y = y - eta * (d + m)
                 ys.append(y)
     elif cfg.algorithm == "Naive":
         # One f-gradient step followed by K-1 raw h-gradient steps, no correction.
-        m = oracle.grad_f(x, token)
+        m = oracle.grad_f(x, samples[0])
         y = x - eta * m
         ys.append(y)
         for k in range(1, cfg.K):
-            y = y - eta * oracle.grad_h(y, token.skip(k))
+            y = y - eta * oracle.grad_h(y, samples[k])
             ys.append(y)
     elif cfg.algorithm == "GD":
         if oracle.exact_grad_f is None:
@@ -209,8 +208,7 @@ def cycle(
             on_h = step <= switch
             if not on_h and step - 1 <= switch:
                 m = np.zeros_like(m)  # phase switch
-            tok = token.skip(k)
-            g = oracle.grad_h(y, tok) if on_h else oracle.grad_f(y, tok)
+            g = oracle.grad_h(y, samples[k]) if on_h else oracle.grad_f(y, samples[k])
             m = (1.0 - a) * m + a * g
             y = y - eta * m
             ys.append(y)
@@ -243,11 +241,11 @@ def run(
 
     A run forks once and draws from ``stream_fork(token, 0)``, never from
     ``token``, so no draw of a run repeats one taken under its parent's other
-    children (a data split).  m0 takes draw indices 0..T-1 of that stream;
-    cycle t = 1..T takes its K + 1 steps at draw indices from
-    T + (t - 1)(K + 1) on.  With diagnostics on (and exact gradients available)
-    also records the momentum error E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2
-    and the per-step displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
+    children (a data split).  m0 draws at draw index 0 of that stream and
+    cycle t = 1..T at draw index t.  With diagnostics on (and exact gradients
+    available) also records the momentum error
+    E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the per-step
+    displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
     """
     if x0 is None:
         x0 = np.ones(oracle.dim)
@@ -276,22 +274,27 @@ def run(
         f_val, g_sq, grad = observe(state.x)
         rows.append((0, 0, f_val, g_sq, None, None, calls["f"], calls["h"], calls["fmh"]))
         for t in range(1, cfg.T + 1):
-            result = cycle(state, stepper, cfg, stream.skip(cfg.T + (t - 1) * (cfg.K + 1)))
-            snapshot = state.x
-            new = result.state
+            result = cycle(state, stepper, cfg, stream.skip(t))
+            snapshot, new, ys = state.x, result.state, result.inner_iterates
             e_t = None
             if track_e:  # grad is grad f(snapshot), observed for its row
                 e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot, grad)) ** 2).sum())
-            for k, y in enumerate(result.inner_iterates, start=1):
-                if not np.isfinite(y).all():
-                    raise diverged(f"non-finite iterate at cycle {t}, step {k}")
-                f_val, g_sq, grad = observe(y)
+            # Per cycle, not per row: the finiteness test, the Delta sums (bit
+            # for bit the per-row sums) and the bill, which observing leaves.
+            stacked = np.array(ys)
+            finite = np.isfinite(stacked).all(axis=1)
+            n_ok = len(ys) if finite.all() else int(finite.argmin())
+            deltas = (((stacked - snapshot) ** 2).sum(axis=1).tolist() if diagnostics_on
+                      else [None] * len(ys))
+            bill = (calls["f"], calls["h"], calls["fmh"])
+            for k in range(1, n_ok + 1):
+                f_val, g_sq, grad = observe(ys[k - 1])
                 if f_val is not None and not f_val <= DIVERGENCE_LIMIT:
                     raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
                                    f"(limit {DIVERGENCE_LIMIT:g})")
-                delta = float(((y - snapshot) ** 2).sum()) if diagnostics_on else None
-                rows.append((t, k, f_val, g_sq, e_t, delta,
-                             calls["f"], calls["h"], calls["fmh"]))
+                rows.append((t, k, f_val, g_sq, e_t, deltas[k - 1], *bill))
+            if n_ok < len(ys):
+                raise diverged(f"non-finite iterate at cycle {t}, step {n_ok + 1}")
             state = new
 
     metadata["final_x"] = state.x.tolist()

@@ -23,6 +23,7 @@ from .core import (
     as_vector,
     at_path,
     borrow_generator,
+    draw_nothing,
     gaussian_oracle,
     rng_from_token,
     stream_fork,
@@ -523,10 +524,11 @@ def logistic_oracle(
 ) -> OraclePair:
     """Oracle pair over two logistic tasks sharing a parameter space.
 
-    ``batch_size`` None gives exact (deterministic) gradients; otherwise
-    stochastic gradients average over with-replacement minibatches drawn from
-    the token: f's rows first in its stream, then h's, so the h gradient draws
-    f's rows and drops them.  A ``batch_size`` below 1 is a ConfigError at
+    ``batch_size`` None gives exact (deterministic) gradients and draws
+    nothing; otherwise a sample is a pair of with-replacement minibatches,
+    f's rows and h's, and ``draw(token, n)`` takes f's (n, batch_size) rows,
+    then h's, from one borrowed generator.  A task with weights (a coreset)
+    is sampled by them.  A ``batch_size`` below 1 is a ConfigError at
     ``batch_size``.  No analytic smoothness bound or Hessian gap is carried.
     """
     if f_task.dim != h_task.dim:
@@ -535,31 +537,30 @@ def logistic_oracle(
         raise ConfigError("batch_size", "must be >= 1")
     dim = f_task.dim
 
-    def rows(task: LogisticTask, rng: np.random.Generator) -> np.ndarray:
+    def rows(task: LogisticTask, rng: np.random.Generator, n: int) -> np.ndarray:
         if task.weights is not None:
-            return rng.choice(task.n_samples, size=batch_size, replace=True, p=task.weights)
-        return rng.integers(0, task.n_samples, size=batch_size)
+            return rng.choice(task.n_samples, size=(n, batch_size), replace=True, p=task.weights)
+        return rng.integers(0, task.n_samples, size=(n, batch_size))
 
-    def grad_f(x, token):
-        if batch_size is None:
-            return f_task.grad(x)
-        return f_task.grad_minibatch(x, rows(f_task, borrow_generator(token)))
-
-    def grad_h(x, token):
-        if batch_size is None:
-            return h_task.grad(x)
+    def draw(token, n):
         rng = borrow_generator(token)
-        rows(f_task, rng)
-        return h_task.grad_minibatch(x, rows(h_task, rng))
+        return list(zip(rows(f_task, rng, n), rows(h_task, rng, n)))
 
-    def grad_f_minus_h(x, token):
-        return grad_f(x, token) - grad_h(x, token)
+    def grad_f(x, sample):
+        return f_task.grad(x) if sample is None else f_task.grad_minibatch(x, sample[0])
+
+    def grad_h(x, sample):
+        return h_task.grad(x) if sample is None else h_task.grad_minibatch(x, sample[1])
+
+    def grad_f_minus_h(x, sample):
+        return grad_f(x, sample) - grad_h(x, sample)
 
     return OraclePair(
         dim=dim,
         grad_f=grad_f,
         grad_h=grad_h,
         grad_f_minus_h=grad_f_minus_h,
+        draw=draw_nothing if batch_size is None else draw,
         exact_grad_f=f_task.grad,
         exact_grad_h=h_task.grad,
         f_value=f_task.loss,

@@ -58,20 +58,25 @@ class TestRandomToken:
         assert not np.array_equal(a, b)
 
     def test_consecutive_draw_indices_have_the_noise_moments(self):
-        # a cycle takes its draws at consecutive indices of one stream: each
-        # draw keeps the per-coordinate variance sigma^2/d and f/h correlation
-        # rho, and draw k tells nothing of draw k + 1
-        n, dim, rho = 100_000, 3, 0.4
+        # a run draws a block of samples at each of consecutive draw indices
+        # of one stream: over 10**5 samples, 10 per block, each keeps the
+        # per-coordinate variance sigma^2/d and f/h correlation rho, and a
+        # sample tells nothing of the next one, in its block or the next
+        n, size, dim, rho = 100_000, 10, 3, 0.4
         spec = NoiseSpec(sigma_f=2.0, sigma_h=1.0, rho=rho)
+        oracle = gaussian_oracle(np.zeros_like, np.zeros_like, spec, dim)
         start = RandomToken(2**100 + 5, 2**40)
-        nf, nh = map(np.stack, zip(*(draw_gaussian_noise(spec, start.skip(k), dim)
-                                     for k in range(n))))
+        blocks = [oracle.draw(start.skip(j), size) for j in range(n // size)]
+        nf, nh = (np.array([s[i] for block in blocks for s in block]) for i in (0, 1))
         np.testing.assert_allclose(nf.var(axis=0), 4.0 / dim, rtol=0.03)
         np.testing.assert_allclose(nh.var(axis=0), 1.0 / dim, rtol=0.03)
         for i in range(dim):
             assert abs(np.corrcoef(nf[:, i], nh[:, i])[0, 1] - rho) < 0.015
             for a, b in ((nf, nf), (nh, nh), (nf, nh), (nh, nf)):
                 assert abs(np.corrcoef(a[:-1, i], b[1:, i])[0, 1]) < 0.02
+                # the last sample of a block against the first of the next
+                ends = a[size - 1::size, i][:-1], b[size::size, i]
+                assert abs(np.corrcoef(*ends)[0, 1]) < 0.05
 
     @given(st.integers(min_value=0, max_value=2**160), st.integers(min_value=0, max_value=2**63))
     @settings(max_examples=50, deadline=None)
@@ -226,28 +231,32 @@ class TestGaussianOracle:
         tol = 4.0 / math.sqrt(n)  # 4 sigma / sqrt(n), sigma per coord = 1/sqrt(3)
         assert np.all(np.abs(np.mean(nf, axis=0)) < tol)
         assert np.all(np.abs(np.mean(nh, axis=0)) < tol)
-        # spot-check the oracle plumbing adds exactly this noise
+        # spot-check the oracle plumbing: sample k of a block is row k of the
+        # noise arrays drawn at its token, added exactly
         tok = RandomToken(31, 5)
-        got = oracle.grad_f(x, tok)
-        want = x + draw_gaussian_noise(spec, tok, 3)[0]
-        assert np.array_equal(got, want)
+        samples = oracle.draw(tok, 4)
+        nf, nh = draw_gaussian_noise(spec, tok, 3, 4)
+        for k, sample in enumerate(samples):
+            assert np.array_equal(oracle.grad_f(x, sample), x + nf[k])
+            assert np.array_equal(oracle.grad_h(x, sample), 2 * x + nh[k])
 
     def test_shared_token_correlates_f_and_h(self):
         spec = NoiseSpec(sigma_f=1.0, sigma_h=1.0, rho=1.0)
         oracle = self._oracle(spec)
         x = np.ones(3)
-        tok = RandomToken(7, 2)
-        noise_f = oracle.grad_f(x, tok) - x
-        noise_h = oracle.grad_h(x, tok) - 2 * x
-        assert np.allclose(noise_f, noise_h, atol=1e-15)
+        for sample in oracle.draw(RandomToken(7, 2), 3):
+            noise_f = oracle.grad_f(x, sample) - x
+            noise_h = oracle.grad_h(x, sample) - 2 * x
+            assert np.allclose(noise_f, noise_h, atol=1e-15)
 
     def test_difference_oracle_consistent(self):
         spec = NoiseSpec(sigma_f=1.0, sigma_h=1.0, rho=0.5)
         oracle = self._oracle(spec)
         x = np.ones(3)
-        tok = RandomToken(7, 2)
-        diff = oracle.grad_f_minus_h(x, tok)
-        assert np.allclose(diff, oracle.grad_f(x, tok) - oracle.grad_h(x, tok), atol=1e-15)
+        for sample in oracle.draw(RandomToken(7, 2), 3):
+            diff = oracle.grad_f_minus_h(x, sample)
+            assert np.allclose(diff, oracle.grad_f(x, sample) - oracle.grad_h(x, sample),
+                               atol=1e-15)
 
     def test_deterministic_spec_draws_nothing(self, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -256,10 +265,11 @@ class TestGaussianOracle:
         monkeypatch.setattr(core, "draw_gaussian_noise", no_draw)
         oracle = self._oracle(NoiseSpec())
         x = np.array([1.0, -0.0, 3.0])
-        tok = RandomToken(7, 2)
-        assert np.array_equal(oracle.grad_f(x, tok), x)
-        assert np.array_equal(oracle.grad_h(x, tok), 2 * x)
-        assert np.array_equal(oracle.grad_f_minus_h(x, tok), -x)
+        samples = oracle.draw(RandomToken(7, 2), 2)
+        assert samples == [None, None]
+        assert np.array_equal(oracle.grad_f(x, samples[0]), x)
+        assert np.array_equal(oracle.grad_h(x, samples[0]), 2 * x)
+        assert np.array_equal(oracle.grad_f_minus_h(x, samples[1]), -x)
 
     def test_exact_gradients_exposed(self):
         oracle = self._oracle(NoiseSpec())

@@ -149,16 +149,11 @@ class TestDecentralizedCycle:
     def test_merged_helpers_match_single_run(self):
         # S = N identical helpers that draw matched noise == one helper
         def keyed(oracle):
-            """Copy of ``oracle`` whose j-th draw uses RandomToken(j), whatever
-            token it is given."""
+            """Copy of ``oracle`` whose j-th block of samples is drawn at
+            RandomToken(j), whatever token it is given."""
             draws = itertools.count()
-
-            def key(grad):
-                return lambda x, token: grad(x, RandomToken(next(draws)))
-
-            return dataclasses.replace(oracle, grad_f=key(oracle.grad_f),
-                                       grad_h=key(oracle.grad_h),
-                                       grad_f_minus_h=key(oracle.grad_f_minus_h))
+            return dataclasses.replace(
+                oracle, draw=lambda token, n: oracle.draw(RandomToken(next(draws)), n))
 
         pair = make_toy_pair(0.3, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5, rho=0.2))
         cfg = OptimizerConfig("AuxMOM", eta=0.05, a=0.5, K=3, T=10)

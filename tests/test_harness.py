@@ -147,6 +147,26 @@ class TestCsv:
                 "2,1,,,-2.5,4.9406564584124654e-324,123456789,30,3\n")
         assert trajectory_to_csv(trajectory_from_csv(text)) == text
 
+    def test_row_format_matches_cell_rule(self):
+        # trajectory and aggregate CSVs format a row at a time; the bytes are
+        # those of the per-cell rule, _cell, on edge cases and on floats of
+        # every exponent, subnormals and random bit patterns (NaNs) included
+        rng = rng_from_token(RandomToken(41))
+        special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2**53 + 1,
+                   2.0**53 + 2, 0.1, 1e16, 1.7976931348623157e308, 2.2250738585072014e-308]
+        n = 9 * 4_000
+        spread = np.ldexp(rng.random(n) + 0.5, rng.integers(-1075, 1024, n))
+        spread *= rng.choice([-1.0, 1.0], n)
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        for cells in (special * 9, spread, bits):
+            cells = np.array(cells, dtype=np.float64).reshape(-1, 9)
+            repeats = [Trajectory(row_table(cells)), Trajectory(row_table(cells[::-1]))]
+            assert trajectory_to_csv(repeats[0]) == harness._csv(CSV_COLUMNS, cells.tolist())
+            with np.errstate(all="ignore"):  # inf - inf and overflowing sums
+                means = [[float(np.mean(pair)) for pair in zip(*rows)]
+                         for rows in zip(cells.tolist(), cells[::-1].tolist())]
+                assert _aggregate(repeats) == harness._csv(CSV_COLUMNS, means)
+
     def test_aggregate_is_mean_of_repeats(self, tmp_path):
         cfg = load_config(json.dumps(toy_config(
             repeats=3, noise={"sigma_f": 1.0, "sigma_h": 1.0})))
@@ -621,6 +641,8 @@ class TestInputErrors:
         ("algorithm.K", 10**30, "algorithm.K"),
         ("algorithm.K", 2**40, "algorithm.K"),
         ("algorithm.T", 2**40, "algorithm.T"),
+        ("repeats", 2**13 + 1, "repeats"),  # past the repeats cap
+        ("repeats", 2**64, "repeats"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
@@ -646,6 +668,16 @@ class TestInputErrors:
         code, err = _main_quietly(["params", "--config", str(path)])
         assert code == 2
         assert err.startswith(f"config error: {where}: ")
+
+    def test_repeats_cap(self, tmp_path):
+        # 2**13 repeats are admitted; past that, a sweep point exits 2 at repeats too
+        assert load_config(json.dumps(toy_config(repeats=2**13))).repeats == 2**13
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(toy_config(repeats=1)))
+        code, err = _main_quietly(["sweep", "--config", str(path), "--axis", "repeats",
+                                   "--values", "1e30"])
+        assert code == 2
+        assert err.startswith("config error: repeats: ") and err.count("\n") == 1
 
     def test_noise_on_logistic_exit_2(self, tmp_path):
         raw = logistic_config(tmp_path)

@@ -302,6 +302,26 @@ class TestRun:
             run(oracle, cfg, TOK, x0=np.array([1.0]))
         assert len(err.value.trajectory.rows) > 0
 
+    @pytest.mark.parametrize("bad_call,t,k", [(1, 1, 1), (4, 2, 1), (6, 2, 3)])
+    def test_non_finite_iterate_reports_cycle_and_step(self, bad_call, t, k):
+        # the h gradient turns NaN at its bad_call-th call, inner step k of
+        # cycle t (K = 3); the partial trajectory keeps every row before it
+        oracle = make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5))
+        calls = iter(range(1, 100))
+
+        def grad_h(x, sample):
+            g = oracle.grad_h(x, sample)
+            return np.full_like(g, np.nan) if next(calls) == bad_call else g
+
+        cfg = OptimizerConfig("AuxMOM", eta=0.05, a=0.5, K=3, T=4)
+        with pytest.raises(DivergenceError,
+                           match=f"^non-finite iterate at cycle {t}, step {k}$") as err:
+            run(dataclasses.replace(oracle, grad_h=grad_h), cfg, TOK, diagnostics_on=True)
+        rows = err.value.trajectory.rows
+        assert list(zip(rows.t, rows.k)) == [(0, 0)] + [
+            (c, s) for c in range(1, t + 1) for s in range(1, cfg.K + 1) if (c, s) < (t, k)]
+        assert np.isfinite(rows.Delta_t[1:]).all()
+
     def test_default_x0_is_ones(self):
         oracle = make_toy_pair(0.0, 0.0)
         traj = run(oracle, OptimizerConfig("GD", eta=0.5, T=1), TOK)
@@ -347,16 +367,24 @@ def count_forks(monkeypatch) -> Counter:
     return calls
 
 
-def recording(oracle, seen: list, name=None):
-    """Copy of ``oracle`` appending ``(name, token)`` to ``seen`` for each
-    stochastic draw it serves."""
+def recording(oracle, seen: list, blocks: list, name=None):
+    """Copy of ``oracle`` appending ``(name, token, n)`` to ``blocks`` for each
+    block ``draw(token, n)`` and ``(name, token, k)`` to ``seen`` for each
+    stochastic gradient, where the gradient's sample is sample k of the
+    block drawn at ``token``."""
+    def draw(token, n):
+        blocks.append((name, token, n))
+        return [((token, k), s) for k, s in enumerate(oracle.draw(token, n))]
+
     def record(grad):
-        def served(x, token):
-            seen.append((name, token))
-            return grad(x, token)
+        def served(x, sample):
+            (token, k), inner = sample
+            seen.append((name, token, k))
+            return grad(x, inner)
         return served
 
-    return dataclasses.replace(oracle, grad_f=record(oracle.grad_f), grad_h=record(oracle.grad_h),
+    return dataclasses.replace(oracle, draw=draw, grad_f=record(oracle.grad_f),
+                               grad_h=record(oracle.grad_h),
                                grad_f_minus_h=record(oracle.grad_f_minus_h))
 
 
@@ -389,41 +417,45 @@ class TestTokenPlan:
             assert calls == {"stream_fork": helpers.n + 2}
 
     @pytest.mark.parametrize("algorithm,has_m0,steps", [
-        ("AuxMVR", True, [0, 0, 1, 2, 3]),  # STORM reuses step 0's sample at x_prev
-        ("AuxMOM_V0", True, [0, 1, 1, 2, 2, 3, 3]),  # svrg reuses step k's sample at x
+        ("AuxMVR", True, [0, 0, 1, 2, 3]),  # STORM reuses sample 0 at x_prev
+        ("AuxMOM_V0", True, [0, 1, 1, 2, 2, 3, 3]),  # svrg reuses sample k at x
         ("SGDm", True, [0]),
         ("Naive", False, [0, 1, 2]),
         ("FineTune", False, [1, 2, 3]),
     ])
     def test_run_draws_by_counter(self, algorithm, has_m0, steps):
-        # m0 takes draws 0..T-1 of stream_fork(token, 0) and cycle t's step k
-        # its draw T + (t - 1)(K + 1) + k; the token itself is never drawn from
-        seen, token = [], RandomToken(5, 7)
-        oracle = recording(make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5)), seen)
+        # a big_batch m0 draws T samples at draw 0 of stream_fork(token, 0) and
+        # cycle t its K + 1 samples at draw t; sample k feeds step k.  The
+        # token itself is never drawn from
+        seen, blocks, token = [], [], RandomToken(5, 7)
+        oracle = recording(make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5)),
+                           seen, blocks)
         cfg = OptimizerConfig(algorithm, eta=0.05, a=0.5, K=3, T=4, m0_mode="big_batch")
         run(oracle, cfg, token)
         stream = stream_fork(token, 0)
-        m0 = [stream.skip(i) for i in range(cfg.T) if has_m0]
-        cycles = [stream.skip(cfg.T + t * (cfg.K + 1) + k) for t in range(cfg.T) for k in steps]
-        assert [tok for _, tok in seen] == m0 + cycles
+        cycles = [stream.skip(t) for t in range(1, cfg.T + 1)]
+        assert blocks == [(None, stream, cfg.T)] * has_m0 + [(None, c, cfg.K + 1) for c in cycles]
+        m0 = [(None, stream, i) for i in range(cfg.T) if has_m0]
+        assert seen == m0 + [(None, c, k) for c in cycles for k in steps]
 
     def test_decentralized_draws_by_counter(self):
         # cycle t samples at the sampler's draw t - 1, and sampled helper i
-        # takes step k at draw (t - 1)(K + 1) + k of its lane
-        seen = []
+        # draws its K + 1 samples at draw t of its lane, sample k for step k
+        seen, blocks = [], []
         noise = NoiseSpec(sigma_f=0.5, sigma_h=0.5)
-        oracles = [recording(make_toy_pair(0.1, z, noise), seen, i)
+        oracles = [recording(make_toy_pair(0.1, z, noise), seen, blocks, i)
                    for i, z in enumerate((0.5, 1.0, 2.0))]
         cfg = OptimizerConfig("AuxMOM", eta=0.05, a=0.5, K=3, T=5)
         traj = decentralized.run_decentralized(np.array([1.0]), decentralized.HelperSet(
             oracles, s=2), cfg, TOK)
         sampler, lanes = stream_fork(TOK, 0), stream_fork(TOK, 1)
-        want = []
-        for t, chosen in enumerate(traj.sampled):
-            assert chosen == decentralized.sample_helpers(sampler.skip(t), 3, 2)
-            want += [(i, stream_fork(lanes, i).skip(t * (cfg.K + 1) + k))
-                     for i in chosen for k in range(cfg.K + 1)]
-        assert seen == want
+        want_blocks, want = [], []
+        for t, chosen in enumerate(traj.sampled, start=1):
+            assert chosen == decentralized.sample_helpers(sampler.skip(t - 1), 3, 2)
+            lane = {i: stream_fork(lanes, i).skip(t) for i in chosen}
+            want_blocks += [(i, lane[i], cfg.K + 1) for i in chosen]
+            want += [(i, lane[i], k) for i in chosen for k in range(cfg.K + 1)]
+        assert blocks == want_blocks and seen == want
 
 
 class TestContractionAndFloors:

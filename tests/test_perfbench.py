@@ -72,3 +72,19 @@ def test_probe_sees_the_spans_of_a_logistic_run(tmp_path):
     for name in ("problems.parse_libsvm", "problems.grad_minibatch", "problems.draw",
                  "harness.build_oracle"):
         assert out["stats"][name][0] > 0, name
+
+
+def test_probe_counts_one_noise_block_per_cycle(tmp_path):
+    # a noisy toy AuxMOM run draws its noise once for m0 and once per cycle,
+    # T + 1 calls, while the oracle still counts every gradient it serves
+    K, T = 4, 6
+    out = _run_under_probe(tmp_path, {
+        "problem": {"toy": {"delta": 0.5, "zeta": 1.0}},
+        "algorithm": {"name": "AuxMOM", "eta": 0.1, "a": 0.5, "K": K, "T": T},
+        "noise": {"sigma_f": 1.0, "sigma_h": 1.0, "rho": 0.5},
+        "seed": 1,
+    })
+    assert out["stats"]["core.draw_gaussian_noise"][0] == T + 1
+    assert out["counts"].get("draws_f", 0) == 0
+    assert out["counts"]["draws_h"] == K * T
+    assert out["counts"]["draws_fmh"] == T + 1

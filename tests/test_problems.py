@@ -625,9 +625,9 @@ class TestSparseMatchesDense:
 
 class TestLogisticOracle:
     def test_minibatches_are_what_a_fresh_generator_draws(self):
-        # the oracle borrows the thread's generator: f's uniform rows must be
-        # the first draws of rng_from_token(token), and h's weighted rows the
-        # draws that follow them, whichever gradient is asked for
+        # the oracle borrows the thread's generator: a block's f rows, uniform,
+        # must be the first draws of rng_from_token(token), and its h rows,
+        # weighted, the draws that follow them; sample k pairs row k of each
         rng = rng_from_token(RandomToken(15))
         features = rng.standard_normal((40, 3))
         labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
@@ -636,22 +636,26 @@ class TestLogisticOracle:
         h_task = LogisticTask(features, labels, weights=w / w.sum())
         oracle = logistic_oracle(f_task, h_task, batch_size=7)
         x = rng.standard_normal(3)
-        for i in range(300):
-            token = RandomToken(i, i)
+        for i in range(100):
+            token, n = RandomToken(i, i), 1 + i % 4
             fresh = rng_from_token(token)
-            idx_f = fresh.integers(0, 40, size=7)
-            idx_h = fresh.choice(40, size=7, replace=True, p=h_task.weights)
-            g_f, g_h = f_task.grad_minibatch(x, idx_f), h_task.grad_minibatch(x, idx_h)
-            assert np.array_equal(oracle.grad_f(x, token), g_f)
-            assert np.array_equal(oracle.grad_h(x, token), g_h)
-            assert np.array_equal(oracle.grad_f_minus_h(x, token), g_f - g_h)
+            idx_f = fresh.integers(0, 40, size=(n, 7))
+            idx_h = fresh.choice(40, size=(n, 7), replace=True, p=h_task.weights)
+            samples = oracle.draw(token, n)
+            assert len(samples) == n
+            for k, sample in enumerate(samples):
+                g_f = f_task.grad_minibatch(x, idx_f[k])
+                g_h = h_task.grad_minibatch(x, idx_h[k])
+                assert np.array_equal(oracle.grad_f(x, sample), g_f)
+                assert np.array_equal(oracle.grad_h(x, sample), g_h)
+                assert np.array_equal(oracle.grad_f_minus_h(x, sample), g_f - g_h)
 
     @pytest.mark.parametrize("helper", ["unweighted", "coreset", "weighted"])
     def test_minibatch_rows_are_uniform_weighted_and_independent(self, helper, monkeypatch):
-        # chi-square tests over the rows of draws at consecutive indices of one
-        # stream: f's rows are uniform, h's uniform or following its weights
-        # (1/M over a coreset, or random ones), and a draw's f and h rows are
-        # independent
+        # chi-square tests over the rows of blocks drawn at consecutive
+        # indices of one stream: f's rows are uniform, h's uniform or
+        # following its weights (1/M over a coreset, or random ones), and a
+        # sample's f and h rows are independent
         rng = rng_from_token(RandomToken(19))
         n_f, n_h = 8, 6
         f_task = LogisticTask(rng.standard_normal((n_f, 2)), np.ones(n_f))
@@ -673,17 +677,29 @@ class TestLogisticOracle:
         monkeypatch.setattr(LogisticTask, "grad_minibatch", record)
         oracle = logistic_oracle(f_task, h_task, batch_size=16)
         start = RandomToken(21)
-        for k in range(2_000):
-            oracle.grad_f_minus_h(np.zeros(2), start.skip(k))
+        for j in range(200):
+            for sample in oracle.draw(start.skip(j), 10):
+                oracle.grad_f_minus_h(np.zeros(2), sample)
         idx_f = np.concatenate(rows[id(f_task)])
         idx_h = np.concatenate(rows[id(h_task)])
         n = len(idx_f)
+        assert n == 200 * 10 * 16
         assert scipy.stats.chisquare(np.bincount(idx_f, minlength=n_f)).pvalue > 1e-3
         weights = np.full(n_h, 1 / n_h) if h_task.weights is None else h_task.weights
         assert scipy.stats.chisquare(np.bincount(idx_h, minlength=n_h), n * weights).pvalue > 1e-3
         table = np.zeros((n_f, n_h))
         np.add.at(table, (idx_f, idx_h), 1)
         assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
+
+    def test_exact_oracle_draws_nothing(self, monkeypatch):
+        task = LogisticTask(np.eye(4, 2), np.array([1.0, -1.0, 1.0, -1.0]))
+        monkeypatch.setattr(problems, "borrow_generator", None)  # any draw would fail
+        oracle = logistic_oracle(task, task)
+        x = np.array([0.5, -2.0])
+        samples = oracle.draw(RandomToken(3), 2)
+        assert samples == [None, None]
+        assert np.array_equal(oracle.grad_f(x, samples[0]), task.grad(x))
+        assert np.array_equal(oracle.grad_f_minus_h(x, samples[1]), task.grad(x) - task.grad(x))
 
     def test_rejects_empty_batch(self):
         task = LogisticTask(np.ones((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
