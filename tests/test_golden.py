@@ -143,41 +143,41 @@ NOISE = "0f1c3bf20b2e309323a5b4bb9a076ebf486530bf9ad17353d02dd06e15c10b1d"
 
 NOISY_CSV = {
     ("Naive", "single_sample"):
-        "0c2a8b4e7823d92ca752bd964b35d438d071bb714f3b3b71ae628127c381e259",
+        "2b43c404601e339660aa8ffccebcffd45b9bc68e65f4fdb97550f834bdd7bd36",
     ("Naive", "zero"):
-        "0c2a8b4e7823d92ca752bd964b35d438d071bb714f3b3b71ae628127c381e259",
+        "2b43c404601e339660aa8ffccebcffd45b9bc68e65f4fdb97550f834bdd7bd36",
     ("Naive", "big_batch"):
-        "0c2a8b4e7823d92ca752bd964b35d438d071bb714f3b3b71ae628127c381e259",
+        "2b43c404601e339660aa8ffccebcffd45b9bc68e65f4fdb97550f834bdd7bd36",
     ("AuxMOM", "single_sample"):
-        "5cbde22136b0649b619a0e572eeaef86645104857d421b4ce528995a1afd98d8",
+        "0fd7204659e8ccb49d18bf1ef18ed47d4556a0d77e4cc54d43a2a5fb316ef9f0",
     ("AuxMOM", "zero"):
-        "e09aa749d7eac35bb194560242fb03e380a1c0c0081334b8c73a3daefc000abb",
+        "7e7a5fb7880ba6a130b3e0eaa368bf09166e66420725d993ec892aa755f30532",
     ("AuxMOM", "big_batch"):
-        "a75aa2fb1d2cb76aa4f24540f23ee1a04dd10b1239689fc951f3c4f3421214e8",
+        "23868c304ed1f1366ab10a4897260bb5ada98622cd3ccc8afac44bf02db2104b",
     ("AuxMOM_V0", "single_sample"):
-        "b638f18636e7b32552753cf43114f5782345e00a00658f21266623210906ddcd",
+        "741ce367cca4f1aecda3093c7c654b04d416d977061dd1b60ed4a9ade27eaf8b",
     ("AuxMOM_V0", "zero"):
-        "9ea9ce9bb046ddd9f11618cd1c5abd7a980b20ff92cd8b90506e397c976ccc28",
+        "f61f3cb74f6bddb097f845f3c352b145316ad1f735c926bfa9d63442fb257cb9",
     ("AuxMOM_V0", "big_batch"):
-        "46aa1be69646eb2d6e83a5da3ad67ee0a84440817b88243d031028655869fe77",
+        "bc0027ab58ba78d19d65cdb248565274abfefbe2e6f90924390f47fd95d41592",
     ("AuxMVR", "single_sample"):
-        "0ce8f8bc0d975deb98bdb623d1e7b991b3873c0ac5c8601d0eab970aa6e2b9fe",
+        "0babbe54ea697854fc629774b02d4539c26be9e94a2fb5bef9516169ebc00bfb",
     ("AuxMVR", "zero"):
-        "8b391a65acb0f7040eefc63c475dd2cb9b91720e481088425775a8d4617a1152",
+        "03e63c1b6888d67b42728b39c7c2cc02a3a397cd29e1853d2a0886246ff693b6",
     ("AuxMVR", "big_batch"):
-        "f290df557f0b6b99d57a0faf532eec156a30663eb21d9cab5f90e02166510a2a",
+        "5b095518e719e636568c21a3cdcc2e394134cea50888175aa226d56428e2e090",
     ("SGDm", "single_sample"):
-        "3fd2e1a9dccad346f2fe329eea1e5c1ebb649329e29b375dcd1bc4eb141abe81",
+        "234ec90f150f37b308ef167b9de8a894b916174422a91e250508f03d12f73b28",
     ("SGDm", "zero"):
-        "a7a67751943d31f3f6cfda3dde9718f8a3653b19c9366ed030ed5dd7b338791f",
+        "79007eea20dcadaf7e023fe779d64d197073b912cad4c6aae1b6d3f6ca79fdb6",
     ("SGDm", "big_batch"):
-        "b7f6b15906a515e52e34053051c0db0005e2fe29392ba439496d571f0cee62f5",
+        "12ffa94ea5e97d2cdfd58ba70b8289e74fe7c1827366bfdc1f80d5e8c159d700",
     ("MVR", "single_sample"):
-        "4c6421270845e5c06cb5e1aaa43eeee5590dba83d00ffb4e582bc202604f2600",
+        "340dfb1bb1e5cb3376e68be35ff7bcdffc91c3bb7829b5628bc45093f9f0dd76",
     ("MVR", "zero"):
-        "231c45e0399d2d448e8f83723bd8d9ff8d5ac2cb886ac1af3e56e4d10a7cbd37",
+        "b1a3e2310400efa960c6c68e467ffb4d39d71ac41837e0ff6ab449ea3d3dc072",
     ("MVR", "big_batch"):
-        "adfc14fb545d19ee2f9556b0ad8c9ff546a2fc1c9dabaa8b1f0556e5d9fb272a",
+        "9d908952dccf9b014b84c40ea66907fdca1e163ba4e1a3f3630ed613bdf11dd8",
     ("GD", "single_sample"):
         "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
     ("GD", "zero"):
@@ -185,11 +185,11 @@ NOISY_CSV = {
     ("GD", "big_batch"):
         "4e33af7042c1d59c18c31494ea79cc6bacfd11f0ba8ca8d6d805eaecbf8d69c8",
     ("FineTune", "single_sample"):
-        "496dfc9ce39f3551f5d250db605f77931b1f5955fff5288e60e7494ea3d1b82a",
+        "f1635a55217a420c829d854f93bbf5c7adc0d97b18fc29657939e519d5070d8e",
     ("FineTune", "zero"):
-        "496dfc9ce39f3551f5d250db605f77931b1f5955fff5288e60e7494ea3d1b82a",
+        "f1635a55217a420c829d854f93bbf5c7adc0d97b18fc29657939e519d5070d8e",
     ("FineTune", "big_batch"):
-        "496dfc9ce39f3551f5d250db605f77931b1f5955fff5288e60e7494ea3d1b82a",
+        "f1635a55217a420c829d854f93bbf5c7adc0d97b18fc29657939e519d5070d8e",
 }
 
 EXACT_CSV = {
@@ -204,19 +204,19 @@ EXACT_CSV = {
 }
 
 SWEEP_FILES = {
-    True: "6e7257ff0c179adae3a762200c5904b1b710c1c8e13e29e48f75a25d6f3f0d06",
+    True: "240a4f5777c6d738134f3f0430d8e28ba1d66a80ac1419a65bd869af6232697b",
     False: "18c51e3e9b576735e1b575b185174bc278ebe6f6fb5f9a32af7b9c17ca1ffd53",
 }
 DIVERGING_PARTIAL = "d94890bd3324a4e97091ad86cab2de9a7c5d3955750dc27e111a47ae4781c2d5"
-CLI_RUN = "6095c4818efe9d35c61ed68b0431ad6c0802179d21c15d4c600e13920f37518b"
+CLI_RUN = "bdd3dc3fdf74c916b2151ce7fbe48089432ae2ed902a3da4657b3cfb5704d83a"
 CLI_SWEEP = {
-    True: "c8e2826f1cf2ba185261daf0854e71b402febf2a9a5906a1589f2d50dab9a80d",
+    True: "836154049e88fab0232c2bacfe5f35776a2666a6e42c3e3b0e1e958aa8638681",
     False: "69ab59f0ce076c8f940d3f731433f08ad43f581e36234e0ad0360bdc8289db27",
 }
 
 DECENTRALIZED = {
-    "AuxMOM": "4046b14ba0b20494479438ea1a2f5907cbe7b0089dceb70f4fa1ea51a6015f5f",
-    "AuxMVR": "6273627f2b4468c5bc132e1a27af00dce45593c8a18408a4ce4f8cfedf993208",
+    "AuxMOM": "be826dc95fce673b2135188985bf34657bce81ea6f58ca353ed8e75fae938f9b",
+    "AuxMVR": "0d65ef25d555281af3acfb2656d7fa653896ecc487f38017d2a301c6506ae60e",
 }
 
 
