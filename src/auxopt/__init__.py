@@ -2,6 +2,8 @@
 similar helper h: bias-corrected local steps, momentum variants, multi-helper
 averaging, theorem-prescribed hyperparameters, and an experiment harness."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Array,
     NoiseSpec,
@@ -66,54 +68,6 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "Array",
-    "BiasEstimate",
-    "ConfigError",
-    "DecentralizedTrajectory",
-    "DivergenceError",
-    "ExperimentConfig",
-    "HelperSet",
-    "LibsvmParseError",
-    "LogisticTask",
-    "NoiseSpec",
-    "OptimizerConfig",
-    "OptimizerState",
-    "OraclePair",
-    "RandomToken",
-    "TheoryParams",
-    "Trajectory",
-    "WeakConvexityReport",
-    "auxmom_beta",
-    "auxmom_params",
-    "auxmvr_params",
-    "build_coreset_helper",
-    "build_oracle",
-    "build_semisupervised",
-    "check_weak_convexity",
-    "decentralized_cycle",
-    "default_probe_points",
-    "draw_gaussian_noise",
-    "estimate_bias",
-    "estimate_delta",
-    "gaussian_oracle",
-    "load_config",
-    "load_config_file",
-    "logistic_oracle",
-    "make_quadratic_nd",
-    "make_synthetic_classification",
-    "make_toy_pair",
-    "map_labels_to_pm1",
-    "parse_libsvm",
-    "rng_from_token",
-    "run",
-    "run_decentralized",
-    "run_experiment",
-    "run_sweep",
-    "sample_helpers",
-    "stream_fork",
-    "trajectory_from_csv",
-    "trajectory_to_csv",
-    "write_libsvm",
-]
+# The public names are those imported above; the submodules they come from are not.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -6,6 +6,7 @@ variable AUXOPT_SEED, when set, overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import harness, theory
-from .core import RandomToken
+from .core import RandomToken, at_path
 from .decentralized import check_weak_convexity
 from .optimizers import DivergenceError
 
@@ -22,6 +23,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="auxopt",
@@ -105,24 +107,27 @@ def _cmd_check(args) -> int:
         raise harness.ConfigError("problem", "check requires exact gradients")
     token = RandomToken(cfg.seed)
     probes = theory.default_probe_points(oracle.dim, token)
-    delta_hat = theory.estimate_delta(
-        oracle.exact_grad_f, oracle.exact_grad_h, probes, token=token
-    )
-    bias = theory.estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
+    # Gradients that overflow at the probes are reported once, as a fault of
+    # the problem block, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_hat = at_path(f"problem.{next(iter(cfg.problem))}", theory.estimate_delta,
+                            oracle.exact_grad_f, oracle.exact_grad_h, probes, token=token)
+        bias = theory.estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
+        report = (None if oracle.f_value is None
+                  else check_weak_convexity(oracle, delta_hat, token=token))
     print(f"estimated Hessian-gap delta = {delta_hat:.6g}")
     if oracle.hessian_gap is not None:
         print(f"analytic delta            = {oracle.hessian_gap:.6g}")
     print(f"estimated bias fit: m = {bias.m:.6g}, zeta^2 = {bias.zeta_sq:.6g}")
-    if oracle.f_value is not None:
-        report = check_weak_convexity(oracle, delta_hat, token=token)
+    if report is None:
+        print("weak convexity: skipped (no f values available)")
+    else:
         verdict = "holds" if report else "VIOLATED"
         print(f"weak convexity of f + delta*||x||^2 on random pairs: {verdict}")
         if not report:
             x, y = report.witness
             print(f"  witness x = {np.array2string(x, precision=4)}")
             print(f"  witness y = {np.array2string(y, precision=4)}")
-    else:
-        print("weak convexity: skipped (no f values available)")
     return EXIT_OK
 
 

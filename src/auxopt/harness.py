@@ -8,7 +8,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,22 +44,14 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
 def _given(obj: dict, keys) -> dict:
     """The entries of ``obj`` under ``keys``; a key left out keeps the default
     of the parameter it would fill."""
     return {key: obj[key] for key in keys if key in obj}
-
-
-def _check_keys(obj: dict, allowed: set, required: set, path: str):
-    _require(isinstance(obj, dict), path, "expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-    missing = required - set(obj)
-    if missing:
-        key = sorted(missing)[0]
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
 
 
 @dataclass
@@ -76,19 +68,65 @@ class ExperimentConfig:
     diagnostics: bool = False
 
 
-_PROBLEM_TYPES = ("toy", "quadratic_nd", "logistic")
-
-# The optional top-level fields: the rule each must meet when given, and its message.
-_OPTIONAL = {
-    "params_mode": (lambda v: v in ("manual", "theorem"), "must be 'manual' or 'theorem'"),
-    "repeats": (lambda v: _integer(v) and 1 <= v <= MAX_REPEATS,
-                f"must be an integer in [1, {MAX_REPEATS}]"),
-    "output_path": (lambda v: isinstance(v, str) and "\0" not in v,
-                    "must be a string without NUL characters"),
-    "x0": (lambda v: v is None or isinstance(v, list) and all(map(_number, v)),
-           "must be a list of finite numbers"),
-    "diagnostics": (lambda v: isinstance(v, bool), "must be true or false"),
+# The config format: the keys of each block, by the block's path.  A key's
+# entry says whether it is required, then gives its JSON rule and the message
+# when that fails ("{!r}" takes the value, so the message stays one line).  A
+# key without a rule is a sub-block, walked in turn, or a value that the
+# constructor or ``problems`` builder reading it checks; those hold the range
+# rules.  The problem blocks are the problem tags.
+_FINITE, _UNCHECKED = (_number, "must be a finite number"), (None, "")
+_SCHEMA = {
+    "": {
+        "version": (False, lambda v: _integer(v) and v == SCHEMA_VERSION,
+                    "unsupported schema version {!r}"),
+        "params_mode": (False, lambda v: v in ("manual", "theorem"),
+                        "must be 'manual' or 'theorem'"),
+        "repeats": (False, lambda v: _integer(v) and 1 <= v <= MAX_REPEATS,
+                    f"must be an integer in [1, {MAX_REPEATS}]"),
+        "output_path": (False, lambda v: isinstance(v, str) and "\0" not in v,
+                        "must be a string without NUL characters"),
+        "x0": (False, lambda v: v is None or _numbers(v), "must be a list of finite numbers"),
+        "diagnostics": (False, lambda v: isinstance(v, bool), "must be true or false"),
+        "problem": (True, *_UNCHECKED),  # load_config checks its one tag
+        "algorithm": (True, *_UNCHECKED), "noise": (False, *_UNCHECKED),
+        "seed": (True, lambda v: _integer(v) and v >= 0, "must be a nonnegative integer")},
+    "problem.toy": dict.fromkeys(("delta", "zeta"), (True, *_FINITE)),
+    "problem.quadratic_nd": dict.fromkeys(("a_f", "a_h", "b_h"), (True, *_UNCHECKED)),
+    "problem.logistic": {
+        "path": (True, lambda v: isinstance(v, str), "must be a string"),
+        "batch_size": (False, lambda v: v is None or _integer(v), "must be null or an integer"),
+        "l2_reg": (False, *_FINITE),
+        "split": (False, _numbers, "must be a list of finite numbers"),
+        "helper": (True, *_UNCHECKED)},
+    "problem.logistic.helper": {
+        "kind": (True, *_UNCHECKED), "fraction": (False, *_FINITE),
+        "indices": (False, lambda v: isinstance(v, list) and all(map(_integer, v)),
+                    "must be a list of integers")},
+    "algorithm": {"name": (True, *_UNCHECKED), "K": (True, _integer, "must be an integer"),
+                  "T": (True, _integer, "must be an integer"), "eta": (False, *_FINITE),
+                  "a": (False, *_FINITE), "m0_mode": (False, *_UNCHECKED),
+                  "split_fraction": (False, *_FINITE)},
+    "noise": dict.fromkeys(("sigma_f", "sigma_h", "rho"), (False, *_FINITE)),
 }
+_PROBLEM_TYPES = tuple(p.partition(".")[2] for p in _SCHEMA
+                       if p.startswith("problem.") and p.count(".") == 1)
+
+
+def _walk(obj, path: str):
+    """Check ``obj`` against the block at ``path``: an object holding only the
+    block's keys and all its required ones, each value meeting its JSON rule;
+    a key's sub-block is walked in turn.  The first error found is raised."""
+    _require(isinstance(obj, dict), path, "expected an object")
+    keys, prefix = _SCHEMA[path], f"{path}." if path else ""
+    unknown = set(obj) - set(keys)
+    _require(not unknown, prefix + min(unknown, default=""), "unknown key")
+    missing = {key for key, (required, *_) in keys.items() if required and key not in obj}
+    _require(not missing, prefix + min(missing, default=""), "missing required key")
+    for key, (_, rule, message) in keys.items():
+        if key in obj and prefix + key in _SCHEMA:
+            _walk(obj[key], prefix + key)
+        elif key in obj and rule is not None and not rule(obj[key]):
+            raise ConfigError(prefix + key, message.format(obj[key]))
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -97,79 +135,26 @@ def load_config(text: str) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from None
-
-    _check_keys(raw, {"version", "problem", "algorithm", "noise", "seed", *_OPTIONAL},
-                {"problem", "algorithm", "seed"}, "")
-    if "version" in raw:
-        _require(_integer(raw["version"]) and raw["version"] == SCHEMA_VERSION, "version",
-                 f"unsupported schema version {raw['version']}")
-    given = _given(raw, _OPTIONAL)
-    for key, value in given.items():
-        rule, message = _OPTIONAL[key]
-        _require(rule(value), key, message)
+    _walk(raw, "")
 
     problem = raw["problem"]
     _require(isinstance(problem, dict) and len(problem) == 1, "problem",
              f"expected exactly one problem tag out of {_PROBLEM_TYPES}")
     tag = next(iter(problem))
     _require(tag in _PROBLEM_TYPES, f"problem.{tag}", "unknown problem type")
-    _validate_problem(tag, problem[tag])
+    _walk(problem[tag], f"problem.{tag}")
     _require(tag != "logistic" or "noise" not in raw, "noise",
              "logistic gradients are minibatch estimates; a noise block has no effect")
+    if raw.get("params_mode") != "theorem":
+        _require("eta" in raw["algorithm"], "algorithm.eta", "required in manual params mode")
+    # a stream key holds 128 bits, so a seed bit above them would have no effect
+    _require(raw["seed"] < 2**128, "seed", "must be below 2**128")
 
-    alg_raw = raw["algorithm"]
-    _check_keys(alg_raw, {"name", "eta", "a", "K", "T", "m0_mode", "split_fraction"},
-                {"name", "K", "T"}, "algorithm")
-    if given.get("params_mode") != "theorem":
-        _require("eta" in alg_raw, "algorithm.eta", "required in manual params mode")
-    for key in ("K", "T"):
-        _require(_integer(alg_raw[key]), f"algorithm.{key}", "must be an integer")
-    for key in ("eta", "a", "split_fraction"):
-        _require(key not in alg_raw or _number(alg_raw[key]), f"algorithm.{key}",
-                 "must be a finite number")
-    fields = {"eta": 1.0, **alg_raw}  # the eta placeholder that theorem mode resolves
+    fields = {"eta": 1.0, **raw["algorithm"]}  # the eta placeholder that theorem mode resolves
     algorithm = at_path("algorithm", OptimizerConfig, fields.pop("name"), **fields)
-
-    noise_raw = raw.get("noise", {})
-    _check_keys(noise_raw, {"sigma_f", "sigma_h", "rho"}, set(), "noise")
-    for key, value in noise_raw.items():
-        _require(_number(value), f"noise.{key}", "must be a finite number")
-    noise = at_path("noise", NoiseSpec, **noise_raw)
-
-    seed = raw["seed"]
-    _require(_integer(seed) and seed >= 0, "seed", "must be a nonnegative integer")
-    return ExperimentConfig(raw, problem, algorithm, noise, seed, **given)
-
-
-# The JSON type of each logistic field, and its message.
-_LOGISTIC_TYPES = {
-    "path": (lambda v: isinstance(v, str), "must be a string"),
-    "batch_size": (lambda v: v is None or _integer(v), "must be null or an integer"),
-    "l2_reg": (_number, "must be a finite number"),
-    "split": (lambda v: isinstance(v, list) and all(map(_number, v)),
-              "must be a list of finite numbers"),
-    "helper.fraction": (_number, "must be a finite number"),
-    "helper.indices": (lambda v: isinstance(v, list) and all(map(_integer, v)),
-                       "must be a list of integers"),
-}
-
-
-def _validate_problem(tag: str, body: Any):
-    path = f"problem.{tag}"
-    if tag == "toy":
-        _check_keys(body, {"delta", "zeta"}, {"delta", "zeta"}, path)
-        for key in ("delta", "zeta"):
-            _require(_number(body[key]), f"{path}.{key}", "must be a finite number")
-    elif tag == "quadratic_nd":
-        _check_keys(body, {"a_f", "a_h", "b_h"}, {"a_f", "a_h", "b_h"}, path)
-    else:  # the JSON types only; the problems builders hold the range rules
-        _check_keys(body, {"path", "split", "helper", "l2_reg", "batch_size"},
-                    {"path", "helper"}, path)
-        helper = body["helper"]
-        _check_keys(helper, {"kind", "fraction", "indices"}, {"kind"}, f"{path}.helper")
-        fields = {**body, **{f"helper.{key}": value for key, value in helper.items()}}
-        for key, (rule, message) in _LOGISTIC_TYPES.items():
-            _require(key not in fields or rule(fields[key]), f"{path}.{key}", message)
+    noise = at_path("noise", NoiseSpec, **raw.get("noise", {}))
+    given = raw.keys() - {"version", "algorithm", "noise"}  # the fields taken as they are
+    return ExperimentConfig(raw, algorithm=algorithm, noise=noise, **{k: raw[k] for k in given})
 
 
 def load_config_file(path: str) -> ExperimentConfig:
@@ -257,17 +242,18 @@ def _csv(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _float_csv(rows) -> str:
-    """``_csv(CSV_COLUMNS, rows)`` for rows of floats, one format per row:
-    ``"%.17g" % v`` is ``format(v, ".17g")``, and "nan", which no other
-    float prints as, becomes the empty cell."""
+def _float_csv(cells: np.ndarray) -> str:
+    """``_csv(CSV_COLUMNS, rows)`` for a float64 table given as its cells in
+    row order, with one format over all of them: ``"%.17g" % v`` is
+    ``format(v, ".17g")``, and "nan", which no other float prints as,
+    becomes the empty cell."""
     row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
-    body = "".join([row % tuple(r) for r in rows])
+    body = (row * (cells.size // len(CSV_COLUMNS))) % tuple(cells.ravel().tolist())
     return ",".join(CSV_COLUMNS) + "\n" + body.replace("nan", "")
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    return _float_csv(traj.rows.tolist())
+    return _float_csv(traj.rows.view(np.float64))
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
@@ -289,7 +275,7 @@ def _aggregate(trajectories: Sequence[Trajectory]) -> str:
     n_rows = min(len(t.rows) for t in trajectories)
     cells = np.stack([t.rows[:n_rows].view(np.float64).reshape(n_rows, -1)
                       for t in trajectories], axis=-1)
-    return _float_csv(cells.mean(axis=-1).tolist())
+    return _float_csv(cells.mean(axis=-1))
 
 
 # ---------------------------------------------------------------------------

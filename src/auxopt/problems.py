@@ -28,6 +28,7 @@ from .core import (
     rng_from_token,
     stream_fork,
 )
+from .optimizers import MAX_DRAWS
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +529,16 @@ def logistic_oracle(
     nothing; otherwise a sample is a pair of with-replacement minibatches,
     f's rows and h's, and ``draw(token, n)`` takes f's (n, batch_size) rows,
     then h's, from one borrowed generator.  A task with weights (a coreset)
-    is sampled by them.  A ``batch_size`` below 1 is a ConfigError at
-    ``batch_size``.  No analytic smoothness bound or Hessian gap is carried.
+    is sampled by them.  A ``batch_size`` below 1 or above the draw cap
+    ``MAX_DRAWS`` is a ConfigError at ``batch_size``.  No analytic smoothness
+    bound or Hessian gap is carried.
     """
     if f_task.dim != h_task.dim:
         raise ValueError("tasks must share the parameter dimension")
     if batch_size is not None and batch_size < 1:
         raise ConfigError("batch_size", "must be >= 1")
+    if batch_size is not None and batch_size > MAX_DRAWS:
+        raise ConfigError("batch_size", f"must be at most {MAX_DRAWS}, the draw cap")
     dim = f_task.dim
 
     def rows(task: LogisticTask, rng: np.random.Generator, n: int) -> np.ndarray:

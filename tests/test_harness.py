@@ -551,6 +551,31 @@ FUZZ_FIELDS = ("version", "problem", "problem.toy", "problem.toy.delta", "proble
                "repeats", "output_path", "x0", "diagnostics")
 
 
+# Numeric sweep axes, by problem; a count past its cap exits 2 at the axis.
+SWEEP_AXES = {"toy": ("problem.toy.delta", "problem.toy.zeta", "noise.sigma_f", "noise.rho"),
+              "logistic": ("problem.logistic.batch_size", "problem.logistic.l2_reg")}
+COMMON_AXES = ("algorithm.eta", "algorithm.a", "algorithm.K", "algorithm.T",
+               "algorithm.split_fraction", "seed", "repeats")
+CAPPED_AXES = ("algorithm.K", "algorithm.T", "repeats", "problem.logistic.batch_size")
+# A quadratic pair whose gradients overflow at the check's probe points.
+OVERFLOWING_QUADRATIC = {"quadratic_nd": {"a_f": [[1e308, 0.0], [0.0, 1e308]],
+                                          "a_h": [[0.0, 0.0], [0.0, 0.0]], "b_h": [0.0, 0.0]}}
+
+
+def sweep_values():
+    """Sweep values: small ones, or ones past every count cap (above 2**40),
+    so every run a sweep starts stays small."""
+    return st.floats(-1e3, 100) | st.floats(2.0**41, 1e30) | st.sampled_from(
+        [1e300, float("inf"), float("-inf"), float("nan")])
+
+
+def sweep_cases():
+    """(problem, axis, values) for ``sweep``; ``check`` uses the problem alone."""
+    return st.sampled_from(sorted(SWEEP_AXES)).flatmap(lambda problem: st.tuples(
+        st.just(problem), st.sampled_from(SWEEP_AXES[problem] + COMMON_AXES),
+        st.lists(sweep_values(), min_size=1, max_size=3)))
+
+
 def fuzz_values(field: str):
     """Values a fuzzed field takes.  Integers reach 2**128 in size, but a
     huge positive one only where the draw cap rejects it (K and T), so every
@@ -643,6 +668,8 @@ class TestInputErrors:
         ("algorithm.T", 2**40, "algorithm.T"),
         ("repeats", 2**13 + 1, "repeats"),  # past the repeats cap
         ("repeats", 2**64, "repeats"),
+        ("problem", logistic_block(batch_size=2**40 + 1), "problem.logistic.batch_size"),
+        ("seed", 2**128, "seed"),  # past a stream key's 128 bits
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
@@ -678,6 +705,13 @@ class TestInputErrors:
                                    "--values", "1e30"])
         assert code == 2
         assert err.startswith("config error: repeats: ") and err.count("\n") == 1
+
+    def test_version_error_is_one_line(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(toy_config(version="\n")))
+        code, err = _main_quietly(["run", "--config", str(path)])
+        assert code == 2
+        assert err == "config error: version: unsupported schema version '\\n'\n"
 
     def test_noise_on_logistic_exit_2(self, tmp_path):
         raw = logistic_config(tmp_path)
@@ -790,4 +824,37 @@ class TestInputErrors:
             assert line.startswith(ROOT_ERRORS) or (
                 where.split(".")[0] in CONFIG_KEYS and message.strip())
             assert where == case[0] or not capped
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=sweep_cases(), command=st.sampled_from(("sweep", "check")))
+    @example(case=("logistic", "problem.logistic.batch_size", [1e30]), command="sweep")
+    @example(case=(OVERFLOWING_QUADRATIC, None, None), command="check")
+    @example(case=("toy", "seed", [1e300]), command="sweep")  # a sub-directory name per value
+    def test_fuzzed_sweep_and_check_exit_cleanly(self, case, command):
+        problem, axis, values = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if problem == "logistic":  # the 90-row file, K=2, T=4, two repeats
+                raw = logistic_config(Path(tmp))
+                raw["problem"]["logistic"]["l2_reg"] = 0.01
+            else:
+                raw = toy_config(noise={"sigma_f": 1.0, "sigma_h": 0.5, "rho": 0.2})
+                raw["algorithm"].update(K=2, T=2, split_fraction=0.5)
+                if problem != "toy":
+                    raw["problem"] = problem
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(raw))
+            args = [command, "--config", str(path)]
+            if command == "sweep":
+                # "--values=" keeps a leading minus from reading as an option
+                args += ["--axis", axis, "--values=" + ",".join(map(repr, values)), "--out", tmp]
+            code, err = _main_quietly(args)
+        capped = command == "sweep" and axis in CAPPED_AXES and not values[0] <= 100
+        assert code == 2 if capped or problem == OVERFLOWING_QUADRATIC else code in (0, 2, 3)
+        if code == 2:
+            assert err.startswith("config error: ") and err.count("\n") == 1
+        if capped:
+            assert err.startswith(f"config error: {axis}: ")
+        if problem == OVERFLOWING_QUADRATIC:
+            assert err.startswith("config error: problem.quadratic_nd: ")
         assert "Traceback" not in err
