@@ -1,9 +1,12 @@
 """Byte-level pins of the program's outputs.
 
 Each digest is the SHA-256 of files or arrays the program writes for a fixed
-input.  Only 1-D problems and raw noise arrays are used, so no BLAS
-reduction order enters a digest: a digest moves only when the arithmetic or
-the random streams do.
+input.  Apart from the logistic sweep, only 1-D problems and raw noise arrays
+are used, so no BLAS reduction order enters a digest: a digest moves only
+when the arithmetic or the random streams do.  The logistic sweep's rows also
+pass through scipy's CSR products and a float64 dot of two vectors, so its
+digest can move with the BLAS build as well.  ``auxopt check`` is pinned by
+its exact stdout, which prints six significant digits.
 A change that alters output bytes on purpose must update the digests here
 and say so in CHANGES.md.
 """
@@ -18,7 +21,7 @@ from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork
 from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
 from auxopt.harness import load_config, run_experiment, run_sweep
 from auxopt.optimizers import ALGORITHMS, DivergenceError, OptimizerConfig
-from auxopt.problems import make_toy_pair
+from auxopt.problems import make_synthetic_classification, make_toy_pair, write_libsvm
 
 M0_MODES = ("single_sample", "zero", "big_batch")
 NOISY = {"sigma_f": 1.0, "sigma_h": 0.8, "rho": 0.5}
@@ -81,6 +84,44 @@ def cli_stdout_digest(args: list, raw: dict, tmp_path, capsys) -> str:
     assert cli.main([args[0], "--config", str(config), *args[1:], "--out", str(out)]) == 0
     stdout = capsys.readouterr().out.replace(str(out), "<out>")
     return hashlib.sha256(stdout.encode()).hexdigest()
+
+
+def write_dataset(tmp_path) -> str:
+    """A 60-row, 5-feature synthetic LIBSVM file under ``tmp_path``; its path."""
+    features, labels = make_synthetic_classification(60, 5, RandomToken(3), n_groups=3)
+    path = tmp_path / "data.libsvm"
+    path.write_text(write_libsvm(features, labels))
+    return str(path)
+
+
+def logistic_config(data: str) -> dict:
+    """Minibatch AuxMOM with a random-label helper, two repeats, diagnostics on."""
+    return {
+        "version": 1,
+        "problem": {"logistic": {"path": data, "helper": {"kind": "random_labels"},
+                                 "batch_size": 8}},
+        "algorithm": {"name": "AuxMOM", "eta": 0.5, "a": 0.3, "K": 2, "T": 6},
+        "seed": 5,
+        "repeats": 2,
+        "x0": [0.0] * 5,
+        "diagnostics": True,
+        "output_path": "golden",
+    }
+
+
+def check_configs(tmp_path) -> dict:
+    """The configs whose ``auxopt check`` stdout is pinned, by name."""
+    quadratic = {"a_f": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.5]],
+                 "a_h": [[1.5, 0.5, 0.0], [0.5, 1.25, 0.0], [0.0, 0.0, 0.5]],
+                 "b_h": [0.25, -0.5, 1.0]}
+    manual = {"name": "AuxMOM", "eta": 0.05, "K": 4, "T": 12}
+    return {
+        "toy": {"version": 1, "problem": {"toy": {"delta": 0.5, "zeta": 2.0}},
+                "algorithm": manual, "seed": 7},
+        "quadratic_nd": {"version": 1, "problem": {"quadratic_nd": quadratic},
+                         "algorithm": manual, "seed": 11},
+        "logistic": logistic_config(write_dataset(tmp_path)),
+    }
 
 
 def decentralized_digest(variant: str) -> str:
@@ -214,6 +255,29 @@ CLI_SWEEP = {
     False: "69ab59f0ce076c8f940d3f731433f08ad43f581e36234e0ad0360bdc8289db27",
 }
 
+LOGISTIC_SWEEP_K = (1, 3)
+LOGISTIC_SWEEP = "5d31ef23cf917a5a277bc1fabdd6ec4adce744e2d5cbbf4f7cbbd70cd3c4d024"
+
+CHECK_STDOUT = {
+    "toy": """\
+estimated Hessian-gap delta = 0.5
+analytic delta            = 0.5
+estimated bias fit: m = 516.255, zeta^2 = 1.14437
+weak convexity of f + delta*||x||^2 on random pairs: holds
+""",
+    "quadratic_nd": """\
+estimated Hessian-gap delta = 0.5
+analytic delta            = 0.5
+estimated bias fit: m = 7.75104, zeta^2 = 1.05823
+weak convexity of f + delta*||x||^2 on random pairs: holds
+""",
+    "logistic": """\
+estimated Hessian-gap delta = 0.0686019
+estimated bias fit: m = 0.382591, zeta^2 = 0.0237819
+weak convexity of f + delta*||x||^2 on random pairs: holds
+""",
+}
+
 DECENTRALIZED = {
     "AuxMOM": "be826dc95fce673b2135188985bf34657bce81ea6f58ca353ed8e75fae938f9b",
     "AuxMVR": "0d65ef25d555281af3acfb2656d7fa653896ecc487f38017d2a301c6506ae60e",
@@ -244,6 +308,21 @@ def test_sweep_files(noisy, tmp_path):
     run_sweep(cfg, "algorithm.K", SWEEP_K, str(tmp_path))
     assert (tmp_path / "sweep_summary.csv").exists()
     assert tree_digest(tmp_path) == SWEEP_FILES[noisy]
+
+
+def test_logistic_sweep_files(tmp_path):
+    cfg = load_config(json.dumps(logistic_config(write_dataset(tmp_path))))
+    out = tmp_path / "out"
+    run_sweep(cfg, "algorithm.K", LOGISTIC_SWEEP_K, str(out))
+    assert tree_digest(out) == LOGISTIC_SWEEP
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_STDOUT))
+def test_cli_check_stdout(name, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(check_configs(tmp_path)[name]))
+    assert cli.main(["check", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == CHECK_STDOUT[name]
 
 
 def test_diverging_partial_csv(tmp_path):
