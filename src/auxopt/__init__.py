@@ -17,8 +17,6 @@ from .core import (
 from .decentralized import (
     DecentralizedTrajectory,
     HelperSet,
-    WeakConvexityReport,
-    check_weak_convexity,
     decentralized_cycle,
     run_decentralized,
     sample_helpers,
@@ -56,11 +54,12 @@ from .problems import (
     write_libsvm,
 )
 from .theory import (
-    BiasEstimate,
     TheoryParams,
     auxmom_beta,
     auxmom_params,
     auxmvr_params,
+    check_report,
+    check_weak_convexity,
     default_probe_points,
     estimate_bias,
     estimate_delta,

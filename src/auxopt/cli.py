@@ -1,21 +1,20 @@
 """Command-line entry point: run / sweep / check / params.
 
-Exit codes: 0 success, 2 config error, 3 divergence.  The environment
-variable AUXOPT_SEED, when set, overrides the config seed.
+Every subcommand takes its settings from the ``--config`` file alone (a sweep
+also from its axis and values) and prints what the library computes.  Exit
+codes: 0 success, 2 config error, 3 divergence.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import harness, theory
 from .core import RandomToken, at_path
-from .decentralized import check_weak_convexity
 from .optimizers import DivergenceError
 
 EXIT_OK = 0
@@ -51,21 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> harness.ExperimentConfig:
-    """The config at ``path``, loaded again with AUXOPT_SEED as its seed when that is set."""
-    cfg = harness.load_config_file(path)
-    seed_env = os.environ.get("AUXOPT_SEED")
-    if seed_env is None:
-        return cfg
-    try:
-        seed = int(seed_env)
-    except ValueError:
-        raise harness.ConfigError("seed", f"AUXOPT_SEED is not an integer: {seed_env!r}") from None
-    return harness.load_config(json.dumps({**cfg.raw, "seed": seed}))
-
-
 def _cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = harness.load_config_file(args.config)
     trajectories = harness.run_experiment(cfg, args.out)
     last = trajectories[-1].rows[-1]
     print(f"completed {cfg.repeats} repeat(s) of {cfg.algorithm.algorithm}: "
@@ -80,7 +66,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args.config)
+    cfg = harness.load_config_file(args.config)
     try:
         values = [float(v) for v in args.values.split(",") if v != ""]
     except ValueError:
@@ -101,38 +87,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _load(args.config)
+    cfg = harness.load_config_file(args.config)
     oracle = harness.build_oracle(cfg)
-    if not oracle.has_exact_gradients:
-        raise harness.ConfigError("problem", "check requires exact gradients")
-    token = RandomToken(cfg.seed)
-    probes = theory.default_probe_points(oracle.dim, token)
-    # Gradients that overflow at the probes are reported once, as a fault of
-    # the problem block, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta_hat = at_path(f"problem.{next(iter(cfg.problem))}", theory.estimate_delta,
-                            oracle.exact_grad_f, oracle.exact_grad_h, probes, token=token)
-        bias = theory.estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
-        report = (None if oracle.f_value is None
-                  else check_weak_convexity(oracle, delta_hat, token=token))
-    print(f"estimated Hessian-gap delta = {delta_hat:.6g}")
+    report = at_path(f"problem.{next(iter(cfg.problem))}", theory.check_report, oracle,
+                     RandomToken(cfg.seed))
+    print(f"estimated Hessian-gap delta = {report['delta']:.6g}")
     if oracle.hessian_gap is not None:
         print(f"analytic delta            = {oracle.hessian_gap:.6g}")
-    print(f"estimated bias fit: m = {bias.m:.6g}, zeta^2 = {bias.zeta_sq:.6g}")
-    if report is None:
-        print("weak convexity: skipped (no f values available)")
-    else:
-        verdict = "holds" if report else "VIOLATED"
-        print(f"weak convexity of f + delta*||x||^2 on random pairs: {verdict}")
-        if not report:
-            x, y = report.witness
-            print(f"  witness x = {np.array2string(x, precision=4)}")
-            print(f"  witness y = {np.array2string(y, precision=4)}")
+    print(f"estimated bias fit: m = {report['m']:.6g}, zeta^2 = {report['zeta_sq']:.6g}")
+    witness = report["witness"]
+    verdict = "holds" if witness is None else "VIOLATED"
+    print(f"weak convexity of f + delta*||x||^2 on random pairs: {verdict}")
+    for name, point in zip("xy", witness or ()):
+        print(f"  witness {name} = {np.array2string(point, precision=4)}")
     return EXIT_OK
 
 
 def _cmd_params(args) -> int:
-    cfg = _load(args.config)
+    cfg = harness.load_config_file(args.config)
     oracle = harness.build_oracle(cfg)
     x0 = harness.initial_point(cfg, oracle)
     print(json.dumps(harness.theorem_params(cfg, oracle, x0), indent=2, allow_nan=False))

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
-from .core import Array, OraclePair, RandomToken, borrow_generator, rng_from_token, stream_fork
+from .core import Array, OraclePair, RandomToken, borrow_generator, stream_fork
 from .optimizers import OptimizerConfig, OptimizerState, billed, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
@@ -107,38 +106,3 @@ def run_decentralized(
         traj.sampled.append(chosen)
     return traj
 
-
-@dataclass(frozen=True)
-class WeakConvexityReport:
-    ok: bool
-    witness: Optional[tuple[Array, Array]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-# check_weak_convexity: random point pairs, their scale, and the relative slack
-CONVEXITY_PAIRS, CONVEXITY_RADIUS, CONVEXITY_TOL = 200, 2.0, 1e-9
-
-
-def check_weak_convexity(oracle: OraclePair, delta: float,
-                         token: RandomToken = RandomToken(0)) -> WeakConvexityReport:
-    """Midpoint-convexity test of f(x) + delta ||x||^2 on random point pairs.
-
-    Returns a falsy report with a witness pair on the first violation.
-    """
-    if oracle.f_value is None:
-        raise ValueError("weak-convexity check needs f values")
-
-    def g(x: Array) -> float:
-        return oracle.f_value(x) + delta * float(x @ x)
-
-    rng = rng_from_token(token)
-    for _ in range(CONVEXITY_PAIRS):
-        x = CONVEXITY_RADIUS * rng.standard_normal(oracle.dim)
-        y = CONVEXITY_RADIUS * rng.standard_normal(oracle.dim)
-        mid = g(0.5 * (x + y))
-        avg = 0.5 * (g(x) + g(y))
-        if mid > avg + CONVEXITY_TOL * max(1.0, abs(avg)):
-            return WeakConvexityReport(ok=False, witness=(x, y))
-    return WeakConvexityReport(ok=True)

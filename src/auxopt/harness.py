@@ -252,6 +252,12 @@ def _float_csv(cells: np.ndarray) -> str:
     return ",".join(CSV_COLUMNS) + "\n" + body.replace("nan", "")
 
 
+def _write(path: Path, text: str):
+    """Write one output file; an OS error is a ConfigError at ``--out``, the
+    option that names the output directory."""
+    at_path("--out", path.write_text, text)
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     return _float_csv(traj.rows.view(np.float64))
 
@@ -288,7 +294,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     ``oracle`` must be ``build_oracle(cfg)`` or an equal build; it is built
     here when omitted.  On divergence the partial trajectory is persisted
-    before the error propagates.
+    before the error propagates.  A directory or file under ``out_dir`` that
+    cannot be written is a ConfigError at ``--out``.
     """
     if oracle is None:
         oracle = build_oracle(cfg)
@@ -302,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+        at_path("--out", out.mkdir, parents=True, exist_ok=True)
     stem = Path(cfg.output_path).name or ExperimentConfig.output_path
 
     trajectories = []
@@ -313,17 +320,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             traj = run(oracle, opt_cfg, run_token, diagnostics_on=cfg.diagnostics, x0=x0)
         except DivergenceError as exc:
             if out is not None:
-                (out / f"{stem}_rep{r}_partial.csv").write_text(
-                    trajectory_to_csv(exc.trajectory))
+                _write(out / f"{stem}_rep{r}_partial.csv", trajectory_to_csv(exc.trajectory))
             raise
         traj.metadata.update(resolve_meta)
-        traj.metadata["config"] = copy.deepcopy(cfg.raw)
-        traj.metadata["repeat"] = r
         trajectories.append(traj)
         if out is not None:
-            (out / f"{stem}_rep{r}.csv").write_text(trajectory_to_csv(traj))
+            _write(out / f"{stem}_rep{r}.csv", trajectory_to_csv(traj))
     if out is not None:
-        (out / f"{stem}_aggregate.csv").write_text(_aggregate(trajectories))
+        _write(out / f"{stem}_aggregate.csv", _aggregate(trajectories))
     return trajectories
 
 
@@ -399,6 +403,6 @@ def run_sweep(
             "calls_fmh": int(last.calls_fmh),
         })
     if out_dir is not None:
-        (Path(out_dir) / "sweep_summary.csv").write_text(_csv(
+        _write(Path(out_dir) / "sweep_summary.csv", _csv(
             SUMMARY_COLUMNS, ([s[h] for h in SUMMARY_COLUMNS] for s in summaries)))
     return summaries

@@ -1,4 +1,5 @@
-"""Prescribed hyperparameter formulas and similarity/bias estimators.
+"""Prescribed hyperparameter formulas, similarity/bias estimators, and the
+report ``auxopt check`` prints.
 
 The step-size and momentum formulas carry explicit numeric constants; a
 tighter variant of the same derivation yields slightly different values,
@@ -13,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Array, ConfigError, RandomToken, rng_from_token, stream_fork
+from .core import Array, ConfigError, OraclePair, RandomToken, rng_from_token, stream_fork
 
 # The formulas below use these constants; a tighter variant of the same
 # derivation gives the alternate values noted per entry.
@@ -57,12 +58,6 @@ class TheoryParams:
                 raise ConfigError(name, f"{label} squared overflows a float")
         if self.delta > 2 * self.L:
             raise ConfigError("delta", f"delta = {self.delta:g} exceeds 2L = {2 * self.L:g}")
-
-
-@dataclass(frozen=True)
-class BiasEstimate:
-    m: float
-    zeta_sq: float
 
 
 def auxmom_beta(p: TheoryParams) -> float:
@@ -136,7 +131,7 @@ def estimate_delta(
     grad_f: GradFn,
     grad_h: GradFn,
     probes: Sequence[Array],
-    token: Optional[RandomToken] = None,
+    token: RandomToken = RandomToken(0),
 ) -> float:
     """Spectral norm of the Hessian gap, via power iteration on a finite-
     difference Hessian-vector product of grad(f - h).
@@ -145,7 +140,6 @@ def estimate_delta(
     eigenvalues do not stall the iteration.  Returns the max over probe
     points and restarts.
     """
-    token = token or RandomToken(0)
     rng = rng_from_token(stream_fork(token, 777))
     best = 0.0
     for x in probes:
@@ -167,13 +161,10 @@ def estimate_delta(
             for _ in range(DELTA_ITERS):
                 w = hv(v)
                 norm_w = float(np.linalg.norm(w))
-                if norm_w < DELTA_TOL:
-                    est = norm_w
-                    break
-                if abs(norm_w - est) <= DELTA_TOL * max(1.0, norm_w):
-                    est = norm_w
-                    break
+                stop = norm_w < DELTA_TOL or abs(norm_w - est) <= DELTA_TOL * max(1.0, norm_w)
                 est = norm_w
+                if stop:
+                    break
                 v = w / norm_w
             best = max(best, est)
     return best
@@ -183,7 +174,7 @@ def estimate_bias(
     grad_f: GradFn,
     grad_h: GradFn,
     probes: Sequence[Array],
-) -> BiasEstimate:
+) -> tuple[float, float]:
     """Least-slack (m, zeta^2) fit so ||grad f - grad h||^2 <= m ||grad f||^2 + zeta^2
     holds on every probe."""
     if len(probes) == 0:
@@ -199,8 +190,54 @@ def estimate_bias(
     g = np.asarray(g)
     floor = float(b.min())
     big = g > BIAS_THRESHOLD
+    # both maxima start from 0, so the fit is never negative
     m = float(np.max((b[big] - floor) / g[big], initial=0.0))
-    m = max(m, 0.0)
-    zeta_sq = float(np.max(b - m * g, initial=0.0))
-    return BiasEstimate(m=m, zeta_sq=max(zeta_sq, 0.0))
+    return m, float(np.max(b - m * g, initial=0.0))
+
+
+# check_weak_convexity: random point pairs, their scale, and the relative slack
+CONVEXITY_PAIRS, CONVEXITY_RADIUS, CONVEXITY_TOL = 200, 2.0, 1e-9
+
+
+def check_weak_convexity(oracle: OraclePair, delta: float,
+                         token: RandomToken = RandomToken(0)) -> Optional[tuple[Array, Array]]:
+    """Midpoint-convexity test of f(x) + delta ||x||^2 on random point pairs:
+    the first pair that violates it, or None when every pair passes."""
+    if oracle.f_value is None:
+        raise ValueError("weak-convexity check needs f values")
+
+    def g(x: Array) -> float:
+        return oracle.f_value(x) + delta * float(x @ x)
+
+    rng = rng_from_token(token)
+    for _ in range(CONVEXITY_PAIRS):
+        x = CONVEXITY_RADIUS * rng.standard_normal(oracle.dim)
+        y = CONVEXITY_RADIUS * rng.standard_normal(oracle.dim)
+        mid = g(0.5 * (x + y))
+        avg = 0.5 * (g(x) + g(y))
+        if mid > avg + CONVEXITY_TOL * max(1.0, abs(avg)):
+            return x, y
+    return None
+
+
+def check_report(oracle: OraclePair, token: RandomToken) -> dict:
+    """What ``auxopt check`` prints: the estimated Hessian gap ``delta``, the
+    bias fit ``m`` and ``zeta_sq``, and the ``witness`` pair from
+    ``check_weak_convexity`` at that delta.
+
+    The probe points come from ``token``, delta's power iteration from its
+    fork, and the convexity pairs from ``token`` again.  Raises ValueError when
+    the oracle lacks exact gradients or f values, or when delta, m or zeta^2
+    is not finite (gradients that overflow at the probes)."""
+    if not oracle.has_exact_gradients or oracle.f_value is None:
+        raise ValueError("check requires exact gradients and f values")
+    probes = default_probe_points(oracle.dim, token)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = estimate_delta(oracle.exact_grad_f, oracle.exact_grad_h, probes, token=token)
+        m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
+        if not all(map(math.isfinite, (delta, m, zeta_sq))):
+            raise ValueError(f"gradients overflow at the probe points: delta = {delta:g}, "
+                             f"m = {m:g}, zeta^2 = {zeta_sq:g}")
+        witness = check_weak_convexity(oracle, delta, token=token)
+    return {"delta": delta, "m": m, "zeta_sq": zeta_sq, "witness": witness}
 

@@ -387,33 +387,6 @@ class TestCli:
         path = self._write(tmp_path, raw)
         assert cli.main(["run", "--config", path]) == 3
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        raw = toy_config(noise={"sigma_f": 1.0, "sigma_h": 1.0})
-        path = self._write(tmp_path, raw)
-        cli.main(["run", "--config", path, "--out", str(tmp_path / "a")])
-        monkeypatch.setenv("AUXOPT_SEED", "12345")
-        cfg = cli._load(path)
-        assert cfg.seed == cfg.raw["seed"] == 12345
-        cli.main(["run", "--config", path, "--out", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "experiment_rep0.csv").read_bytes()
-        b = (tmp_path / "b" / "experiment_rep0.csv").read_bytes()
-        assert a != b
-        monkeypatch.setenv("AUXOPT_SEED", "7")  # back to the config value
-        cli.main(["run", "--config", path, "--out", str(tmp_path / "c")])
-        assert (tmp_path / "c" / "experiment_rep0.csv").read_bytes() == a
-
-    def test_bad_seed_env_exit_2(self, tmp_path, monkeypatch, capsys):
-        path = self._write(tmp_path, toy_config())
-        monkeypatch.setenv("AUXOPT_SEED", "not-a-number")
-        assert cli.main(["run", "--config", path]) == 2
-
-    def test_negative_seed_env_exit_2_names_seed(self, tmp_path, monkeypatch):
-        path = self._write(tmp_path, toy_config())
-        monkeypatch.setenv("AUXOPT_SEED", "-1")
-        code, err = _main_quietly(["run", "--config", path])
-        assert code == 2
-        assert err.startswith("config error: seed: ")
-
     def test_params_subcommand(self, tmp_path, capsys):
         raw = toy_config(x0=[1.0])
         path = self._write(tmp_path, raw)
@@ -427,6 +400,45 @@ class TestCli:
         assert cli.main(["check", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "delta" in out and "weak convexity" in out and "holds" in out
+
+    def test_check_non_finite_estimates_exit_2(self, tmp_path, capsys):
+        # the gradients are finite at the probes, but their squares overflow
+        raw = toy_config(problem={"quadratic_nd": {
+            "a_f": [[1e200, 0.0], [0.0, 1e200]], "a_h": [[0.0, 0.0], [0.0, 0.0]],
+            "b_h": [0.0, 0.0]}})
+        assert cli.main(["check", "--config", self._write(tmp_path, raw)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: problem.quadratic_nd: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "algorithm.K",
+                                                   "--values", "1,2"]])
+    def test_out_under_a_file_exit_2(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        path = self._write(tmp_path, toy_config())
+        code = cli.main([*command, "--config", path, "--out", str(tmp_path / "file" / "sub")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: --out: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("blocked,command,algorithm", [
+        ("experiment_rep0.csv", "run", {}),
+        ("experiment_aggregate.csv", "run", {}),
+        ("experiment_rep0_partial.csv", "run", {"name": "GD", "eta": 50.0, "K": 1}),
+        ("sweep_summary.csv", "sweep", {}),
+    ])
+    def test_unwritable_csv_exit_2(self, tmp_path, capsys, blocked, command, algorithm):
+        # a directory where a CSV goes makes its write fail
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        raw = toy_config()
+        raw["algorithm"].update(algorithm)
+        args = [command, "--config", self._write(tmp_path, raw), "--out", str(out)]
+        if command == "sweep":
+            args += ["--axis", "algorithm.K", "--values", "1,2"]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and err.count("\n") == 1
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         path = self._write(tmp_path, toy_config())

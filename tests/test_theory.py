@@ -197,31 +197,31 @@ class TestEstimateBias:
 
     def test_constant_bias_toy(self):
         oracle = make_toy_pair(0.0, 1.0)
-        est = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, self._probes(1))
+        m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, self._probes(1))
         # rounding of (x - (x - 1)) leaves O(eps) slack in the least-slack fit
-        assert est.m == pytest.approx(0.0, abs=1e-9)
-        assert est.zeta_sq == pytest.approx(1.0, abs=1e-9)
+        assert m == pytest.approx(0.0, abs=1e-9)
+        assert zeta_sq == pytest.approx(1.0, abs=1e-9)
 
     def test_h_equals_f(self):
         oracle = make_toy_pair(0.0, 0.0)
-        est = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, self._probes(1))
-        assert est.m == 0.0 and est.zeta_sq == 0.0
+        assert estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h,
+                             self._probes(1)) == (0.0, 0.0)
 
     def test_constant_bias_quadratic(self):
         a = np.diag([1.0, 2.0])
         oracle = make_quadratic_nd(a, a, np.array([0.0, 5.0]))
-        est = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, self._probes(2))
-        assert est.m == pytest.approx(0.0, abs=1e-12)
-        assert est.zeta_sq == pytest.approx(25.0, abs=1e-9)
+        m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, self._probes(2))
+        assert m == pytest.approx(0.0, abs=1e-12)
+        assert zeta_sq == pytest.approx(25.0, abs=1e-9)
 
     def test_fit_holds_on_probes(self):
         oracle = make_toy_pair(0.6, 2.0)
         probes = self._probes(1)
-        est = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
+        m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
         for x in probes:
             b = float(np.sum(oracle.exact_grad_f_minus_h(x) ** 2))
             g = float(np.sum(oracle.exact_grad_f(x) ** 2))
-            assert b <= est.m * g + est.zeta_sq + 1e-9
+            assert b <= m * g + zeta_sq + 1e-9
 
     def test_rejects_empty_probes(self):
         oracle = make_toy_pair(0.0, 0.0)
