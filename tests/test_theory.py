@@ -19,6 +19,7 @@ from auxopt.theory import (
     auxmom_beta,
     auxmom_params,
     auxmvr_params,
+    check_report,
     default_probe_points,
     estimate_bias,
     estimate_delta,
@@ -227,6 +228,18 @@ class TestEstimateBias:
         oracle = make_toy_pair(0.0, 0.0)
         with pytest.raises(ValueError):
             estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, [])
+
+
+class TestCheckReport:
+    def test_is_the_estimators_at_the_token(self):
+        oracle = make_quadratic_nd(np.diag([2.0, 1.0]), np.diag([1.5, 1.25]),
+                                   np.array([0.25, -0.5]))
+        token = RandomToken(4)
+        probes = default_probe_points(oracle.dim, token)
+        delta = estimate_delta(oracle.exact_grad_f, oracle.exact_grad_h, probes, token=token)
+        m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
+        assert check_report(oracle, token) == {"delta": delta, "m": m, "zeta_sq": zeta_sq,
+                                                "witness": None}
 
 
 class TestDiagnostics:
