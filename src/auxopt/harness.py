@@ -165,9 +165,9 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     """Instantiate the problem named by the config.
 
     Reads only ``cfg.problem``, ``cfg.noise`` and ``cfg.seed``.  Logistic
-    pairs carry no analytic Hessian gap: every helper kind is built from
-    other rows than f (random labels use the unlabeled part), so
-    ||H_f - H_h|| is not zero in general.
+    pairs carry no analytic Hessian gap: a random-label helper averages over
+    the unlabeled part and a coreset or subset_batch helper over a subset of
+    f's own train rows, so ||H_f - H_h|| is not zero in general.
     """
     tag = next(iter(cfg.problem))
     body = cfg.problem[tag]
@@ -185,9 +185,9 @@ def build_oracle(cfg: ExperimentConfig) -> OraclePair:
     labels = at_path(f"{path}.path", problems.map_labels_to_pm1, labels)
     task = at_path(path, problems.LogisticTask, features, labels, **_given(body, ["l2_reg"]))
     helper = body["helper"]
-    f_task, h_task, _ = at_path(path, problems.build_semisupervised, task,
-                                body.get("split", (1 / 3, 1 / 3, 1 / 3)), helper["kind"],
-                                RandomToken(cfg.seed), **_given(helper, ["fraction", "indices"]))
+    f_task, h_task = at_path(path, problems.build_semisupervised, task,
+                             body.get("split", (1 / 3, 1 / 3, 1 / 3)), helper["kind"],
+                             RandomToken(cfg.seed), **_given(helper, ["fraction", "indices"]))
     return at_path(path, problems.logistic_oracle, f_task, h_task, **_given(body, ["batch_size"]))
 
 

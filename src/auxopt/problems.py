@@ -446,8 +446,9 @@ def build_semisupervised(
     seed: RandomToken,
     fraction: Optional[float] = None,
     indices: Optional[Sequence[int]] = None,
-) -> tuple[LogisticTask, LogisticTask, LogisticTask]:
-    """Split into (train, test, unlabeled) and build the ``helper`` task.
+) -> tuple[LogisticTask, LogisticTask]:
+    """The train task and the ``helper`` task of a (train, held-out, unlabeled)
+    split; the held-out part is left out and never built.
 
     ``helper`` is ``random_labels`` (the unlabeled part with random labels),
     ``coreset`` (a uniform ``fraction`` of the train part, 1 when None,
@@ -475,9 +476,7 @@ def build_semisupervised(
                           f"the train-part size {sizes[0]}")
 
     perm = borrow_generator(stream_fork(seed, 0)).permutation(n)
-    tr = perm[: sizes[0]]
-    te = perm[sizes[0] : sizes[0] + sizes[1]]
-    un = perm[sizes[0] + sizes[1] :]
+    tr, un = perm[: sizes[0]], perm[sizes[0] + sizes[1] :]
 
     def subtask(idx, labels=None):
         return LogisticTask(
@@ -487,8 +486,6 @@ def build_semisupervised(
         )
 
     f_task = subtask(tr)
-    test_task = subtask(te)
-
     if helper == "random_labels":
         rad = borrow_generator(stream_fork(seed, 1)).integers(0, 2, size=len(un)) * 2.0 - 1.0
         h_task = subtask(un, labels=rad)
@@ -497,7 +494,7 @@ def build_semisupervised(
                          1.0 if fraction is None else fraction, stream_fork(seed, 2))
     else:
         h_task = subtask(tr[np.asarray(indices)])
-    return f_task, h_task, test_task
+    return f_task, h_task
 
 
 def build_coreset_helper(task: LogisticTask, fraction: float, seed: RandomToken) -> LogisticTask:

@@ -194,7 +194,7 @@ def test_criterion_07_delta_estimator():
 
         features, labels = make_synthetic_classification(300, 20, RandomToken(71))
         task = LogisticTask(features, map_labels_to_pm1(labels))
-        _, h_task, _ = build_semisupervised(
+        _, h_task = build_semisupervised(
             task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(72)
         )
         true_labels = LogisticTask(h_task.features, np.ones(h_task.n_samples))
@@ -283,7 +283,7 @@ def test_criterion_10_semisupervised_logistic():
         task = LogisticTask(features, map_labels_to_pm1(labels))
         wins = 0
         for seed in range(5):
-            f_task, h_task, _ = build_semisupervised(
+            f_task, h_task = build_semisupervised(
                 task, (1 / 3, 1 / 3, 1 / 3), "random_labels",
                 RandomToken(seed),
             )

@@ -477,6 +477,16 @@ class TestCli:
         assert cli.main(["sweep", "--config", path, "--axis", "algorithm.K",
                          "--values", "1,banana"]) == 2
 
+    def test_negative_sweep_values_go_after_an_equals_sign(self, tmp_path, capsys):
+        # README's contract: after a space, argparse reads "-0.5,0.5" as an option
+        args = ["sweep", "--config", self._write(tmp_path, toy_config(noise={"rho": 0.0})),
+                "--axis", "noise.rho"]
+        assert cli.main([*args, "--values=-0.5,0.5"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--values", "-0.5,0.5"])
+        assert exc.value.code == 2
+        assert "argument --values: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("values", ["1e30", "1,1e30", "1e400"])
     def test_sweep_huge_k_exits_2_at_k(self, tmp_path, values):
         path = self._write(tmp_path, toy_config())

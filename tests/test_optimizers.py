@@ -334,7 +334,7 @@ class TestRun:
         features, labels = problems.make_synthetic_classification(120, 12, RandomToken(4),
                                                                    n_groups=4)
         task = problems.LogisticTask(features, problems.map_labels_to_pm1(labels), l2_reg=0.01)
-        f_task, h_task, _ = problems.build_semisupervised(
+        f_task, h_task = problems.build_semisupervised(
             task, (0.5, 0.25, 0.25), "coreset", RandomToken(5), fraction=0.5)
         oracle = problems.logistic_oracle(f_task, h_task, batch_size=8)
         cfg = OptimizerConfig(algorithm, eta=0.5, a=0.3, K=4, T=6)

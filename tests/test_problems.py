@@ -742,18 +742,18 @@ class TestSemisupervised:
 
     def test_equal_thirds_split_sizes(self):
         task = self._task()
-        f_task, h_task, test_task = build_semisupervised(
+        f_task, h_task = build_semisupervised(
             task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(1)
         )
-        assert (f_task.n_samples, test_task.n_samples, h_task.n_samples) == (2708, 2708, 2708)
+        assert (f_task.n_samples, h_task.n_samples) == (2708, 2708)
 
     def test_remainder_goes_to_train(self):
         task = self._task(n=100)
-        f_task, h_task, test_task = build_semisupervised(
+        f_task, h_task = build_semisupervised(
             task, (0.333, 0.333, 0.334), "random_labels", RandomToken(1)
         )
-        assert f_task.n_samples + h_task.n_samples + test_task.n_samples == 100
-        assert f_task.n_samples >= 33
+        # the parts' floors are 33, 33 and 33; the one row left over goes to train
+        assert (f_task.n_samples, h_task.n_samples) == (34, 33)
 
     def test_deterministic_in_seed(self):
         task = self._task(n=200)
@@ -767,7 +767,7 @@ class TestSemisupervised:
 
     def test_random_label_helper_has_label_free_hessian(self):
         task = self._task(n=300)
-        _, h_task, _ = build_semisupervised(
+        _, h_task = build_semisupervised(
             task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(2)
         )
         truth = LogisticTask(h_task.features, np.ones(h_task.n_samples))
@@ -810,20 +810,19 @@ class TestSemisupervised:
 
     def test_last_train_row_is_a_valid_index(self):
         task = self._task(n=30)
-        f_task, h_task, _ = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3), "subset_batch",
-                                                 RandomToken(0), indices=[9, 0])
+        f_task, h_task = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3), "subset_batch",
+                                              RandomToken(0), indices=[9, 0])
         assert np.array_equal(h_task.features.toarray(), f_task.features.toarray()[[9, 0]])
 
     def test_split_and_labels_are_what_a_fresh_generator_draws(self):
         task = self._task(n=90)
         seed = RandomToken(6)
-        f_task, h_task, test_task = build_semisupervised(
+        f_task, h_task = build_semisupervised(
             task, (1 / 3, 1 / 3, 1 / 3), "random_labels", seed)
         perm = rng_from_token(stream_fork(seed, 0)).permutation(90)
         labels = rng_from_token(stream_fork(seed, 1)).integers(0, 2, size=30) * 2.0 - 1.0
         dense = task.features.toarray()
         assert np.array_equal(f_task.features.toarray(), dense[perm[:30]])
-        assert np.array_equal(test_task.features.toarray(), dense[perm[30:60]])
         assert np.array_equal(h_task.features.toarray(), dense[perm[60:]])
         assert np.array_equal(h_task.labels, labels)
 

@@ -179,7 +179,7 @@ class TestEstimateDelta:
         labels = np.sign(rng.standard_normal(120))
         labels[labels == 0] = 1.0
         task = LogisticTask(features, labels)
-        _, h_task, _ = build_semisupervised(
+        _, h_task = build_semisupervised(
             task, (1 / 3, 1 / 3, 1 / 3), "random_labels", RandomToken(8)
         )
         same_features = LogisticTask(h_task.features, h_task.labels)
