@@ -36,7 +36,6 @@ from .optimizers import (
     ALGORITHMS,
     DivergenceError,
     OptimizerConfig,
-    OptimizerState,
     Trajectory,
     run,
 )

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Array, OraclePair, RandomToken, borrow_generator, stream_fork
-from .optimizers import OptimizerConfig, OptimizerState, billed, cycle
+from .optimizers import OptimizerConfig, billed, cycle
 
 VARIANTS = ("AuxMOM", "AuxMVR")
 
@@ -23,7 +23,7 @@ class HelperSet:
 
     oracles: list[OraclePair]
     s: int
-    momenta: list[Array] = field(default_factory=list)
+    momenta: list[Array] = field(init=False)
     calls: Counter = field(default_factory=Counter, init=False)
     views: list[OraclePair] = field(init=False, repr=False)
 
@@ -36,8 +36,7 @@ class HelperSet:
         dim = self.oracles[0].dim
         if any(o.dim != dim for o in self.oracles):
             raise ValueError("helpers must share the parameter dimension")
-        if not self.momenta:
-            self.momenta = [np.zeros(dim) for _ in range(n)]
+        self.momenta = [np.zeros(dim) for _ in range(n)]
         self.views = [billed(o, self.calls) for o in self.oracles]
 
     @property
@@ -63,10 +62,8 @@ def decentralized_cycle(x: Array, helpers: HelperSet, cfg: OptimizerConfig, samp
     """
     finals = []
     for i, token in zip(sampled, tokens, strict=True):
-        state = OptimizerState(x_prev=x_prev, x=x, m=helpers.momenta[i])
-        new = cycle(state, helpers.views[i], cfg, token).state
-        helpers.momenta[i] = new.m
-        finals.append(new.x)
+        helpers.momenta[i], ys = cycle(x_prev, x, helpers.momenta[i], helpers.views[i], cfg, token)
+        finals.append(ys[-1])
     return np.mean(finals, axis=0)
 
 

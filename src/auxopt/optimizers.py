@@ -3,9 +3,9 @@
 Each algorithm proceeds in T cycles; a cycle refreshes a momentum estimate of
 grad(f - h) (or of grad f for the baselines) from the current snapshot x and
 then takes K inner steps driven by gradients of the helper h.  One pure
-function, :func:`cycle`, runs a cycle of every algorithm: state in, new
-state out.  The momentum methods are rows of the MOMENTUM table.  Gradient
-calls are billed where they are served, by the :func:`billed` view of the oracle.
+function, :func:`cycle`, runs a cycle of every algorithm on plain arrays.
+The momentum methods are rows of the MOMENTUM table.  Gradient calls are
+billed where they are served, by the :func:`billed` view of the oracle.
 """
 from __future__ import annotations
 
@@ -64,20 +64,6 @@ class OptimizerConfig:
             raise ConfigError("m0_mode", f"unknown m0_mode {self.m0_mode!r}")
         if not 0 <= self.split_fraction <= 1:
             raise ConfigError("split_fraction", "must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class OptimizerState:
-    x_prev: Array  # snapshot two cycles back (AuxMVR correction point)
-    x: Array  # current snapshot
-    m: Array  # momentum
-    t: int = 0
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    state: OptimizerState
-    inner_iterates: tuple[Array, ...]  # y^t_1 .. y^t_K (or the baseline steps)
 
 
 CSV_COLUMNS = ("t", "k", "f_value", "grad_norm_sq", "E_t", "Delta_t",
@@ -139,34 +125,30 @@ MOMENTUM = {
 }
 
 
-def init_state(
-    x0: Array, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
-) -> OptimizerState:
-    """Initial state; m0 per cfg.m0_mode: zero, or the mean of one
-    (single_sample) or T (big_batch) samples drawn at ``token``."""
-    x0 = as_vector(x0, oracle.dim)
-    m = np.zeros(oracle.dim)
+def init_momentum(x0: Array, oracle: OraclePair, cfg: OptimizerConfig,
+                  token: RandomToken) -> Array:
+    """m0 per cfg.m0_mode: zero, or the mean of one (single_sample) or T
+    (big_batch) samples of the tracked gradient at x0, drawn at ``token``."""
     spec = MOMENTUM.get(cfg.algorithm)
-    if cfg.m0_mode != "zero" and spec is not None:
-        grad = spec.target(oracle)
-        samples = oracle.draw(token, cfg.T if cfg.m0_mode == "big_batch" else 1)
-        m = np.mean([grad(x0, s) for s in samples], axis=0)
-    return OptimizerState(x_prev=x0.copy(), x=x0.copy(), m=m)
+    if cfg.m0_mode == "zero" or spec is None:
+        return np.zeros(oracle.dim)
+    grad = spec.target(oracle)
+    samples = oracle.draw(token, cfg.T if cfg.m0_mode == "big_batch" else 1)
+    return np.mean([grad(x0, s) for s in samples], axis=0)
 
 
-def cycle(
-    state: OptimizerState, oracle: OraclePair, cfg: OptimizerConfig, token: RandomToken
-) -> CycleResult:
-    """One cycle of ``cfg.algorithm`` from the snapshot ``state.x``.
+def cycle(x_prev: Array, x: Array, m: Array, oracle: OraclePair, cfg: OptimizerConfig,
+          token: RandomToken, t: int = 0) -> tuple[Array, Array]:
+    """One cycle of ``cfg.algorithm`` from the snapshot x, after ``t`` earlier
+    cycles (read by FineTune only); returns the new momentum and the cycle's
+    iterates as one (n, d) array, whose last row is the next snapshot.
 
     The cycle draws its K + 1 samples at ``token`` in one block (GD draws
     none).  A MOMENTUM method refreshes m from sample 0 at the snapshot
     (STORM reuses it at x_prev), then takes inner step k = 1..K on sample k
-    (svrg reuses it at x).  Naive, GD and FineTune are written out.  The
-    next snapshot is the last iterate.
+    (svrg reuses it at x).  Naive, GD and FineTune are written out.
     """
-    x, a, eta = state.x, cfg.a, cfg.eta
-    m, ys = state.m, []
+    a, eta, ys = cfg.a, cfg.eta, []
     spec = MOMENTUM.get(cfg.algorithm)
     if cfg.algorithm != "GD":
         samples = oracle.draw(token, cfg.K + 1)
@@ -175,7 +157,7 @@ def cycle(
         g = grad(x, samples[0])
         m = (1.0 - a) * m + a * g
         if spec.storm:
-            m = m + (1.0 - a) * (g - grad(state.x_prev, samples[0]))
+            m = m + (1.0 - a) * (g - grad(x_prev, samples[0]))
         if spec.inner is None:
             ys.append(x - eta * m)
         else:
@@ -204,7 +186,7 @@ def cycle(
         switch = cfg.split_fraction * cfg.T * cfg.K
         y = x.copy()
         for k in range(1, cfg.K + 1):
-            step = state.t * cfg.K + k
+            step = t * cfg.K + k
             on_h = step <= switch
             if not on_h and step - 1 <= switch:
                 m = np.zeros_like(m)  # phase switch
@@ -212,8 +194,7 @@ def cycle(
             m = (1.0 - a) * m + a * g
             y = y - eta * m
             ys.append(y)
-    new = replace(state, x_prev=x, x=ys[-1], m=m, t=state.t + 1)
-    return CycleResult(new, tuple(ys))
+    return m, np.array(ys)
 
 
 def billed(oracle: OraclePair, calls: Counter) -> OraclePair:
@@ -252,7 +233,8 @@ def run(
     calls = Counter()
     stepper = billed(oracle, calls)
     stream = stream_fork(token, 0)
-    state = init_state(x0, stepper, cfg, stream)
+    x_prev = x = as_vector(x0, oracle.dim)
+    m = init_momentum(x, stepper, cfg, stream)
     exact = oracle.has_exact_gradients
     spec = MOMENTUM.get(cfg.algorithm)
     track_e = diagnostics_on and exact and spec is not None and spec.fmh
@@ -271,20 +253,18 @@ def run(
 
     # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        f_val, g_sq, grad = observe(state.x)
+        f_val, g_sq, grad = observe(x)
         rows.append((0, 0, f_val, g_sq, None, None, calls["f"], calls["h"], calls["fmh"]))
         for t in range(1, cfg.T + 1):
-            result = cycle(state, stepper, cfg, stream.skip(t))
-            snapshot, new, ys = state.x, result.state, result.inner_iterates
+            m, ys = cycle(x_prev, x, m, stepper, cfg, stream.skip(t), t - 1)
             e_t = None
-            if track_e:  # grad is grad f(snapshot), observed for its row
-                e_t = float(((new.m - oracle.exact_grad_f_minus_h(snapshot, grad)) ** 2).sum())
+            if track_e:  # grad is grad f(x), observed for its row
+                e_t = float(((m - oracle.exact_grad_f_minus_h(x, grad)) ** 2).sum())
             # Per cycle, not per row: the finiteness test, the Delta sums (bit
             # for bit the per-row sums) and the bill, which observing leaves.
-            stacked = np.array(ys)
-            finite = np.isfinite(stacked).all(axis=1)
+            finite = np.isfinite(ys).all(axis=1)
             n_ok = len(ys) if finite.all() else int(finite.argmin())
-            deltas = (((stacked - snapshot) ** 2).sum(axis=1).tolist() if diagnostics_on
+            deltas = (((ys - x) ** 2).sum(axis=1).tolist() if diagnostics_on
                       else [None] * len(ys))
             bill = (calls["f"], calls["h"], calls["fmh"])
             for k in range(1, n_ok + 1):
@@ -295,7 +275,7 @@ def run(
                 rows.append((t, k, f_val, g_sq, e_t, deltas[k - 1], *bill))
             if n_ok < len(ys):
                 raise diverged(f"non-finite iterate at cycle {t}, step {n_ok + 1}")
-            state = new
+            x_prev, x = x, ys[-1]
 
-    metadata["final_x"] = state.x.tolist()
+    metadata["final_x"] = x.tolist()
     return Trajectory(row_table(rows), metadata)

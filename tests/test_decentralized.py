@@ -18,7 +18,7 @@ from auxopt.decentralized import (
     run_decentralized,
     sample_helpers,
 )
-from auxopt.optimizers import OptimizerConfig, cycle, init_state
+from auxopt.optimizers import OptimizerConfig, cycle, init_momentum
 from auxopt.problems import make_toy_pair
 from auxopt.theory import check_weak_convexity
 
@@ -96,10 +96,9 @@ class TestDecentralizedCycle:
         x = np.array([1.5])
         x_dec, sampled = one_cycle(x, hs, cfg, TOK)
         assert sampled == [0]
-        state = init_state(x, oracle, cfg, TOK)
-        x_single = cycle(state, oracle, cfg, TOK).state.x
-        assert np.allclose(x_dec, x_single, atol=1e-15)
-        assert np.allclose(hs.momenta[0], cycle(state, oracle, cfg, TOK).state.m)
+        m_single, ys = cycle(x, x, init_momentum(x, oracle, cfg, TOK), oracle, cfg, TOK)
+        assert np.allclose(x_dec, ys[-1], atol=1e-15)
+        assert np.allclose(hs.momenta[0], m_single)
 
     def test_averaging(self):
         # two deterministic helpers whose inner loops end at different points:

@@ -14,7 +14,7 @@ from auxopt.optimizers import (
     DivergenceError,
     OptimizerConfig,
     cycle,
-    init_state,
+    init_momentum,
     run,
 )
 from auxopt.problems import make_toy_pair, make_quadratic_nd
@@ -103,9 +103,9 @@ def local_steps(oracle, x, eta, K):
     """The inner iterates of one noise-free AuxMOM_V0 cycle with a = 1 from x:
     bias-corrected steps y - eta*(grad h(y) - grad h(x) + grad f(x)) from y = x."""
     cfg = OptimizerConfig("AuxMOM_V0", eta=eta, a=1.0, K=K, T=1)
-    state = init_state(np.array([x]), oracle, cfg, TOK)
-    result = cycle(state, oracle, cfg, TOK)
-    return [float(y[0]) for y in result.inner_iterates]
+    x = np.array([x])
+    _, ys = cycle(x, x, init_momentum(x, oracle, cfg, TOK), oracle, cfg, TOK)
+    return [float(y[0]) for y in ys]
 
 
 class TestLocalUpdateStep:
@@ -206,10 +206,10 @@ class TestEquivalences:
         oracle = make_toy_pair(0.5, 2.0)
         cfg = OptimizerConfig("AuxMVR", eta=0.1, a=0.3, K=2, T=1)
         x0 = np.array([1.0])
-        state = init_state(x0, oracle, cfg, TOK)
-        assert np.allclose(state.m, oracle.exact_grad_f_minus_h(x0))
-        result = cycle(state, oracle, cfg, TOK)
-        assert np.allclose(result.state.m, oracle.exact_grad_f_minus_h(x0), atol=1e-15)
+        m0 = init_momentum(x0, oracle, cfg, TOK)
+        assert np.allclose(m0, oracle.exact_grad_f_minus_h(x0))
+        m1, _ = cycle(x0, x0, m0, oracle, cfg, TOK)
+        assert np.allclose(m1, oracle.exact_grad_f_minus_h(x0), atol=1e-15)
 
 
 class TestBaselines:
