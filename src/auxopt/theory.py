@@ -118,7 +118,6 @@ GradFn = Callable[[Array], Array]
 # estimate_delta: power-iteration restarts and steps per probe, their stopping
 # tolerance, and the finite-difference step relative to 1 + ||x||
 DELTA_RESTARTS, DELTA_ITERS, DELTA_TOL, DELTA_FD_SCALE = 5, 50, 1e-8, 1e-4
-BIAS_THRESHOLD = 1e-8  # estimate_bias fits m on probes with ||grad f||^2 above this
 
 
 def default_probe_points(dim: int, token: RandomToken, n_points: int = 20,
@@ -175,24 +174,29 @@ def estimate_bias(
     grad_h: GradFn,
     probes: Sequence[Array],
 ) -> tuple[float, float]:
-    """Least-slack (m, zeta^2) fit so ||grad f - grad h||^2 <= m ||grad f||^2 + zeta^2
-    holds on every probe."""
+    """The (m, zeta^2), m >= 0, for which ||grad f - grad h||^2 <= m ||grad f||^2 + zeta^2
+    holds on every probe with the least right side averaged over the probes.
+
+    With r_i, g_i the two squared norms at probe i, zeta^2(m) = max_i (r_i - m g_i)^+
+    and the average is m mean(g) + zeta^2(m), convex and piecewise linear in m,
+    so its least value lies at m = 0 or where two of the lines r_i - m g_i
+    (or one and the line 0) cross."""
     if len(probes) == 0:
         raise ValueError("probe set must be nonempty")
-    b = []
-    g = []
+    r, g = [], []
     for x in probes:
         gf = grad_f(np.asarray(x, dtype=np.float64))
         gh = grad_h(np.asarray(x, dtype=np.float64))
-        b.append(float(np.sum((gf - gh) ** 2)))
+        r.append(float(np.sum((gf - gh) ** 2)))
         g.append(float(np.sum(gf**2)))
-    b = np.asarray(b)
-    g = np.asarray(g)
-    floor = float(b.min())
-    big = g > BIAS_THRESHOLD
-    # both maxima start from 0, so the fit is never negative
-    m = float(np.max((b[big] - floor) / g[big], initial=0.0))
-    return m, float(np.max(b - m * g, initial=0.0))
+    g_mean = float(np.mean(g))
+    r, g = np.array(r + [0.0]), np.array(g + [0.0])  # the line 0 keeps zeta^2 >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (r[:, None] - r) / (g[:, None] - g)
+    m = np.append(0.0, cross[np.isfinite(cross) & (cross > 0)])
+    zeta_sq = np.max(r - m[:, None] * g, axis=1)
+    best = int(np.argmin(m * g_mean + zeta_sq))
+    return float(m[best]), float(zeta_sq[best])
 
 
 # check_weak_convexity: random point pairs, their scale, and the relative slack
@@ -225,8 +229,8 @@ def check_report(oracle: OraclePair, token: RandomToken) -> dict:
     bias fit ``m`` and ``zeta_sq``, and the ``witness`` pair from
     ``check_weak_convexity`` at that delta.
 
-    The probe points come from ``token``, delta's power iteration from its
-    fork, and the convexity pairs from ``token`` again.  Raises ValueError when
+    The probe points come from ``token``, delta's power iteration and the
+    convexity pairs from two of its forks.  Raises ValueError when
     the oracle lacks exact gradients or f values, or when delta, m or zeta^2
     is not finite (gradients that overflow at the probes)."""
     if not oracle.has_exact_gradients:
@@ -238,6 +242,6 @@ def check_report(oracle: OraclePair, token: RandomToken) -> dict:
         if not all(map(math.isfinite, (delta, m, zeta_sq))):
             raise ValueError(f"gradients overflow at the probe points: delta = {delta:g}, "
                              f"m = {m:g}, zeta^2 = {zeta_sq:g}")
-        witness = check_weak_convexity(oracle, delta, token=token)
+        witness = check_weak_convexity(oracle, delta, token=stream_fork(token, 1))
     return {"delta": delta, "m": m, "zeta_sq": zeta_sq, "witness": witness}
 

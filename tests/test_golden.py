@@ -262,18 +262,18 @@ CHECK_STDOUT = {
     "toy": """\
 estimated Hessian-gap delta = 0.5
 analytic delta            = 0.5
-estimated bias fit: m = 516.255, zeta^2 = 1.14437
+estimated bias fit: m = 1.26921, zeta^2 = 4.9184
 weak convexity of f + delta*||x||^2 on random pairs: holds
 """,
     "quadratic_nd": """\
 estimated Hessian-gap delta = 0.5
 analytic delta            = 0.5
-estimated bias fit: m = 7.75104, zeta^2 = 1.05823
+estimated bias fit: m = 0.102381, zeta^2 = 1.39215
 weak convexity of f + delta*||x||^2 on random pairs: holds
 """,
     "logistic": """\
 estimated Hessian-gap delta = 0.0686019
-estimated bias fit: m = 0.382591, zeta^2 = 0.0237819
+estimated bias fit: m = 0, zeta^2 = 0.0449546
 weak convexity of f + delta*||x||^2 on random pairs: holds
 """,
 }

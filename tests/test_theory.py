@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxopt.core import ConfigError, RandomToken, rng_from_token
+from auxopt.core import (
+    ConfigError,
+    NoiseSpec,
+    RandomToken,
+    gaussian_oracle,
+    rng_from_token,
+    stream_fork,
+)
 from auxopt.optimizers import OptimizerConfig, run
 from auxopt.problems import (
     LogisticTask,
@@ -15,6 +22,7 @@ from auxopt.problems import (
     make_toy_pair,
 )
 from auxopt.theory import (
+    CONVEXITY_RADIUS,
     TheoryParams,
     auxmom_beta,
     auxmom_params,
@@ -229,6 +237,37 @@ class TestEstimateBias:
         with pytest.raises(ValueError):
             estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, [])
 
+    @staticmethod
+    def _toy():
+        oracle = make_toy_pair(0.5, 2.0)
+        return oracle, (oracle.bias_m, oracle.bias_zeta_sq), RandomToken(7)
+
+    @staticmethod
+    def _quadratic():
+        # ||(A_f - A_h) x + b_h||^2 <= 2 ||A_f - A_h||^2 ||x||^2 + 2 ||b_h||^2 and
+        # ||x|| <= ||A_f x|| / lambda_min(A_f)
+        a_f = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        a_h = np.array([[1.5, 0.5, 0.0], [0.5, 1.25, 0.0], [0.0, 0.0, 0.5]])
+        b_h = np.array([0.25, -0.5, 1.0])
+        analytic = (2 * np.linalg.norm(a_f - a_h, 2) ** 2 / np.linalg.eigvalsh(a_f)[0] ** 2,
+                    2 * float(b_h @ b_h))
+        return make_quadratic_nd(a_f, a_h, b_h), analytic, RandomToken(11)
+
+    @pytest.mark.parametrize("problem", ["_toy", "_quadratic"])
+    def test_scores_at_most_the_analytic_pair(self, problem):
+        # the pinned ``auxopt check`` configs' problems and probes: the fit is
+        # valid there, and its right side, averaged over the probes, is at
+        # most that of the analytic pair, which is valid at every x
+        oracle, (m_true, zeta_sq_true), token = getattr(self, problem)()
+        probes = default_probe_points(oracle.dim, token)
+        gf = [oracle.exact_grad_f(x) for x in probes]
+        r = np.array([np.sum((g - oracle.exact_grad_h(x)) ** 2) for g, x in zip(gf, probes)])
+        g = np.array([np.sum(v ** 2) for v in gf])
+        m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
+        assert m >= 0 and np.all(r - m * g <= zeta_sq)
+        assert np.all(r <= m_true * g + zeta_sq_true)
+        assert m * g.mean() + zeta_sq <= m_true * g.mean() + zeta_sq_true
+
 
 class TestCheckReport:
     def test_is_the_estimators_at_the_token(self):
@@ -240,6 +279,19 @@ class TestCheckReport:
         m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
         assert check_report(oracle, token) == {"delta": delta, "m": m, "zeta_sq": zeta_sq,
                                                 "witness": None}
+
+    def test_convexity_pairs_come_from_a_fork(self):
+        # f = h = -x'x: delta = 0 and every pair violates midpoint convexity, so
+        # the witness is the first pair drawn, under label 1 of the token, not
+        # the first two probe points
+        oracle = gaussian_oracle(lambda x: -2 * x, lambda x: -2 * x, NoiseSpec(), dim=2,
+                                 f_value=lambda x: -float(x @ x))
+        token = RandomToken(4)
+        rng = rng_from_token(stream_fork(token, 1))
+        first = [CONVEXITY_RADIUS * rng.standard_normal(2) for _ in range(2)]
+        report = check_report(oracle, token)
+        assert report["delta"] == 0.0
+        assert np.array_equal(np.array(report["witness"]), np.array(first))
 
 
 class TestDiagnostics:
