@@ -48,6 +48,12 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     return arr
 
 
+# The caps on 2 (K + 1) T, the most draws a run can bill, and on a config's
+# repeats.  They keep float64 call counts, summed over the repeats, exact
+# (below 2**53).  They do not bound run time: K = 2**39 - 1 at T = 1 is admitted.
+MAX_DRAWS, MAX_REPEATS = 2**40, 2**13
+
+
 class ConfigError(ValueError):
     """Bad input; ``path`` names the offending field."""
 

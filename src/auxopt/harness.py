@@ -13,10 +13,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import problems, theory
-from .core import ConfigError, NoiseSpec, OraclePair, RandomToken, at_path, stream_fork
+from .core import (
+    MAX_REPEATS,
+    ConfigError,
+    NoiseSpec,
+    OraclePair,
+    RandomToken,
+    at_path,
+    stream_fork,
+)
 from .optimizers import (
     CSV_COLUMNS,
-    MAX_REPEATS,
     DivergenceError,
     OptimizerConfig,
     Trajectory,

@@ -15,16 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, ConfigError, OraclePair, RandomToken, as_vector, stream_fork
+from .core import MAX_DRAWS, Array, ConfigError, OraclePair, RandomToken, as_vector, stream_fork
 
 ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "FineTune")
 
 DIVERGENCE_LIMIT = 1e12
-
-# The caps on 2 (K + 1) T, the most draws a run can bill, and on a config's
-# repeats.  They keep float64 call counts, summed over the repeats, exact
-# (below 2**53).  They do not bound run time: K = 2**39 - 1 at T = 1 is admitted.
-MAX_DRAWS, MAX_REPEATS = 2**40, 2**13
 
 
 class DivergenceError(RuntimeError):

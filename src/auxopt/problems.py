@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (
+    MAX_DRAWS,
     Array,
     ConfigError,
     NoiseSpec,
@@ -28,7 +29,6 @@ from .core import (
     rng_from_token,
     stream_fork,
 )
-from .optimizers import MAX_DRAWS
 
 
 # ---------------------------------------------------------------------------
