@@ -9,6 +9,7 @@ import pytest
 from auxopt import cli
 from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, rng_from_token
 from auxopt.decentralized import HelperSet, run_decentralized
+from auxopt.harness import trajectory_from_csv
 from auxopt.optimizers import OptimizerConfig, run
 from auxopt.problems import (
     LibsvmParseError,
@@ -330,3 +331,28 @@ def test_criterion_11_determinism(tmp_path):
             assert len(a) > 0
 
     _report(11, "repeated runs emit byte-identical CSVs", check)
+
+
+def test_criterion_13_correlated_noise_benefit(tmp_path):
+    # toy AuxMOM swept over rho through the CLI; G is the mean ||grad f||^2
+    # over the last 20 cycles' rows of each aggregate CSV (64 repeats), read
+    # from the sub-directory the sweep wrote for each value
+    def check():
+        raw = {"version": 1, "problem": {"toy": {"delta": 0.1, "zeta": 1.0}},
+               "algorithm": {"name": "AuxMOM", "eta": 0.05, "a": 0.1, "K": 10, "T": 200},
+               "noise": {"sigma_f": 1.0, "sigma_h": 1.0, "rho": 0.0},
+               "seed": 1, "repeats": 64, "x0": [10.0]}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "noise.rho",
+                         "--values=-0.5,0,0.5,0.9,0.99", "--out", str(out)]) == 0
+        g = {}
+        for sub in out.glob("noise_rho_*"):
+            rows = trajectory_from_csv((sub / "experiment_aggregate.csv").read_text()).rows
+            rho = float(sub.name.removeprefix("noise_rho_"))
+            g[rho] = float(np.mean(rows.grad_norm_sq[-20 * 10:]))
+        assert sorted(g) == [-0.5, 0.0, 0.5, 0.9, 0.99]
+        by_rho = [g[rho] for rho in sorted(g)]
+        assert all(a > b for a, b in zip(by_rho, by_rho[1:])), by_rho
+
+    _report(13, "more correlated helper noise gives a smaller gradient norm", check)
