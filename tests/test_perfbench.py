@@ -3,13 +3,18 @@
 The probe replaces names inside the auxopt modules and tells observation
 from optimisation steps by the caller's frame name, so a rename in the
 package can silently empty a benchmark metric.  It runs in a subprocess,
-because installing it rebinds names in the imported package.
+because installing it rebinds names in the imported package.  Each
+workload of ``BENCHMARK.json`` must also pass the benchmark's own traced
+correctness check, so a change that breaks what the benchmark calls fails here.
 """
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from auxopt.core import RandomToken
 from auxopt.problems import make_synthetic_classification, write_libsvm
@@ -88,3 +93,22 @@ def test_probe_counts_one_noise_block_per_cycle(tmp_path):
     assert out["counts"].get("draws_f", 0) == 0
     assert out["counts"]["draws_h"] == K * T
     assert out["counts"]["draws_fmh"] == T + 1
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workload_is_correct(workload, tmp_path):
+    # the benchmark's own traced correctness check, run on a copy of the
+    # checkout so that its outputs do not land in perfbench/out/
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", "0.5", "--trace", "1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
