@@ -191,11 +191,13 @@ def estimate_bias(
         g.append(float(np.sum(gf**2)))
     g_mean = float(np.mean(g))
     r, g = np.array(r + [0.0]), np.array(g + [0.0])  # the line 0 keeps zeta^2 >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # parallel lines cross nowhere, and a crossing or score that overflows
+    # drops out of the search
+    with np.errstate(all="ignore"):
         cross = (r[:, None] - r) / (g[:, None] - g)
-    m = np.append(0.0, cross[np.isfinite(cross) & (cross > 0)])
-    zeta_sq = np.max(r - m[:, None] * g, axis=1)
-    best = int(np.argmin(m * g_mean + zeta_sq))
+        m = np.append(0.0, cross[np.isfinite(cross) & (cross > 0)])
+        zeta_sq = np.max(r - m[:, None] * g, axis=1)
+        best = int(np.argmin(m * g_mean + zeta_sq))
     return float(m[best]), float(zeta_sq[best])
 
 

@@ -237,6 +237,14 @@ class TestEstimateBias:
         with pytest.raises(ValueError):
             estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, [])
 
+    def test_crossing_that_overflows_drops_out(self):
+        # ||grad f||^2 = 1e-320 at the first probe: its line meets the line 0
+        # at m = 9e320, which overflows and must not warn or be chosen
+        oracle = make_toy_pair(0.0, 3.0)
+        probes = [np.array([1e-160]), np.array([1.0])]
+        m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
+        assert (m, zeta_sq) == (0.0, 9.0)
+
     @staticmethod
     def _toy():
         oracle = make_toy_pair(0.5, 2.0)
