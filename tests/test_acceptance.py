@@ -350,7 +350,7 @@ def test_criterion_13_correlated_noise_benefit(tmp_path):
         for sub in out.glob("noise_rho_*"):
             rows = trajectory_from_csv((sub / "experiment_aggregate.csv").read_text()).rows
             rho = float(sub.name.removeprefix("noise_rho_"))
-            g[rho] = float(np.mean(rows.grad_norm_sq[-20 * 10:]))
+            g[rho] = float(np.mean(rows.grad_norm_sq[-20 * raw["algorithm"]["K"]:]))
         assert sorted(g) == [-0.5, 0.0, 0.5, 0.9, 0.99]
         by_rho = [g[rho] for rho in sorted(g)]
         assert all(a > b for a, b in zip(by_rho, by_rho[1:])), by_rho

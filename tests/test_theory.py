@@ -261,7 +261,7 @@ class TestEstimateBias:
                     2 * float(b_h @ b_h))
         return make_quadratic_nd(a_f, a_h, b_h), analytic, RandomToken(11)
 
-    @pytest.mark.parametrize("problem", ["_toy", "_quadratic"])
+    @pytest.mark.parametrize("problem", ["_toy", "_quadratic"], ids=["toy", "quadratic_nd"])
     def test_scores_at_most_the_analytic_pair(self, problem):
         # the pinned ``auxopt check`` configs' problems and probes: the fit is
         # valid there, and its right side, averaged over the probes, is at
