@@ -56,9 +56,8 @@ def _cmd_run(args) -> int:
     last = trajectories[-1].rows[-1]
     print(f"completed {cfg.repeats} repeat(s) of {cfg.algorithm.algorithm}: "
           f"T={cfg.algorithm.T}, K={cfg.algorithm.K}")
-    for name, label in (("f_value", "f"), ("grad_norm_sq", "||grad f||^2")):
-        if not np.isnan(last[name]):
-            print(f"final {label} = {last[name]:.6g}")
+    print(f"final f = {last.f_value:.6g}")
+    print(f"final ||grad f||^2 = {last.grad_norm_sq:.6g}")
     print(f"gradient calls: f={last.calls_f:.0f} h={last.calls_h:.0f} f-h={last.calls_fmh:.0f}")
     if args.out:
         print(f"wrote CSVs to {args.out}")
@@ -76,9 +75,8 @@ def _cmd_sweep(args) -> int:
     summaries = harness.run_sweep(cfg, args.axis, values, args.out)
     print(f"sweep over {args.axis}:")
     for s in summaries:
-        final = "n/a" if s["final_G"] is None else f"{s['final_G']:.6g}"
         iters = "n/a" if s["iters_to_threshold"] is None else f"{s['iters_to_threshold']:g}"
-        print(f"  {args.axis}={s['value']:g}: final G={final}, "
+        print(f"  {args.axis}={s['value']:g}: final G={s['final_G']:.6g}, "
               f"cycles to threshold={iters}, calls f/h/f-h="
               f"{s['calls_f']}/{s['calls_h']}/{s['calls_fmh']}")
     if args.out:

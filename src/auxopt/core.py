@@ -226,33 +226,26 @@ class OraclePair:
     Drawing is split from evaluating: ``draw(token, n)`` returns n samples
     drawn at ``token`` in one block, and each stochastic gradient evaluates
     at ``(x, sample)``.  The three are unbiased, and the f and h gradients
-    at one sample may have correlated noise.  Analytic constants
-    (smoothness, Hessian gap, bias bound, minimum value) are carried when
-    the problem family knows them.
+    at one sample may have correlated noise.  Every pair serves exact grad f,
+    grad h and f too.  Analytic constants (smoothness, Hessian gap, bias
+    bound) are carried when the problem family knows them.
     """
 
     dim: int
     grad_f: GradFn
     grad_h: GradFn
     grad_f_minus_h: GradFn
+    exact_grad_f: ExactGradFn
+    exact_grad_h: ExactGradFn
+    f_value: ValueFn
     draw: DrawFn = draw_nothing
-    exact_grad_f: Optional[ExactGradFn] = None
-    exact_grad_h: Optional[ExactGradFn] = None
-    f_value: Optional[ValueFn] = None
     lipschitz: Optional[float] = None
     hessian_gap: Optional[float] = None
     bias_m: Optional[float] = None
     bias_zeta_sq: Optional[float] = None
-    f_star: Optional[float] = None
-
-    @property
-    def has_exact_gradients(self) -> bool:
-        return self.exact_grad_f is not None and self.exact_grad_h is not None
 
     def exact_grad_f_minus_h(self, x: Array, grad_f: Optional[Array] = None) -> Array:
         """grad f(x) - grad h(x); ``grad_f``, when given, is grad f(x) already computed."""
-        if not self.has_exact_gradients:
-            raise ValueError("oracle does not expose exact gradients")
         return (self.exact_grad_f(x) if grad_f is None else grad_f) - self.exact_grad_h(x)
 
 
@@ -263,7 +256,8 @@ def gaussian_oracle(
     dim: int,
     **extras,
 ) -> OraclePair:
-    """Build an OraclePair by adding correlated Gaussian noise to exact gradients.
+    """Build an OraclePair by adding correlated Gaussian noise to exact gradients;
+    ``extras`` give ``f_value`` and the analytic constants.
 
     Sample k of ``draw(token, n)`` is row k of each array of
     ``draw_gaussian_noise(noise_spec, token, dim, n)``.  With a deterministic

@@ -217,7 +217,7 @@ def theorem_params(cfg: ExperimentConfig, oracle: OraclePair, x0: np.ndarray) ->
     paths = {"L": block, "delta": f"{block}.delta" if block == "problem.toy" else block,
              "sigma_f": "noise.sigma_f", "sigma_h": "noise.sigma_h", "sigma_fmh": "noise",
              "F0": "x0", "K": "algorithm.K", "T": "algorithm.T"}
-    f0 = 0.0 if oracle.f_value is None else oracle.f_value(x0) - (oracle.f_star or 0.0)
+    f0 = oracle.f_value(x0)
     try:
         p = theory.TheoryParams(
             L=oracle.lipschitz, delta=oracle.hessian_gap, sigma_f=cfg.noise.sigma_f,
@@ -391,9 +391,7 @@ def run_sweep(
             oracle = None  # free the previous build before making the next
             oracle, oracle_key = build_oracle(cfg), key
         trajs = run_experiment(cfg, sub_dir, oracle=oracle)
-        g_means = [t.cycle_grad_means() for t in trajs]
-        final_g = (float(np.mean([g[-1] for g in g_means]))
-                   if all(g for g in g_means) else None)
+        final_g = float(np.mean([t.cycle_grad_means()[-1] for t in trajs]))
         hits = []
         for traj in trajs:
             ends = traj.cycle_ends()

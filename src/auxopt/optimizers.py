@@ -172,8 +172,6 @@ def cycle(x_prev: Array, x: Array, m: Array, oracle: OraclePair, cfg: OptimizerC
             y = y - eta * oracle.grad_h(y, samples[k])
             ys.append(y)
     elif cfg.algorithm == "GD":
-        if oracle.exact_grad_f is None:
-            raise ValueError("GD requires an exact gradient of f")
         ys.append(x - eta * oracle.exact_grad_f(x))
     else:  # FineTune
         # First split_fraction * (T*K) global steps run SGDm on h, the rest on f.
@@ -203,7 +201,7 @@ def billed(oracle: OraclePair, calls: Counter) -> OraclePair:
 
     return replace(oracle, grad_f=bill("f", oracle.grad_f), grad_h=bill("h", oracle.grad_h),
                    grad_f_minus_h=bill("fmh", oracle.grad_f_minus_h),
-                   exact_grad_f=oracle.exact_grad_f and bill("f", oracle.exact_grad_f))
+                   exact_grad_f=bill("f", oracle.exact_grad_f))
 
 
 def run(
@@ -218,9 +216,8 @@ def run(
     A run forks once and draws from ``stream_fork(token, 0)``, never from
     ``token``, so no draw of a run repeats one taken under its parent's other
     children (a data split).  m0 draws at draw index 0 of that stream and
-    cycle t = 1..T at draw index t.  With diagnostics on (and exact gradients
-    available) also records the momentum error
-    E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the per-step
+    cycle t = 1..T at draw index t.  With diagnostics on it also records the
+    momentum error E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the per-step
     displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
     """
     if x0 is None:
@@ -230,16 +227,14 @@ def run(
     stream = stream_fork(token, 0)
     x_prev = x = as_vector(x0, oracle.dim)
     m = init_momentum(x, stepper, cfg, stream)
-    exact = oracle.has_exact_gradients
     spec = MOMENTUM.get(cfg.algorithm)
-    track_e = diagnostics_on and exact and spec is not None and spec.fmh
+    track_e = diagnostics_on and spec is not None and spec.fmh
 
     metadata = {"algorithm": cfg.algorithm, "eta": cfg.eta, "a": cfg.a, "K": cfg.K, "T": cfg.T}
 
     def observe(x: Array):
-        f_val = oracle.f_value(x) if oracle.f_value is not None else None
-        grad = oracle.exact_grad_f(x) if exact else None
-        return f_val, float((grad ** 2).sum()) if exact else None, grad
+        grad = oracle.exact_grad_f(x)
+        return oracle.f_value(x), float((grad ** 2).sum()), grad
 
     rows = []
 
@@ -264,7 +259,7 @@ def run(
             bill = (calls["f"], calls["h"], calls["fmh"])
             for k in range(1, n_ok + 1):
                 f_val, g_sq, grad = observe(ys[k - 1])
-                if f_val is not None and not f_val <= DIVERGENCE_LIMIT:
+                if not f_val <= DIVERGENCE_LIMIT:
                     raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
                                    f"(limit {DIVERGENCE_LIMIT:g})")
                 rows.append((t, k, f_val, g_sq, e_t, deltas[k - 1], *bill))

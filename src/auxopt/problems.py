@@ -62,7 +62,6 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
         hessian_gap=delta,
         bias_m=2.0 * (delta * delta),
         bias_zeta_sq=2.0 * (zeta * zeta),
-        f_star=0.0,
     )
 
 
@@ -111,7 +110,6 @@ def make_quadratic_nd(
         f_value=lambda x: 0.5 * float(x @ (a_f @ x)),
         lipschitz=lipschitz,
         hessian_gap=gap,
-        f_star=0.0,
     )
 
 
@@ -565,7 +563,6 @@ def logistic_oracle(
         exact_grad_f=f_task.grad,
         exact_grad_h=h_task.grad,
         f_value=f_task.loss,
-        f_star=0.0 if f_task.l2_reg == 0 else None,
     )
 
 

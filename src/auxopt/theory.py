@@ -49,7 +49,7 @@ class TheoryParams:
             if not getattr(self, name) >= 0:
                 raise ConfigError(name, f"{name} must be nonnegative")
         if self.F0 == math.inf:
-            raise ConfigError("F0", "F0 = f(x0) - f* overflows a float")
+            raise ConfigError("F0", "F0 = f(x0) overflows a float")
         # The formulas square these and 1/L, a bound on eta; an int's square is exact.
         squared = [("L", "1/L", 1 / self.L)] + [(n, n, getattr(self, n)) for n in (
             "delta", "sigma_f", "sigma_h", "sigma_fmh", "K", "T")]
@@ -209,9 +209,6 @@ def check_weak_convexity(oracle: OraclePair, delta: float,
                          token: RandomToken = RandomToken(0)) -> Optional[tuple[Array, Array]]:
     """Midpoint-convexity test of f(x) + delta ||x||^2 on random point pairs:
     the first pair that violates it, or None when every pair passes."""
-    if oracle.f_value is None:
-        raise ValueError("weak-convexity check needs f values")
-
     def g(x: Array) -> float:
         return oracle.f_value(x) + delta * float(x @ x)
 
@@ -232,11 +229,8 @@ def check_report(oracle: OraclePair, token: RandomToken) -> dict:
     ``check_weak_convexity`` at that delta.
 
     The probe points come from ``token``, delta's power iteration and the
-    convexity pairs from two of its forks.  Raises ValueError when
-    the oracle lacks exact gradients or f values, or when delta, m or zeta^2
-    is not finite (gradients that overflow at the probes)."""
-    if not oracle.has_exact_gradients:
-        raise ValueError("check requires exact gradients")
+    convexity pairs from two of its forks.  Raises ValueError when delta, m
+    or zeta^2 is not finite (gradients that overflow at the probes)."""
     probes = default_probe_points(oracle.dim, token)
     with np.errstate(over="ignore", invalid="ignore"):
         delta = estimate_delta(oracle.exact_grad_f, oracle.exact_grad_h, probes, token=token)

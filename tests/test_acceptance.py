@@ -115,7 +115,8 @@ def test_criterion_03_equivalence_oracles():
         a_mean = np.mean(mats, axis=0)
         oracles = [
             gaussian_oracle(lambda x, a_mean=a_mean: a_mean @ x,
-                            lambda x, m=m: m @ x, NoiseSpec(), dim=4)
+                            lambda x, m=m: m @ x, NoiseSpec(), dim=4,
+                            f_value=lambda x, a_mean=a_mean: 0.5 * float(x @ (a_mean @ x)))
             for m in mats
         ]
         cfg = OptimizerConfig("AuxMOM", eta=0.1, a=1.0, K=5, T=100)

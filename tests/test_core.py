@@ -64,7 +64,7 @@ class TestRandomToken:
         # sample tells nothing of the next one, in its block or the next
         n, size, dim, rho = 100_000, 10, 3, 0.4
         spec = NoiseSpec(sigma_f=2.0, sigma_h=1.0, rho=rho)
-        oracle = gaussian_oracle(np.zeros_like, np.zeros_like, spec, dim)
+        oracle = gaussian_oracle(np.zeros_like, np.zeros_like, spec, dim, f_value=lambda x: 0.0)
         start = RandomToken(2**100 + 5, 2**40)
         blocks = [oracle.draw(start.skip(j), size) for j in range(n // size)]
         nf, nh = (np.array([s[i] for block in blocks for s in block]) for i in (0, 1))
@@ -219,7 +219,8 @@ class TestDrawGaussianNoise:
 
 class TestGaussianOracle:
     def _oracle(self, spec):
-        return gaussian_oracle(lambda x: x, lambda x: 2 * x, spec, dim=3)
+        return gaussian_oracle(lambda x: x, lambda x: 2 * x, spec, dim=3,
+                               f_value=lambda x: 0.5 * float(x @ x))
 
     def test_unbiasedness(self):
         # Mean over n draws converges to the exact gradient, per coordinate.

@@ -109,11 +109,11 @@ class TestDecentralizedCycle:
         o1 = OraclePair(dim=1, grad_f=o1.grad_f, grad_h=lambda x, t: np.array([1.0]),
                        grad_f_minus_h=lambda x, t: np.array([-1.0]),
                        exact_grad_f=o1.exact_grad_f,
-                       exact_grad_h=lambda x: np.array([1.0]))
+                       exact_grad_h=lambda x: np.array([1.0]), f_value=o1.f_value)
         o2 = OraclePair(dim=1, grad_f=o2.grad_f, grad_h=lambda x, t: np.array([-1.0]),
                        grad_f_minus_h=lambda x, t: np.array([1.0]),
                        exact_grad_f=o2.exact_grad_f,
-                       exact_grad_h=lambda x: np.array([-1.0]))
+                       exact_grad_h=lambda x: np.array([-1.0]), f_value=o2.f_value)
         cfg = OptimizerConfig("AuxMOM", eta=1.0, a=1.0, K=1, T=1)
         hs = HelperSet(oracles=[o1, o2], s=2)
         x_new, sampled = one_cycle(np.array([0.0]), hs, cfg, TOK)
@@ -215,7 +215,8 @@ class TestAveragingLemma:
 
 def value_only_oracle(f):
     zero = lambda x, t: np.zeros_like(x)
-    return OraclePair(dim=1, grad_f=zero, grad_h=zero, grad_f_minus_h=zero, f_value=f)
+    return OraclePair(dim=1, grad_f=zero, grad_h=zero, grad_f_minus_h=zero,
+                      exact_grad_f=np.zeros_like, exact_grad_h=np.zeros_like, f_value=f)
 
 
 class TestWeakConvexity:
