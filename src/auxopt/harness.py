@@ -217,7 +217,8 @@ def theorem_params(cfg: ExperimentConfig, oracle: OraclePair, x0: np.ndarray) ->
     paths = {"L": block, "delta": f"{block}.delta" if block == "problem.toy" else block,
              "sigma_f": "noise.sigma_f", "sigma_h": "noise.sigma_h", "sigma_fmh": "noise",
              "F0": "x0", "K": "algorithm.K", "T": "algorithm.T"}
-    f0 = oracle.f_value(x0)
+    with np.errstate(over="ignore"):  # an f(x0) that overflows is F0's error below
+        f0 = oracle.f_value(x0)
     try:
         p = theory.TheoryParams(
             L=oracle.lipschitz, delta=oracle.hessian_gap, sigma_f=cfg.noise.sigma_f,

@@ -226,7 +226,6 @@ def run(
     stepper = billed(oracle, calls)
     stream = stream_fork(token, 0)
     x_prev = x = as_vector(x0, oracle.dim)
-    m = init_momentum(x, stepper, cfg, stream)
     spec = MOMENTUM.get(cfg.algorithm)
     track_e = diagnostics_on and spec is not None and spec.fmh
 
@@ -243,6 +242,7 @@ def run(
 
     # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        m = init_momentum(x, stepper, cfg, stream)
         f_val, g_sq, grad = observe(x)
         rows.append((0, 0, f_val, g_sq, None, None, calls["f"], calls["h"], calls["fmh"]))
         for t in range(1, cfg.T + 1):

@@ -763,6 +763,26 @@ class TestInputErrors:
         assert code == 3
         assert err.startswith("divergence: ") and err.count("\n") == 1
 
+    def test_m0_overflow_prints_only_divergence(self, tmp_path):
+        # m0's f-h gradient at x0 = -1e308 overflows; it warns no more than a cycle does
+        raw = toy_config(problem={"toy": {"delta": 0.5, "zeta": 1e308}}, x0=[-1e308])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["run", "--config", str(path)])
+        assert code == 3
+        assert err.startswith("divergence: ") and err.count("\n") == 1
+
+    def test_params_overflowing_f_x0_exits_2_at_x0(self, tmp_path):
+        # f(x0) = x0' A_f x0 / 2 overflows in the product A_f x0 without a warning
+        raw = toy_config(params_mode="theorem", problem={"quadratic_nd": {
+            "a_f": [[1e308, 0.0], [0.0, 1e308]], "a_h": [[1.0, 0.0], [0.0, 1.0]],
+            "b_h": [0.0, 0.0]}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly(["params", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("config error: x0: ") and err.count("\n") == 1
+
     def test_nan_f_exits_3_with_partial_csv(self, tmp_path, monkeypatch):
         def nan_f(cfg):
             return replace(build_oracle(cfg), f_value=lambda x: float("nan"))
