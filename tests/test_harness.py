@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -717,6 +718,26 @@ class TestInputErrors:
         code, err = _main_quietly(["params", "--config", str(path)])
         assert code == 2
         assert err.startswith(f"config error: {where}: ")
+
+    @pytest.mark.parametrize("command", ["run", "params", "check"])
+    @pytest.mark.parametrize("key,value", [
+        ("a_f", [[1e400, 0.0], [0.0, 1.0]]),  # JSON reads 1e400 as inf
+        ("a_f", [[-1e400, 0.0], [0.0, 1.0]]),
+        ("a_h", [[float("nan"), 0.0], [0.0, 1.0]]),
+        ("a_f", [[True, 0.0], [0.0, 1.0]]),
+        ("a_h", [1.0, 0.0]),
+        ("b_h", [True, 0.0]),
+        ("b_h", [0.0, 1e400]),
+    ])
+    def test_quadratic_entries_exit_2_at_their_field(self, tmp_path, command, key, value):
+        raw = toy_config(params_mode="theorem", problem=copy.deepcopy(QUADRATIC))
+        raw["problem"]["quadratic_nd"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly([command, "--config", str(path)])
+        assert code == 2
+        assert err.startswith(f"config error: problem.quadratic_nd.{key}: ")
+        assert err.count("\n") == 1
 
     def test_repeats_cap(self, tmp_path):
         # 2**13 repeats are admitted; past that, a sweep point exits 2 at repeats too
