@@ -99,8 +99,12 @@ def make_quadratic_nd(
     dim = a_f.shape[0]
     b_h = at_path("b_h", as_vector, b_h, dim)
 
+    with np.errstate(over="ignore"):
+        gap_matrix = a_f - a_h
+    if not np.isfinite(gap_matrix).all():
+        raise ConfigError("a_h", "a_f - a_h overflows a float")
     lipschitz = float(np.abs(eig_f).max())
-    gap = float(np.linalg.norm(a_f - a_h, 2))
+    gap = float(np.linalg.norm(gap_matrix, 2))
 
     return gaussian_oracle(
         lambda x: a_f @ x,

@@ -580,6 +580,9 @@ SWEEP_AXES = {"toy": ("problem.toy.delta", "problem.toy.zeta", "noise.sigma_f", 
 COMMON_AXES = ("algorithm.eta", "algorithm.a", "algorithm.K", "algorithm.T",
                "algorithm.split_fraction", "seed", "repeats")
 CAPPED_AXES = ("algorithm.K", "algorithm.T", "repeats", "problem.logistic.batch_size")
+# A PSD quadratic pair whose A_f - A_h overflows.
+OVERFLOWING_GAP = {"quadratic_nd": {"a_f": [[1e308, -1e308], [-1e308, 1e308]],
+                                    "a_h": [[1e308, 1e308], [1e308, 1e308]], "b_h": [0.0, 0.0]}}
 # A quadratic pair whose gradients overflow at the check's probe points.
 OVERFLOWING_QUADRATIC = {"quadratic_nd": {"a_f": [[1e308, 0.0], [0.0, 1e308]],
                                           "a_h": [[0.0, 0.0], [0.0, 0.0]], "b_h": [0.0, 0.0]}}
@@ -609,6 +612,62 @@ def fuzz_values(field: str):
     return st.one_of(st.text(max_size=4), st.booleans(), st.none(),
                      st.lists(st.floats(), max_size=2), st.just(1e400), st.just(1e300),
                      st.just(-1e300), ints)
+
+
+def block_entries():
+    """Entries of a problem block's lists: small numbers, extreme and
+    non-finite floats (inf is written as 1e400), booleans and non-numbers."""
+    return st.one_of(st.floats(-3, 3), st.integers(-2, 2), st.none(), st.text(max_size=2),
+                     st.sampled_from([True, False, 1e308, -1e308, 5e-324, float("inf"),
+                                      float("-inf"), float("nan")]))
+
+
+def block_numbers():
+    return st.floats(-3, 3) | st.sampled_from([0.0, 1.0, 2.0, 1e308, -1e308, 5e-324])
+
+
+def matrices():
+    """a_f and a_h: symmetric matrices of numbers, mostly 2 x 2 like the
+    config's b_h (some PSD and valid), ragged or empty lists of rows, and
+    values that are not lists of rows."""
+    def symmetric(n, cells):
+        return [[cells[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+
+    sym = st.sampled_from([2, 1, 3]).flatmap(lambda n: st.lists(
+        block_numbers(), min_size=n * n, max_size=n * n).map(lambda cells: symmetric(n, cells)))
+    return st.one_of(sym, st.lists(st.lists(block_entries(), max_size=3), max_size=3),
+                     block_entries())
+
+
+# The problem blocks' own fields, by tag, and the values a fuzzed one takes.
+BLOCK_FIELDS = {"quadratic_nd": {
+    "a_f": matrices(), "a_h": matrices(),
+    "b_h": st.one_of(st.lists(block_numbers(), min_size=2, max_size=2),
+                     st.lists(block_entries(), max_size=3), block_entries()),
+}, "logistic": {
+    "split": st.one_of(st.lists(block_entries(), max_size=4), block_entries(),
+                       st.sampled_from([[1 / 3, 1 / 3, 1 / 3], [0.98, 0.01, 0.01]])),
+    "helper.kind": st.sampled_from(["random_labels", "coreset", "subset_batch"])
+    | block_entries(),
+    "helper.fraction": st.sampled_from([0.5, 1, 1e-3, 2]) | block_entries(),
+    "helper.indices": st.lists(st.integers(-5, 100) | st.sampled_from([2**64, True, 1.5]),
+                               max_size=3) | block_entries(),
+    "l2_reg": st.floats(0, 1e308) | block_entries(),
+    # small, or past the cap: an admitted batch too big for memory is not
+    # caught (README), so none is drawn
+    "batch_size": st.integers(-2, 200) | st.sampled_from([2**40 + 1, 2**64, None, 1.5, True]),
+    # names under the run's directory: the data, a JSON file, a directory, nothing
+    "path": st.sampled_from(["data.libsvm", "cfg.json", ".", "missing", "", "a\0b"])
+    | block_entries(),
+}}
+
+
+def block_cases():
+    """(tag, [(field, value), ...]): one or two fuzzed fields of one problem block."""
+    return st.sampled_from(sorted(BLOCK_FIELDS)).flatmap(lambda tag: st.tuples(
+        st.just(tag), st.lists(st.sampled_from(sorted(BLOCK_FIELDS[tag])).flatmap(
+            lambda field: st.tuples(st.just(field), BLOCK_FIELDS[tag][field])),
+            min_size=1, max_size=2)))
 
 
 # Theorem-mode configs whose constants overflow when squared.
@@ -693,6 +752,7 @@ class TestInputErrors:
         ("repeats", 2**64, "repeats"),
         ("problem", logistic_block(batch_size=2**40 + 1), "problem.logistic.batch_size"),
         ("seed", 2**128, "seed"),  # past a stream key's 128 bits
+        ("problem", OVERFLOWING_GAP, "problem.quadratic_nd.a_h"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
@@ -920,4 +980,42 @@ class TestInputErrors:
             assert err.startswith(f"config error: {axis}: ")
         if problem == OVERFLOWING_QUADRATIC:
             assert err.startswith("config error: problem.quadratic_nd: ")
+        assert "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=block_cases(), kind=st.sampled_from(["random_labels", "coreset", "subset_batch"]),
+           mode=st.sampled_from(("manual", "theorem")),
+           command=st.sampled_from(("run", "params", "check")))
+    @example(problem=("quadratic_nd", list(OVERFLOWING_GAP["quadratic_nd"].items())[:2]),
+             kind="coreset", mode="theorem", command="run")
+    @example(problem=("quadratic_nd", [("a_f", [[1.0, 0.0], [0.0]])]),
+             kind="coreset", mode="manual", command="check")
+    @example(problem=("logistic", [("path", "cfg.json")]),
+             kind="coreset", mode="manual", command="run")
+    def test_fuzzed_problem_block_exits_cleanly(self, problem, kind, mode, command):
+        """A fuzzed field of a problem block exits 0 with nothing on stderr, or
+        2 or 3 with one stderr line, under run, params and check."""
+        tag, fields = problem
+        with tempfile.TemporaryDirectory() as tmp:
+            if tag == "logistic":  # the 90-row file, K=2, T=4, two repeats
+                raw = logistic_config(Path(tmp))
+                block = raw["problem"]["logistic"]
+                block.update(l2_reg=0.01, helper={
+                    "kind": kind, **{"coreset": {"fraction": 0.5},
+                                     "subset_batch": {"indices": [0, 3]}}.get(kind, {})})
+            else:
+                raw = toy_config(problem=copy.deepcopy(QUADRATIC), params_mode=mode)
+                raw["algorithm"].update(K=2, T=2)
+                block = raw["problem"]["quadratic_nd"]
+            for field, value in fields:
+                if field == "path" and isinstance(value, str):
+                    value = str(Path(tmp) / value)
+                _set_field(block, field, value)
+            path = Path(tmp) / "cfg.json"
+            # JSON has no inf; 1e400 is the number that reads as one
+            path.write_text(json.dumps(raw).replace("Infinity", "1e400"))
+            code, err = _main_quietly([command, "--config", str(path)] +
+                                      (["--out", tmp] if command == "run" else []))
+        assert code in (0, 2, 3)
+        assert err == "" if code == 0 else err.count("\n") == 1
         assert "Traceback" not in err
