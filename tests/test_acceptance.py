@@ -334,6 +334,37 @@ def test_criterion_11_determinism(tmp_path):
     _report(11, "repeated runs emit byte-identical CSVs", check)
 
 
+def test_criterion_12_small_delta_benefit(tmp_path):
+    # toy AuxMOM in theorem mode, K=1 against K=10 at the same budget of 201
+    # f-h draws, swept over delta through the CLI; G is the mean ||grad f||^2
+    # over the last 20 cycles' rows of each aggregate CSV (64 repeats).  At
+    # config seeds 1 and 4-6 the ratio G(K=1)/G(K=10) ran 2.40-2.76 at
+    # delta 0, 2.71-3.49 at 0.01, 1.36-1.82 at 0.1 and 0.981-0.991 at 1.
+    def check():
+        g = {}
+        for K in (1, 10):
+            raw = {"version": 1, "params_mode": "theorem",
+                   "problem": {"toy": {"delta": 0.0, "zeta": 1.0}},
+                   "algorithm": {"name": "AuxMOM", "K": K, "T": 200},
+                   "noise": {"sigma_f": 1.0, "sigma_h": 1.0, "rho": 0.5},
+                   "seed": 1, "repeats": 64, "x0": [10.0]}
+            cfg_path, out = tmp_path / f"cfg_K{K}.json", tmp_path / f"out_K{K}"
+            cfg_path.write_text(json.dumps(raw))
+            assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "problem.toy.delta",
+                             "--values", "0,0.01,0.1,1", "--out", str(out)]) == 0
+            for sub in out.glob("problem_toy_delta_*"):
+                rows = trajectory_from_csv((sub / "experiment_aggregate.csv").read_text()).rows
+                assert rows.calls_fmh[-1] == 201
+                delta = float(sub.name.removeprefix("problem_toy_delta_"))
+                g[K, delta] = float(np.mean(rows.grad_norm_sq[-20 * K:]))
+        ratio = {delta: g[1, delta] / g[10, delta] for delta in (0.0, 0.01, 0.1, 1.0)}
+        print(f"G(K=1)/G(K=10) by delta: {ratio}")
+        assert all(ratio[delta] > 1 for delta in (0.0, 0.01, 0.1)), ratio
+        assert abs(ratio[1.0] - 1) < 0.05, ratio
+
+    _report(12, "more inner steps help at a small Hessian gap, not at a large one", check)
+
+
 def test_criterion_13_correlated_noise_benefit(tmp_path):
     # toy AuxMOM swept over rho through the CLI; G is the mean ||grad f||^2
     # over the last 20 cycles' rows of each aggregate CSV (64 repeats), read
