@@ -82,7 +82,6 @@ class ExperimentConfig:
 # constructor or ``problems`` builder reading it checks; those hold the range
 # rules.  The problem blocks are the problem tags.
 _FINITE, _UNCHECKED = (_number, "must be a finite number"), (None, "")
-_VECTOR = (_numbers, "must be a list of finite numbers")
 _SCHEMA = {
     "": {
         "version": (False, lambda v: _integer(v) and v == SCHEMA_VERSION,
@@ -102,12 +101,12 @@ _SCHEMA = {
     "problem.quadratic_nd": {
         **dict.fromkeys(("a_f", "a_h"), (True, lambda v: isinstance(v, list) and all(
             map(_numbers, v)), "must be a list of rows of finite numbers")),
-        "b_h": (True, *_VECTOR)},
+        "b_h": (True, _numbers, "must be a list of finite numbers")},
     "problem.logistic": {
         "path": (True, lambda v: isinstance(v, str), "must be a string"),
         "batch_size": (False, lambda v: v is None or _integer(v), "must be null or an integer"),
         "l2_reg": (False, *_FINITE),
-        "split": (False, *_VECTOR),
+        "split": (False, _numbers, "must be a list of finite numbers"),
         "helper": (True, *_UNCHECKED)},
     "problem.logistic.helper": {
         "kind": (True, *_UNCHECKED), "fraction": (False, *_FINITE),

@@ -89,9 +89,8 @@ class Trajectory:
 
     def cycle_grad_means(self) -> list[float]:
         """G^t: per-cycle mean of ||grad f(y^t_k)||^2 over the inner steps."""
-        t, g = self.rows.t, self.rows.grad_norm_sq
-        keep = (t > 0) & ~np.isnan(g)
-        t, g = t[keep], g[keep]
+        keep = self.rows.t > 0
+        t, g = self.rows.t[keep], self.rows.grad_norm_sq[keep]
         cycles = np.split(g, np.flatnonzero(np.diff(t)) + 1) if g.size else []
         return [float(np.mean(c)) for c in cycles]
 
