@@ -40,8 +40,8 @@ class TheoryParams:
 
     def __post_init__(self):
         """The formulas' input rules; a ConfigError names the field it breaks."""
-        if not self.L > 0:
-            raise ConfigError("L", f"L = {self.L:g} must be positive")
+        if not 0 < self.L < math.inf:
+            raise ConfigError("L", f"L = {self.L:g} must be positive and finite")
         for name in ("K", "T"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, f"{name} must be >= 1")

@@ -678,6 +678,13 @@ THEOREM_OVERFLOWS = [
      "problem.toy.delta"),
 ]
 
+# A theorem-mode PSD A_f whose largest eigenvalue, L, overflows while f(x0) is 0.
+INFINITE_L = [
+    (("params_mode", "problem", "x0"), ("theorem", {"quadratic_nd": {
+        "a_f": [[1e308, 1e308], [1e308, 1e308]], "a_h": [[1e308, 1e308], [1e308, 1e308]],
+        "b_h": [0.0, 0.0]}}, [1.0, -1.0]), "problem.quadratic_nd"),
+]
+
 # Theorem-mode configs whose formula inputs break another TheoryParams rule.
 THEOREM_RULES = [
     (("params_mode", "problem"), ("theorem", {"quadratic_nd": {  # delta = 4 > 2L = 2
@@ -753,6 +760,7 @@ class TestInputErrors:
         ("problem", logistic_block(batch_size=2**40 + 1), "problem.logistic.batch_size"),
         ("seed", 2**128, "seed"),  # past a stream key's 128 bits
         ("problem", OVERFLOWING_GAP, "problem.quadratic_nd.a_h"),
+        *INFINITE_L,
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
@@ -769,6 +777,7 @@ class TestInputErrors:
         *THEOREM_OVERFLOWS,
         (("params_mode", "problem.toy.delta"), ("theorem", 1e300), "problem.toy.delta"),
         *THEOREM_RULES,
+        *INFINITE_L,
     ])
     def test_params_exit_2_names_overflowing_field(self, tmp_path, field, value, where):
         raw = toy_config()
