@@ -992,7 +992,8 @@ class TestInputErrors:
         assert "Traceback" not in err
 
     @settings(max_examples=300, deadline=None)
-    @given(problem=block_cases(), kind=st.sampled_from(["random_labels", "coreset", "subset_batch"]),
+    @given(problem=block_cases(),
+           kind=st.sampled_from(["random_labels", "coreset", "subset_batch"]),
            mode=st.sampled_from(("manual", "theorem")),
            command=st.sampled_from(("run", "params", "check")))
     @example(problem=("quadratic_nd", list(OVERFLOWING_GAP["quadratic_nd"].items())[:2]),
