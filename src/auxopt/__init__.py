@@ -42,7 +42,6 @@ from .optimizers import (
 from .problems import (
     LibsvmParseError,
     LogisticTask,
-    build_coreset_helper,
     build_semisupervised,
     logistic_oracle,
     make_quadratic_nd,

@@ -1,7 +1,7 @@
 """Problem families with analytically known smoothness and similarity constants.
 
 Covers the 1-D toy quadratic pair, general quadratic pairs, logistic
-regression with semi-supervised / coreset helper constructions, and a LIBSVM
+regression with helpers that are row subsets of its data, and a LIBSVM
 text-format parser.  Only the functions that build sparse matrices import
 scipy, at their first call, so the quadratic families never load it.
 """
@@ -337,10 +337,10 @@ def _format_label(label) -> str:
 
 @dataclass(frozen=True)
 class LogisticTask:
-    """Weighted binary logistic regression over a fixed design matrix.
+    """Binary logistic regression over a fixed design matrix.
 
-    loss(x) = sum_i w_i log(1 + exp(-y_i a_i'x)) + l2_reg/2 ||x||^2, with
-    weights defaulting to 1/n.  The Hessian is independent of the labels.
+    loss(x) = (1/n) sum_i log(1 + exp(-y_i a_i'x)) + l2_reg/2 ||x||^2.  The
+    Hessian is independent of the labels.
     ``features`` may be given dense or sparse and is kept as a CSR matrix,
     so every product over the data costs its nonzeros, not n x d.
     """
@@ -348,7 +348,6 @@ class LogisticTask:
     features: sp.csr_matrix
     labels: np.ndarray
     l2_reg: float = 0.0
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         import scipy.sparse as sp
@@ -367,17 +366,9 @@ class LogisticTask:
         a = sp.csr_matrix(a, dtype=np.float64)
         object.__setattr__(self, "features", a)
         object.__setattr__(self, "labels", y)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != y.shape or np.any(w <= 0):
-                raise ValueError("weights must be positive, one per sample")
-            if not math.isclose(float(w.sum()), 1.0, rel_tol=1e-9):
-                raise ValueError("weights must sum to one")
-            object.__setattr__(self, "weights", w)
-        # Not dataclass fields: the weights with the uniform default built
-        # once, and a one-entry memo (x copy, margins) that loss and grad share.
-        object.__setattr__(self, "_w", self.weights if self.weights is not None
-                           else np.full(y.shape[0], 1.0 / y.shape[0]))
+        # Not dataclass fields: the uniform weights 1/n built once, and a
+        # one-entry memo (x copy, margins) that loss and grad share.
+        object.__setattr__(self, "_w", np.full(y.shape[0], 1.0 / y.shape[0]))
         object.__setattr__(self, "_margin_memo", None)
 
     # Built at the first gradient that needs them: the transposed design as
@@ -419,7 +410,7 @@ class LogisticTask:
         return self._features_t @ coef + self.l2_reg * x
 
     def grad_minibatch(self, x: Array, idx: np.ndarray) -> Array:
-        """Unbiased gradient estimate from rows ``idx`` sampled prop. to weights.
+        """Unbiased gradient estimate from rows ``idx`` sampled uniformly.
 
         The rows' nonzeros are gathered straight from the CSR arrays (scipy's
         row indexing costs more than the whole product at minibatch sizes).
@@ -453,12 +444,14 @@ def build_semisupervised(
     split; the held-out part is left out and never built.
 
     ``helper`` is ``random_labels`` (the unlabeled part with random labels),
-    ``coreset`` (a uniform ``fraction`` of the train part, 1 when None,
-    weights 1/M) or ``subset_batch`` (the train-part rows ``indices``).  Part
-    sizes are the floors of the ``split`` fractions, the remainder going to
-    the train part; the shuffle and any random labels are deterministic in
-    ``seed``.  A bad input is a ConfigError at its config field: ``split``,
-    ``helper.kind``, ``helper.fraction`` or ``helper.indices``.
+    ``subset_batch`` (the train-part rows ``indices``) or ``coreset`` (the
+    train-part rows at floor(``fraction`` * train size) sorted indices drawn
+    without replacement, all of them when ``fraction`` is None).  Part sizes
+    are the floors of the ``split`` fractions, the remainder going to the
+    train part; the shuffle, the coreset rows and any random labels are
+    deterministic in ``seed``.  A bad input is a ConfigError at its config
+    field: ``split``, ``helper.kind``, ``helper.fraction`` or
+    ``helper.indices``.
     """
     if len(split) != 3 or min(split) <= 0 or not math.isclose(sum(split), 1.0, rel_tol=1e-9):
         raise ConfigError("split", "must be three positive numbers that sum to 1")
@@ -476,6 +469,13 @@ def build_semisupervised(
     if indices is not None and not (len(indices) and 0 <= min(indices) <= max(indices) < sizes[0]):
         raise ConfigError("helper.indices", "must be a nonempty list of row numbers below "
                           f"the train-part size {sizes[0]}")
+    if helper == "coreset":
+        fraction = 1.0 if fraction is None else fraction
+        if not 0 < fraction <= 1:
+            raise ConfigError("helper.fraction", "must lie in (0, 1]")
+        m = int(math.floor(fraction * sizes[0]))
+        if m == 0:
+            raise ConfigError("helper.fraction", "yields an empty coreset")
 
     perm = borrow_generator(stream_fork(seed, 0)).permutation(n)
     tr, un = perm[: sizes[0]], perm[sizes[0] + sizes[1] :]
@@ -487,34 +487,13 @@ def build_semisupervised(
             l2_reg=task.l2_reg,
         )
 
-    f_task = subtask(tr)
     if helper == "random_labels":
         rad = borrow_generator(stream_fork(seed, 1)).integers(0, 2, size=len(un)) * 2.0 - 1.0
-        h_task = subtask(un, labels=rad)
-    elif helper == "coreset":
-        h_task = at_path("helper", build_coreset_helper, f_task,
-                         1.0 if fraction is None else fraction, stream_fork(seed, 2))
-    else:
-        h_task = subtask(tr[np.asarray(indices)])
-    return f_task, h_task
-
-
-def build_coreset_helper(task: LogisticTask, fraction: float, seed: RandomToken) -> LogisticTask:
-    """Uniform random subset of size floor(fraction * n) with weights 1/M; a
-    ``fraction`` outside (0, 1] or too small for one row is a ConfigError at
-    ``fraction``."""
-    if not 0 < fraction <= 1:
-        raise ConfigError("fraction", "must lie in (0, 1]")
-    m = int(math.floor(fraction * task.n_samples))
-    if m == 0:
-        raise ConfigError("fraction", "yields an empty coreset")
-    idx = np.sort(borrow_generator(seed).choice(task.n_samples, size=m, replace=False))
-    return LogisticTask(
-        task.features[idx],
-        task.labels[idx],
-        l2_reg=task.l2_reg,
-        weights=np.full(m, 1.0 / m),
-    )
+        return subtask(tr), subtask(un, labels=rad)
+    if helper == "coreset":
+        rows = borrow_generator(stream_fork(seed, 2)).choice(sizes[0], size=m, replace=False)
+        indices = np.sort(rows)
+    return subtask(tr), subtask(tr[np.asarray(indices)])
 
 
 def logistic_oracle(
@@ -527,10 +506,9 @@ def logistic_oracle(
     ``batch_size`` None gives exact (deterministic) gradients and draws
     nothing; otherwise a sample is a pair of with-replacement minibatches,
     f's rows and h's, and ``draw(token, n)`` takes f's (n, batch_size) rows,
-    then h's, from one borrowed generator.  A task with weights (a coreset)
-    is sampled by them.  A ``batch_size`` below 1 or above the draw cap
-    ``MAX_DRAWS`` is a ConfigError at ``batch_size``.  No analytic smoothness
-    bound or Hessian gap is carried.
+    then h's, from one borrowed generator.  A ``batch_size`` below 1 or above
+    the draw cap ``MAX_DRAWS`` is a ConfigError at ``batch_size``.  No
+    analytic smoothness bound or Hessian gap is carried.
     """
     if f_task.dim != h_task.dim:
         raise ValueError("tasks must share the parameter dimension")
@@ -540,14 +518,11 @@ def logistic_oracle(
         raise ConfigError("batch_size", f"must be at most {MAX_DRAWS}, the draw cap")
     dim = f_task.dim
 
-    def rows(task: LogisticTask, rng: np.random.Generator, n: int) -> np.ndarray:
-        if task.weights is not None:
-            return rng.choice(task.n_samples, size=(n, batch_size), replace=True, p=task.weights)
-        return rng.integers(0, task.n_samples, size=(n, batch_size))
-
     def draw(token, n):
         rng = borrow_generator(token)
-        return list(zip(rows(f_task, rng, n), rows(h_task, rng, n)))
+        rows_f = rng.integers(0, f_task.n_samples, size=(n, batch_size))
+        rows_h = rng.integers(0, h_task.n_samples, size=(n, batch_size))
+        return list(zip(rows_f, rows_h))
 
     def grad_f(x, sample):
         return f_task.grad(x) if sample is None else f_task.grad_minibatch(x, sample[0])

@@ -1,11 +1,11 @@
 """Byte-level pins of the program's outputs.
 
 Each digest is the SHA-256 of files or arrays the program writes for a fixed
-input.  Apart from the logistic sweep, only 1-D problems and raw noise arrays
-are used, so no BLAS reduction order enters a digest: a digest moves only
-when the arithmetic or the random streams do.  The logistic sweep's rows also
-pass through scipy's CSR products and a float64 dot of two vectors, so its
-digest can move with the BLAS build as well.  ``auxopt check`` is pinned by
+input.  Apart from the logistic sweep and coreset run, only 1-D problems and
+raw noise arrays are used, so no BLAS reduction order enters a digest: a
+digest moves only when the arithmetic or the random streams do.  The logistic
+rows also pass through scipy's CSR products and a float64 dot of two
+vectors, so their digests can move with the BLAS build as well.  ``auxopt check`` is pinned by
 its exact stdout, which prints six significant digits.
 A change that alters output bytes on purpose must update the digests here
 and say so in CHANGES.md.
@@ -107,6 +107,13 @@ def logistic_config(data: str) -> dict:
         "diagnostics": True,
         "output_path": "golden",
     }
+
+
+def coreset_config(data: str) -> dict:
+    """``logistic_config`` with a coreset helper of half the train rows."""
+    raw = logistic_config(data)
+    raw["problem"]["logistic"]["helper"] = {"kind": "coreset", "fraction": 0.5}
+    return raw
 
 
 def check_configs(tmp_path) -> dict:
@@ -257,6 +264,7 @@ CLI_SWEEP = {
 
 LOGISTIC_SWEEP_K = (1, 3)
 LOGISTIC_SWEEP = "5d31ef23cf917a5a277bc1fabdd6ec4adce744e2d5cbbf4f7cbbd70cd3c4d024"
+LOGISTIC_CORESET = "476afe8069e1b7f4a9035985e66e6cd18c999846658f7fe89ab7114bdd6cc3e7"
 
 CHECK_STDOUT = {
     "toy": """\
@@ -315,6 +323,11 @@ def test_logistic_sweep_files(tmp_path):
     out = tmp_path / "out"
     run_sweep(cfg, "algorithm.K", LOGISTIC_SWEEP_K, str(out))
     assert tree_digest(out) == LOGISTIC_SWEEP
+
+
+def test_logistic_coreset_csvs(tmp_path):
+    raw = coreset_config(write_dataset(tmp_path))
+    assert csv_digest(raw, tmp_path / "out") == LOGISTIC_CORESET
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_STDOUT))

@@ -15,7 +15,6 @@ from auxopt.problems import (
     LibsvmParseError,
     LogisticTask,
     _sigmoid,
-    build_coreset_helper,
     build_semisupervised,
     logistic_oracle,
     make_quadratic_nd,
@@ -489,11 +488,6 @@ class TestLogisticTask:
         with pytest.raises(ValueError):
             LogisticTask(np.ones((2, 2)), np.array([1.0, 2.0]))
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            LogisticTask(np.ones((2, 2)), np.array([1.0, -1.0]),
-                         weights=np.array([0.9, 0.9]))
-
     def test_derived_arrays_are_built_at_first_gradient_use(self):
         task = LogisticTask(np.eye(3), np.array([1.0, -1.0, 1.0]))
         derived = {"_features_t", "_indptr", "_indices"}
@@ -586,19 +580,18 @@ class TestSparseMatchesDense:
     """The CSR task against the dense formulas, to 1e-12 relative."""
 
     @pytest.mark.parametrize("shape", [(60, 9), (6, 40)])
-    @pytest.mark.parametrize("weights", ["uniform", "random", "coreset"])
+    @pytest.mark.parametrize("kind", ["uniform", "coreset"])
     @pytest.mark.parametrize("l2_reg", [0.0, 0.1])
-    def test_loss_grad_minibatch_smoothness(self, shape, weights, l2_reg):
+    def test_loss_grad_minibatch_smoothness(self, shape, kind, l2_reg):
         n, d = shape
         rng = rng_from_token(RandomToken(17))
         dense = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
         dense[4] = 0.0  # a row with no nonzeros
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        w = rng.random(n) if weights == "random" else None
-        task = LogisticTask(sp.csr_matrix(dense), labels, l2_reg=l2_reg,
-                            weights=None if w is None else w / w.sum())
-        if weights == "coreset":
-            task = build_coreset_helper(task, 0.5, RandomToken(3))
+        task = LogisticTask(sp.csr_matrix(dense), labels, l2_reg=l2_reg)
+        if kind == "coreset":  # one that keeps the empty row
+            _, task = build_semisupervised(task, (0.6, 0.2, 0.2), "coreset", RandomToken(9),
+                                           fraction=0.5)
         assert np.diff(task.features.indptr).min() == 0
         for scale in (0.1, 1.0, 30.0):
             x = scale * rng.standard_normal(d)
@@ -625,22 +618,22 @@ class TestSparseMatchesDense:
 
 class TestLogisticOracle:
     def test_minibatches_are_what_a_fresh_generator_draws(self):
-        # the oracle borrows the thread's generator: a block's f rows, uniform,
-        # must be the first draws of rng_from_token(token), and its h rows,
-        # weighted, the draws that follow them; sample k pairs row k of each
+        # the oracle borrows the thread's generator: a block's f rows must be
+        # the first draws of rng_from_token(token), and its h rows the draws
+        # that follow them, each uniform over its task; sample k pairs row k
+        # of each
         rng = rng_from_token(RandomToken(15))
         features = rng.standard_normal((40, 3))
         labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-        w = rng.random(40)
         f_task = LogisticTask(features, labels)
-        h_task = LogisticTask(features, labels, weights=w / w.sum())
+        h_task = LogisticTask(features[:25], labels[:25])
         oracle = logistic_oracle(f_task, h_task, batch_size=7)
         x = rng.standard_normal(3)
         for i in range(100):
             token, n = RandomToken(i, i), 1 + i % 4
             fresh = rng_from_token(token)
             idx_f = fresh.integers(0, 40, size=(n, 7))
-            idx_h = fresh.choice(40, size=(n, 7), replace=True, p=h_task.weights)
+            idx_h = fresh.integers(0, 25, size=(n, 7))
             samples = oracle.draw(token, n)
             assert len(samples) == n
             for k, sample in enumerate(samples):
@@ -650,24 +643,22 @@ class TestLogisticOracle:
                 assert np.array_equal(oracle.grad_h(x, sample), g_h)
                 assert np.array_equal(oracle.grad_f_minus_h(x, sample), g_f - g_h)
 
-    @pytest.mark.parametrize("helper", ["unweighted", "coreset", "weighted"])
+    @pytest.mark.parametrize("helper", ["unweighted", "coreset"])
     def test_minibatch_rows_are_uniform_weighted_and_independent(self, helper, monkeypatch):
         # chi-square tests over the rows of blocks drawn at consecutive
-        # indices of one stream: f's rows are uniform, h's uniform or
-        # following its weights (1/M over a coreset, or random ones), and a
-        # sample's f and h rows are independent
+        # indices of one stream: f's rows and h's, a plain task or a
+        # coreset, are uniform (every row weighs 1/n), and a sample's f and
+        # h rows are independent
         rng = rng_from_token(RandomToken(19))
         n_f, n_h = 8, 6
         f_task = LogisticTask(rng.standard_normal((n_f, 2)), np.ones(n_f))
         if helper == "unweighted":
             h_task = LogisticTask(rng.standard_normal((n_h, 2)), np.ones(n_h))
-        elif helper == "coreset":
-            h_task = build_coreset_helper(LogisticTask(rng.standard_normal((2 * n_h, 2)),
-                                                       np.ones(2 * n_h)), 0.5, RandomToken(20))
-        else:
-            w = rng.random(n_h) + 0.1
-            h_task = LogisticTask(rng.standard_normal((n_h, 2)), np.ones(n_h),
-                                  weights=w / w.sum())
+        else:  # half of a 12-row train part
+            _, h_task = build_semisupervised(
+                LogisticTask(rng.standard_normal((20, 2)), np.ones(20)), (0.6, 0.2, 0.2),
+                "coreset", RandomToken(20), fraction=0.5)
+        assert h_task.n_samples == n_h
         rows = {}
 
         def record(task, x, idx):
@@ -685,8 +676,7 @@ class TestLogisticOracle:
         n = len(idx_f)
         assert n == 200 * 10 * 16
         assert scipy.stats.chisquare(np.bincount(idx_f, minlength=n_f)).pvalue > 1e-3
-        weights = np.full(n_h, 1 / n_h) if h_task.weights is None else h_task.weights
-        assert scipy.stats.chisquare(np.bincount(idx_h, minlength=n_h), n * weights).pvalue > 1e-3
+        assert scipy.stats.chisquare(np.bincount(idx_h, minlength=n_h)).pvalue > 1e-3
         table = np.zeros((n_f, n_h))
         np.add.at(table, (idx_f, idx_h), 1)
         assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
@@ -828,51 +818,65 @@ class TestSemisupervised:
 
 
 class TestCoreset:
+    """The coreset helper of ``build_semisupervised``: a row subset of the
+    train part, built as the subset_batch helper is."""
+
+    SPLIT = (0.9, 0.05, 0.05)
+
     def _task(self, n=1000):
         rng = rng_from_token(RandomToken(77))
         features = rng.standard_normal((n, 5))
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         return LogisticTask(features, labels)
 
-    def test_one_fifth_size(self):
-        helper = build_coreset_helper(self._task(), 0.2, RandomToken(1))
-        assert helper.n_samples == 200
+    def _coreset(self, task, fraction, seed):
+        return build_semisupervised(task, self.SPLIT, "coreset", seed, fraction=fraction)
 
-    def test_weights_uniform_sum_to_one(self):
-        helper = build_coreset_helper(self._task(), 0.2, RandomToken(1))
-        assert np.allclose(helper.weights, 1.0 / 200)
+    def test_one_fifth_size(self):
+        f_task, helper = self._coreset(self._task(), 0.2, RandomToken(1))
+        assert (f_task.n_samples, helper.n_samples) == (900, 180)
 
     def test_full_fraction_matches_task_gradient(self):
-        task = self._task(n=50)
-        helper = build_coreset_helper(task, 1.0, RandomToken(1))
+        f_task, helper = self._coreset(self._task(n=50), 1.0, RandomToken(1))
         x = np.ones(5)
-        assert np.allclose(helper.grad(x), task.grad(x), atol=1e-12)
+        assert np.allclose(helper.grad(x), f_task.grad(x), atol=1e-12)
 
     def test_seeds_give_different_subsets_same_size(self):
-        task = self._task()
-        h1 = build_coreset_helper(task, 0.2, RandomToken(1))
-        h2 = build_coreset_helper(task, 0.2, RandomToken(2))
-        assert h1.n_samples == h2.n_samples
+        _, h1 = self._coreset(self._task(), 0.2, RandomToken(1))
+        _, h2 = self._coreset(self._task(), 0.2, RandomToken(2))
+        assert h1.n_samples == h2.n_samples == 180
         assert not np.array_equal(h1.features.toarray(), h2.features.toarray())
 
     def test_rejects_empty_fraction(self):
         with pytest.raises(ConfigError) as err:
-            build_coreset_helper(self._task(n=3), 0.1, RandomToken(0))
-        assert err.value.path == "fraction"
+            build_semisupervised(self._task(n=3), (1 / 3, 1 / 3, 1 / 3), "coreset",
+                                 RandomToken(0), fraction=0.9)
+        assert err.value.path == "helper.fraction"
+        assert err.value.message == "yields an empty coreset"
 
     @pytest.mark.parametrize("fraction", [0.0, 1.5])
     def test_rejects_fraction_outside_unit_interval(self, fraction):
         with pytest.raises(ConfigError) as err:
-            build_coreset_helper(self._task(n=3), fraction, RandomToken(0))
-        assert err.value.path == "fraction"
+            self._coreset(self._task(n=30), fraction, RandomToken(0))
+        assert err.value.path == "helper.fraction"
+        assert err.value.message == "must lie in (0, 1]"
 
     def test_subset_is_what_a_fresh_generator_draws(self):
-        task = self._task()
+        # a coreset is the subset_batch helper at the sorted rows drawn from
+        # stream_fork(seed, 2): the same rows, labels and exact gradients
+        task = self._task(n=300)
+        x = rng_from_token(RandomToken(78)).standard_normal(5)
         for i in range(20):
-            rows = rng_from_token(RandomToken(i)).choice(1000, size=200, replace=False)
-            helper = build_coreset_helper(task, 0.2, RandomToken(i))
-            assert np.array_equal(helper.features.toarray(),
-                                  task.features.toarray()[np.sort(rows)])
+            seed = RandomToken(i)
+            rows = rng_from_token(stream_fork(seed, 2)).choice(270, size=54, replace=False)
+            f_core, core = self._coreset(task, 0.2, seed)
+            f_sub, sub = build_semisupervised(task, self.SPLIT, "subset_batch", seed,
+                                              indices=np.sort(rows).tolist())
+            assert np.array_equal(f_core.features.toarray(), f_sub.features.toarray())
+            assert np.array_equal(core.features.toarray(), sub.features.toarray())
+            assert np.array_equal(core.labels, sub.labels)
+            assert np.array_equal(core.grad(x), sub.grad(x))
+            assert core.loss(x) == sub.loss(x)
 
 
 class TestSyntheticDataset:

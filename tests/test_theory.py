@@ -16,7 +16,6 @@ from auxopt.core import (
 from auxopt.optimizers import OptimizerConfig, run
 from auxopt.problems import (
     LogisticTask,
-    build_coreset_helper,
     build_semisupervised,
     make_quadratic_nd,
     make_toy_pair,
@@ -175,10 +174,11 @@ class TestEstimateDelta:
         features = rng.standard_normal((40, 3))
         labels = np.sign(rng.standard_normal(40))
         labels[labels == 0] = 1.0
-        task = LogisticTask(features, labels)
-        helper = build_coreset_helper(task, 1.0, RandomToken(5))
+        f_task, helper = build_semisupervised(
+            LogisticTask(features, labels), (1 / 3, 1 / 3, 1 / 3), "coreset", RandomToken(5)
+        )
         probes = default_probe_points(3, RandomToken(6))
-        got = estimate_delta(task.grad, helper.grad, probes)
+        got = estimate_delta(f_task.grad, helper.grad, probes)
         assert got < 1e-6
 
     def test_random_label_helper_gives_zero(self):
