@@ -3,7 +3,7 @@ per sampled helper, average the returned iterates."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def run_decentralized(
     token: RandomToken,
     variant: str = "AuxMOM",
 ) -> DecentralizedTrajectory:
-    """T decentralized cycles of ``variant``; records snapshots and sampled sets.
+    """T cycles of ``variant``, which must be ``cfg.algorithm``; records snapshots, sampled sets.
 
     A run forks ``token`` N + 2 times: a sampler stream (label 0) and helper
     i's lane (label i under label 1).  Cycle t = 1..T samples its helpers at
@@ -88,7 +88,8 @@ def run_decentralized(
     lane's draw index t."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    cfg = replace(cfg, algorithm=variant)
+    if cfg.algorithm != variant:
+        raise ValueError(f"cfg.algorithm {cfg.algorithm!r} is not the variant {variant!r}")
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     traj = DecentralizedTrajectory(snapshots=[x.copy()], sampled=[])

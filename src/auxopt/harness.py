@@ -90,8 +90,9 @@ _SCHEMA = {
                         "must be 'manual' or 'theorem'"),
         "repeats": (False, lambda v: _integer(v) and 1 <= v <= MAX_REPEATS,
                     f"must be an integer in [1, {MAX_REPEATS}]"),
-        "output_path": (False, lambda v: isinstance(v, str) and "\0" not in v,
-                        "must be a string without NUL characters"),
+        "output_path": (False, lambda v: isinstance(v, str) and "\0" not in v and "/" not in v
+                        and v not in ("", ".", ".."),
+                        "must be a file-name stem: no '/' or NUL, and not '', '.' or '..'"),
         "x0": (False, lambda v: v is None or _numbers(v), "must be a list of finite numbers"),
         "diagnostics": (False, lambda v: isinstance(v, bool), "must be true or false"),
         "problem": (True, *_UNCHECKED),  # load_config checks its one tag
@@ -321,8 +322,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         at_path("--out", out.mkdir, parents=True, exist_ok=True)
-    stem = Path(cfg.output_path).name or ExperimentConfig.output_path
-
     trajectories = []
     root = RandomToken(cfg.seed)
     for r in range(cfg.repeats):
@@ -331,14 +330,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             traj = run(oracle, opt_cfg, run_token, diagnostics_on=cfg.diagnostics, x0=x0)
         except DivergenceError as exc:
             if out is not None:
-                _write(out / f"{stem}_rep{r}_partial.csv", trajectory_to_csv(exc.trajectory))
+                _write(out / f"{cfg.output_path}_rep{r}_partial.csv",
+                       trajectory_to_csv(exc.trajectory))
             raise
         traj.metadata.update(resolve_meta)
         trajectories.append(traj)
         if out is not None:
-            _write(out / f"{stem}_rep{r}.csv", trajectory_to_csv(traj))
+            _write(out / f"{cfg.output_path}_rep{r}.csv", trajectory_to_csv(traj))
     if out is not None:
-        _write(out / f"{stem}_aggregate.csv", _aggregate(trajectories))
+        _write(out / f"{cfg.output_path}_aggregate.csv", _aggregate(trajectories))
     return trajectories
 
 

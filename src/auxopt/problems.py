@@ -68,6 +68,9 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
 def check_symmetric_psd(a, name: str, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """``a`` as a float64 matrix and its eigenvalues; a ConfigError at ``name``
     unless it is square, symmetric and positive semidefinite."""
+    lengths = [len(row) for row in a if isinstance(row, list)] if isinstance(a, list) else []
+    if len(set(lengths)) > 1:
+        raise ConfigError(name, f"must be a square matrix, got rows of lengths {lengths}")
     a = at_path(name, np.asarray, a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigError(name, f"must be a square matrix, got shape {a.shape}")

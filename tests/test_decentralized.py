@@ -145,6 +145,15 @@ class TestDecentralizedCycle:
         one_cycle(np.array([1.0]), hs_mvr, dataclasses.replace(cfg, algorithm="AuxMVR"), TOK)
         assert hs_mvr.calls_fmh == 6
 
+    @pytest.mark.parametrize("algorithm,variant", [("SGDm", "AuxMOM"), ("AuxMOM", "AuxMVR")])
+    def test_run_rejects_an_algorithm_other_than_its_variant(self, algorithm, variant):
+        # the config is run as given or not at all, never as another method
+        hs = HelperSet(oracles=[make_toy_pair(0.3, 1.0)], s=1)
+        cfg = OptimizerConfig(algorithm, eta=0.1, a=0.5, K=2, T=3)
+        with pytest.raises(ValueError, match=f"'{algorithm}' is not the variant '{variant}'"):
+            run_decentralized(np.array([1.0]), hs, cfg, TOK, variant=variant)
+        assert hs.calls == {}
+
     def test_merged_helpers_match_single_run(self):
         # S = N identical helpers that draw matched noise == one helper
         def keyed(oracle):

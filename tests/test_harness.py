@@ -761,6 +761,11 @@ class TestInputErrors:
         ("seed", 2**128, "seed"),  # past a stream key's 128 bits
         ("problem", OVERFLOWING_GAP, "problem.quadratic_nd.a_h"),
         *INFINITE_L,
+        # output_path is a file-name stem under --out, not a path
+        ("output_path", "results/run1", "output_path"),
+        ("output_path", "", "output_path"),
+        ("output_path", ".", "output_path"),
+        ("output_path", "..", "output_path"),
     ])
     def test_exit_2_names_field(self, tmp_path, monkeypatch, field, value, where):
         logistic_config(tmp_path)  # writes data.libsvm, a real 90-row file
@@ -807,6 +812,17 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith(f"config error: problem.quadratic_nd.{key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("key", ["a_f", "a_h"])
+    def test_ragged_matrix_exit_2_names_row_lengths(self, tmp_path, command, key):
+        raw = toy_config(problem=copy.deepcopy(QUADRATIC))
+        raw["problem"]["quadratic_nd"][key] = [[1.0, 0.0], [0.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, err = _main_quietly([command, "--config", str(path)])
+        assert (code, err) == (2, f"config error: problem.quadratic_nd.{key}: must be a square "
+                                  "matrix, got rows of lengths [2, 1]\n")
 
     def test_repeats_cap(self, tmp_path):
         # 2**13 repeats are admitted; past that, a sweep point exits 2 at repeats too

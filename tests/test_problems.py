@@ -154,6 +154,17 @@ class TestQuadraticND:
         with pytest.raises(ConfigError) as err:
             make_quadratic_nd(a_f, a_h, b_h)
         assert err.value.path == path
+        assert "inhomogeneous" not in err.value.message  # numpy's words for a ragged list
+
+    @pytest.mark.parametrize("ragged", [[[1.0, 0.0], [0.0]], [[1.0], [0.0, 1.0], []]])
+    @pytest.mark.parametrize("path", ["a_f", "a_h"])
+    def test_ragged_rows_are_named_by_their_lengths(self, ragged, path):
+        args = {"a_f": np.eye(2), "a_h": np.eye(2), path: ragged}
+        with pytest.raises(ConfigError) as err:
+            make_quadratic_nd(args["a_f"], args["a_h"], np.zeros(2))
+        lengths = [len(row) for row in ragged]
+        assert (err.value.path, err.value.message) == (
+            path, f"must be a square matrix, got rows of lengths {lengths}")
 
 
 class TestFiniteDifferenceGradients:
