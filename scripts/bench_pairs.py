@@ -1,0 +1,88 @@
+"""Alternating parent/change pairs of one benchmark workload.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload logistic_sweep \
+        [--pairs 10] [--seconds 8]
+
+Each directory is a checkout holding ``src/``, ``perfbench/`` and
+``BENCHMARK.json``.  Pair i (1, 2, ...) runs ``perfbench/run.py --workload W
+--seed i --seconds S`` in both; the parent runs first in odd pairs and the
+change first in even ones, so a drift of the machine's speed falls on both
+sides alike.  For each end-to-end metric of the parent's ``BENCHMARK.json``
+it prints both medians, the parent's quartiles, the move of the median
+against the metric's bound, and in how many pairs the change read better
+(ties count for neither).  Exits 1 when a run fails or reports itself
+incorrect.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last stdout line of one ``perfbench/run.py`` run, as parsed JSON."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    runs = {"parent": [], "change": []}
+    for seed in range(1, args.pairs + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            try:
+                result = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            runs[side].append(result)
+            print(f"pair {seed} {side}: correct={result['correct']} failed={result['failed']}",
+                  flush=True)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs "
+          "(medians; parent quartiles; move against bound; change wins)")
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        q1, q3 = quartiles(parent)
+        move = (c_med - p_med) / p_med if p_med else 0.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        print(f"  {name}: {p_med:.6g} -> {c_med:.6g} {metric['unit']} "
+              f"[parent {q1:.6g}-{q3:.6g}] {move:+.1%} (bound {metric['bound']:.0%}) "
+              f"wins {wins}/{args.pairs}")
+    ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
+    print("every run correct with 0 failed" if ok else "some runs incorrect or failed")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -369,17 +368,12 @@ class LogisticTask:
         a = sp.csr_matrix(a, dtype=np.float64)
         object.__setattr__(self, "features", a)
         object.__setattr__(self, "labels", y)
-        # Not dataclass fields: the uniform weights 1/n built once, and a
+        # Not dataclass fields: the uniform weights 1/n and the transposed
+        # design, a CSC view sharing the CSR's arrays, built once, and a
         # one-entry memo (x copy, margins) that loss and grad share.
         object.__setattr__(self, "_w", np.full(y.shape[0], 1.0 / y.shape[0]))
+        object.__setattr__(self, "_design_t", a.T)
         object.__setattr__(self, "_margin_memo", None)
-
-    # Built at the first gradient that needs them: the transposed design as
-    # CSR for the gradient's product, and the CSR's index arrays as intp
-    # (faster to gather with than int32) for the minibatch.
-    _features_t = cached_property(lambda self: self.features.T.tocsr())
-    _indptr = cached_property(lambda self: self.features.indptr.astype(np.intp))
-    _indices = cached_property(lambda self: self.features.indices.astype(np.intp))
 
     @property
     def n_samples(self) -> int:
@@ -409,20 +403,24 @@ class LogisticTask:
         return float(self._w @ losses) + 0.5 * self.l2_reg * float(x @ x)
 
     def grad(self, x: Array) -> Array:
+        # the CSC product adds each entry's terms in row order, as the product
+        # with a transposed CSR copy does, so it gives the same bits
         coef = -self.labels * _sigmoid(-self._margins(x)) * self._w
-        return self._features_t @ coef + self.l2_reg * x
+        return self._design_t @ coef + self.l2_reg * x
 
     def grad_minibatch(self, x: Array, idx: np.ndarray) -> Array:
         """Unbiased gradient estimate from rows ``idx`` sampled uniformly.
 
         The rows' nonzeros are gathered straight from the CSR arrays (scipy's
-        row indexing costs more than the whole product at minibatch sizes).
+        row indexing costs more than the whole product at minibatch sizes);
+        the gathered offsets and columns are cast to intp, which numpy
+        repeats, indexes and counts with faster than the CSR's int32.
         """
-        start = self._indptr[idx]
-        count = self._indptr[idx + 1] - start
+        start = self.features.indptr[idx].astype(np.intp)
+        count = self.features.indptr[idx + 1] - start
         row = np.repeat(np.arange(len(idx)), count)
         nz = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(len(row))
-        cols, vals = self._indices[nz], self.features.data[nz]
+        cols, vals = self.features.indices[nz].astype(np.intp), self.features.data[nz]
         y = self.labels[idx]
         margins = y * np.bincount(row, weights=vals * x[cols], minlength=len(idx))
         coef = -y * _sigmoid(-margins) / len(idx)

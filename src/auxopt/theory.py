@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Array, ConfigError, OraclePair, RandomToken, rng_from_token, stream_fork
+from .core import (Array, ConfigError, ExactGradFn, OraclePair, RandomToken, rng_from_token,
+                   stream_fork)
 
 # The formulas below use these constants; a tighter variant of the same
 # derivation gives the alternate values noted per entry.
@@ -113,8 +114,6 @@ def auxmvr_params(p: TheoryParams) -> tuple[float, float]:
 # Estimators
 # ---------------------------------------------------------------------------
 
-GradFn = Callable[[Array], Array]
-
 # estimate_delta: power-iteration restarts and steps per probe, their stopping
 # tolerance, and the finite-difference step relative to 1 + ||x||
 DELTA_RESTARTS, DELTA_ITERS, DELTA_TOL, DELTA_FD_SCALE = 5, 50, 1e-8, 1e-4
@@ -127,8 +126,8 @@ def default_probe_points(dim: int, token: RandomToken, n_points: int = 20,
 
 
 def estimate_delta(
-    grad_f: GradFn,
-    grad_h: GradFn,
+    grad_f: ExactGradFn,
+    grad_h: ExactGradFn,
     probes: Sequence[Array],
     token: RandomToken = RandomToken(0),
 ) -> float:
@@ -170,8 +169,8 @@ def estimate_delta(
 
 
 def estimate_bias(
-    grad_f: GradFn,
-    grad_h: GradFn,
+    grad_f: ExactGradFn,
+    grad_h: ExactGradFn,
     probes: Sequence[Array],
 ) -> tuple[float, float]:
     """The (m, zeta^2), m >= 0, for which ||grad f - grad h||^2 <= m ||grad f||^2 + zeta^2

@@ -365,6 +365,51 @@ def test_criterion_12_small_delta_benefit(tmp_path):
     _report(12, "more inner steps help at a small Hessian gap, not at a large one", check)
 
 
+def test_criterion_12_small_delta_benefit_quadratic_nd(tmp_path):
+    # criterion 12 on a d=20 quadratic_nd pair: A_f = Q diag(lam) Q' with lam
+    # in [1, 2], A_h = A_f + delta E with E symmetric and ||E||_2 = 1, a unit
+    # b_h; one config per delta, each swept over K=1,10 through the CLI at
+    # the same budget of 201 f-h draws.  At config seeds 1-6 the ratio
+    # G(K=1)/G(K=10) ran 2.42-2.58 at delta 0, 3.69-3.91 at 0.01, 1.93-2.19
+    # at 0.1 and 0.986-0.988 at 1.
+    def check():
+        d = 20
+        rng = np.random.default_rng(2022)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a_f = (q * rng.uniform(1.0, 2.0, d)) @ q.T
+        a_f = (a_f + a_f.T) / 2
+        e = rng.standard_normal((d, d))
+        e = (e + e.T) / 2
+        e /= np.linalg.norm(e, 2)
+        b_h = rng.standard_normal(d)
+        b_h /= np.linalg.norm(b_h)
+        ratio = {}
+        for delta in (0.0, 0.01, 0.1, 1.0):
+            raw = {"version": 1, "params_mode": "theorem",
+                   "problem": {"quadratic_nd": {"a_f": a_f.tolist(),
+                                                "a_h": (a_f + delta * e).tolist(),
+                                                "b_h": b_h.tolist()}},
+                   "algorithm": {"name": "AuxMOM", "K": 1, "T": 200},
+                   "noise": {"sigma_f": 1.0, "sigma_h": 1.0, "rho": 0.5},
+                   "seed": 1, "repeats": 64, "x0": [10 / math.sqrt(d)] * d}
+            cfg_path, out = tmp_path / f"cfg_{delta}.json", tmp_path / f"out_{delta}"
+            cfg_path.write_text(json.dumps(raw))
+            assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "algorithm.K",
+                             "--values", "1,10", "--out", str(out)]) == 0
+            g = {}
+            for K in (1, 10):
+                csv = (out / f"algorithm_K_{K}" / "experiment_aggregate.csv").read_text()
+                rows = trajectory_from_csv(csv).rows
+                assert rows.calls_fmh[-1] == 201
+                g[K] = float(np.mean(rows.grad_norm_sq[-20 * K:]))
+            ratio[delta] = g[1] / g[10]
+        print(f"quadratic_nd G(K=1)/G(K=10) by delta: {ratio}")
+        assert all(ratio[delta] > 1 for delta in (0.0, 0.01, 0.1)), ratio
+        assert abs(ratio[1.0] - 1) < 0.05, ratio
+
+    _report(12, "the same on a d=20 quadratic pair", check)
+
+
 def test_criterion_13_correlated_noise_benefit(tmp_path):
     # toy AuxMOM swept over rho through the CLI; G is the mean ||grad f||^2
     # over the last 20 cycles' rows of each aggregate CSV (64 repeats), read

@@ -9,7 +9,6 @@ correctness check, so a change that breaks what the benchmark calls fails here.
 """
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -99,16 +98,12 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_workload_is_correct(workload, tmp_path):
-    # the benchmark's own traced correctness check, run on a copy of the
-    # checkout so that its outputs do not land in perfbench/out/
-    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
-                    ignore=shutil.ignore_patterns("out", "__pycache__"))
-    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+def test_benchmark_workload_is_correct(workload, copy_checkout):
+    # the benchmark's own traced correctness check, run on a copy of the checkout
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seconds", "0.5", "--trace", "1"],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=170)
+                          cwd=copy_checkout("checkout"), capture_output=True, text=True,
+                          timeout=170)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr

@@ -499,15 +499,37 @@ class TestLogisticTask:
         with pytest.raises(ValueError):
             LogisticTask(np.ones((2, 2)), np.array([1.0, 2.0]))
 
-    def test_derived_arrays_are_built_at_first_gradient_use(self):
-        task = LogisticTask(np.eye(3), np.array([1.0, -1.0, 1.0]))
-        derived = {"_features_t", "_indptr", "_indices"}
-        task.loss(np.ones(3))
-        assert not derived & vars(task).keys()
-        task.grad(np.ones(3))
-        assert derived & vars(task).keys() == {"_features_t"}
-        task.grad_minibatch(np.ones(3), np.array([0, 2]))
-        assert derived <= vars(task).keys()
+    def test_gradients_keep_no_copy_of_the_design(self):
+        # the gradient's product and the minibatch gather read the CSR's own
+        # arrays, so after its first gradients a task keeps only the loss
+        # memo (a copy of x and the n margins), far less than its design
+        warm = LogisticTask(np.eye(3), np.array([1.0, -1.0, 1.0]))
+        warm.loss(np.ones(3)), warm.grad(np.ones(3)), warm.grad_minibatch(np.ones(3), np.arange(3))
+        features, labels = make_synthetic_classification(4000, 112, RandomToken(1))
+        task = LogisticTask(features, map_labels_to_pm1(labels))
+        x, idx = np.full(task.dim, 0.1), np.arange(0, task.n_samples, 7)
+        tracemalloc.start()
+        try:
+            task.loss(x), task.grad(x), task.grad_minibatch(x, idx)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        design = task.features.data.nbytes + task.features.indices.nbytes
+        assert kept < 0.1 * design, (kept, design)
+
+    @pytest.mark.parametrize("n, d", [(5000, 40), (200, 20000)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_transposed_product_is_bit_identical(self, n, d, scale):
+        # the CSC view features.T adds each entry's terms in row order, as the
+        # product with a transposed CSR copy does, so no gradient bit moves;
+        # 16 nonzeros per row on average
+        rng = np.random.default_rng(11)
+        features = sp.random(n, d, density=16 / d, format="csr", random_state=rng,
+                             data_rvs=rng.standard_normal)
+        copy = features.T.tocsr()
+        for _ in range(20):
+            c = scale * rng.standard_normal(n)
+            assert (features.T @ c).tobytes() == (copy @ c).tobytes()
 
     @pytest.mark.parametrize("l2_reg", [-1.0, float("nan")])
     def test_rejects_bad_l2_reg(self, l2_reg):

@@ -1,4 +1,4 @@
-"""Smoke runs of scripts/make_dataset.py with tiny sizes."""
+"""Smoke runs of the scripts under scripts/ with tiny sizes."""
 import os
 import subprocess
 import sys
@@ -32,3 +32,20 @@ def test_make_dataset_rejects_fewer_features_than_groups(tmp_path):
     assert proc.returncode == 2
     assert "n_features = 10 is below n_groups = 16" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bench_pairs_runs_one_pair(copy_checkout):
+    parent, change = copy_checkout("parent"), copy_checkout("change")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           str(parent), str(change), "--workload", "multi_helper",
+                           "--pairs", "1", "--seconds", "0.5"],
+                          capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["pair 1 parent: correct=True failed=0",
+                         "pair 1 change: correct=True failed=0"]
+    assert lines[-1] == "every run correct with 0 failed"
+    rows = {line.split(":")[0].strip(): line for line in lines[3:-1]}
+    assert sorted(rows) == ["peak_rss_mb", "setup_s", "target_grad_calls", "wall_s"]
+    assert rows["target_grad_calls"].startswith(
+        "  target_grad_calls: 1200 -> 1200 count [parent 1200-1200] +0.0% (bound 1%) wins 0/1")
