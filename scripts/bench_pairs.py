@@ -9,9 +9,9 @@ Each directory is a checkout holding ``src/``, ``perfbench/`` and
 change first in even ones, so a drift of the machine's speed falls on both
 sides alike.  For each end-to-end metric of the parent's ``BENCHMARK.json``
 it prints both medians, the parent's quartiles, the move of the median
-against the metric's bound, and in how many pairs the change read better
-(ties count for neither).  Exits 1 when a run fails or reports itself
-incorrect.
+against the metric's bound, in how many pairs the change read better
+(ties count for neither) and a verdict (see ``verdict``).  Exits 1 when a
+run fails or reports itself incorrect.
 """
 from __future__ import annotations
 
@@ -41,6 +41,22 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """``worse`` when the change's median moved the wrong way by more than
+    ``bound`` of the parent's; ``unresolved`` when the parent's quartile
+    spread is wider than ``bound`` of its median and not every change run
+    reads better than every parent run; ``ok`` otherwise."""
+    sign = 1 if better == "lower" else -1
+    p_med = statistics.median(parent)
+    if sign * (statistics.median(change) - p_med) > bound * abs(p_med):
+        return "worse"
+    q1, q3 = quartiles(parent)
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -67,7 +83,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs "
-          "(medians; parent quartiles; move against bound; change wins)")
+          "(medians; parent quartiles; move against bound; change wins; verdict)")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -76,9 +92,10 @@ def main(argv=None) -> int:
         q1, q3 = quartiles(parent)
         move = (c_med - p_med) / p_med if p_med else 0.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        said = verdict(parent, change, metric["bound"], metric["better"])
         print(f"  {name}: {p_med:.6g} -> {c_med:.6g} {metric['unit']} "
               f"[parent {q1:.6g}-{q3:.6g}] {move:+.1%} (bound {metric['bound']:.0%}) "
-              f"wins {wins}/{args.pairs}")
+              f"wins {wins}/{args.pairs} {said}")
     ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
     print("every run correct with 0 failed" if ok else "some runs incorrect or failed")
     return 0 if ok else 1

@@ -227,8 +227,8 @@ class OraclePair:
     drawn at ``token`` in one block, and each stochastic gradient evaluates
     at ``(x, sample)``.  The three are unbiased, and the f and h gradients
     at one sample may have correlated noise.  Every pair serves exact grad f,
-    grad h and f too.  Analytic constants (smoothness, Hessian gap, bias
-    bound) are carried when the problem family knows them.
+    grad h and f too.  Analytic constants (smoothness, Hessian gap) are
+    carried when the problem family knows them.
     """
 
     dim: int
@@ -241,8 +241,6 @@ class OraclePair:
     draw: DrawFn = draw_nothing
     lipschitz: Optional[float] = None
     hessian_gap: Optional[float] = None
-    bias_m: Optional[float] = None
-    bias_zeta_sq: Optional[float] = None
 
     def exact_grad_f_minus_h(self, x: Array, grad_f: Optional[Array] = None) -> Array:
         """grad f(x) - grad h(x); ``grad_f``, when given, is grad f(x) already computed."""

@@ -38,9 +38,8 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
     """1-D pair f(x) = x^2/2 helped by h(x) = (1+delta)/2 (x - zeta/(1+delta))^2.
 
     The Hessian gap is exactly ``delta`` and the gradient bias is
-    (zeta - delta*x), so the (m, zeta^2) bias bound holds with m = 2 delta^2
-    and residual 2 zeta^2.  Squares are float products, inf where they
-    overflow, so f(x) is exactly ||grad f(x)||^2 / 2.
+    (zeta - delta*x).  Squares are float products, inf where they overflow,
+    so f(x) is exactly ||grad f(x)||^2 / 2.
     """
     if delta < 0:
         raise ConfigError("delta", "must be nonnegative")
@@ -59,8 +58,6 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
         f_value=lambda x: 0.5 * (float(x[0]) * float(x[0])),
         lipschitz=1.0 + delta,
         hessian_gap=delta,
-        bias_m=2.0 * (delta * delta),
-        bias_zeta_sq=2.0 * (zeta * zeta),
     )
 
 
@@ -131,6 +128,7 @@ class LibsvmParseError(ValueError):
 _POW10 = 10.0 ** np.arange(15)
 _MAX_INDEX = 2**53  # indices are held as float64, exact below this
 _BLOCK_BYTES = 1 << 16  # the least LIBSVM text parsed at a time
+_DECIMAL_BYTES = np.isin(np.arange(256), list(b"0123456789+-.eE"))  # what a decimal holds
 
 
 def _between(buf: np.ndarray, first: int, last: int) -> np.ndarray:
@@ -138,65 +136,54 @@ def _between(buf: np.ndarray, first: int, last: int) -> np.ndarray:
     return buf - np.uint8(first) <= last - first
 
 
-def _read_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  marks: np.ndarray, seg: np.ndarray):
-    """The byte ranges ``buf[lo:hi]`` read as ``float`` reads them, and which
-    of them are integers, ``[+-]digits``.
+def _read_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, marks: np.ndarray):
+    """The byte ranges ``buf[lo:hi]`` read as ``float`` reads them, NaN where
+    it fails, and which of them are integers, ``[+-]digits``.
 
-    A range that is not a decimal, ``[+-]digits[.digits][(e|E)[+-]digits]``
-    with a digit before any exponent, reads as NaN.  ``marks`` are the
-    positions of the non-digit bytes inside the ranges and ``seg`` their
-    range numbers, so a range without one is a nonempty run of digits.
-    Integers of up to 15 digits are summed from their digits, exactly; the
-    other numbers go through one ``np.fromstring`` call.
+    ``marks`` flags the bytes other than digits, separators and the colons
+    that split features.  A ``[+-]digits`` range of up to 15 digits is summed
+    from its digits, exactly; ``float`` reads each other range that holds no
+    byte outside ``0-9+-.eE`` (it would accept ``inf``, ``nan`` and ``1_0``).
     """
-    length = hi - lo
-    is_float = length > 0
-    is_int = is_float.copy()
-    signed = np.zeros(len(lo), dtype=bool)
-    neg = np.zeros(len(lo), dtype=bool)
-    if len(marks):
-        # The marks of one range are adjacent, so runs of ``seg`` number them.
-        new = np.concatenate(([True], seg[1:] != seg[:-1]))
-        ids, inv = seg[new], np.cumsum(new) - 1
-        off = marks - lo[seg]
-        ch = buf[marks]
-        sign = (ch == ord("+")) | (ch == ord("-"))
-        dot = ch == ord(".")
-        exp = (ch == ord("e")) | (ch == ord("E"))
+    # The [+-]digits ranges, some too long or without digits; all if no marks.
+    plain, neg, signed = np.ones(len(lo), dtype=bool), False, False
+    if marks.any():
+        n_marks = _counts(marks, lo, hi)
+        first = buf[np.minimum(lo, len(buf) - 1)]
+        neg = first == ord("-")
+        signed = (n_marks == 1) & (neg | (first == ord("+")))
+        plain = n_marks == signed
 
-        def count(mask):
-            return np.bincount(inv[mask], minlength=len(ids))
-
-        epos = length[ids]
-        epos[inv[exp]] = off[exp]
-        bad = (~(sign | dot | exp) | sign & (off != 0) & (off != epos[inv] + 1)
-               | dot & (off > epos[inv]))
-        n_exp, n_dot, n_sign = count(exp), count(dot), count(sign)
-        mantissa = epos - count(sign & (off == 0)) - n_dot
-        ok = ((count(bad) == 0) & (n_exp <= 1) & (n_dot <= 1) & (mantissa > 0)
-              & ((n_exp == 0) | (length[ids] - n_sign - n_dot - n_exp > mantissa)))
-        is_float[ids] = ok
-        is_int[ids] = ok & (n_exp == 0) & (n_dot == 0)
-        signed[ids] = n_sign > 0
-        neg[ids] = count(ch == ord("-")) > 0
-
-    # Digits summed per integer range (0 for the others), accumulated in
+    # Digits summed per short plain range (0 for the others), accumulated in
     # place from the last digit backwards to keep the temporaries small.
-    n_digit = np.where(is_int & (length - signed <= len(_POW10)), length - signed, 0)
+    n_digit = np.where(plain, hi - lo - signed, 0)
+    n_digit[n_digit > len(_POW10)] = 0
     digits = np.where(_between(buf, ord("0"), ord("9")), buf - np.uint8(ord("0")), 0)
     values = np.zeros(len(lo))
     for k in range(int(n_digit.max(initial=0))):
         values += digits[hi - 1 - k] * (n_digit > k) * _POW10[k]
-    values[neg & is_int] *= -1.0
-    values[~is_float] = np.nan
-    rest = is_float & (n_digit == 0)
-    if rest.any():
-        at, size = lo[rest], length[rest]
-        first = np.cumsum(size) - size
-        text = buf[np.repeat(at - first, size) + np.arange(size.sum())]
-        values[rest] = np.fromstring(np.insert(text, first, ord(" ")).tobytes(), sep=" ")
-    return values, is_int
+    values[neg & (n_digit > 0)] *= -1.0
+    rest = np.flatnonzero(n_digit == 0)
+    if len(rest):
+        ok = _counts(~_DECIMAL_BYTES[buf], lo[rest], hi[rest]) == 0
+        text = buf.tobytes()
+        values[rest] = [_float(text[i:j]) if good else math.nan for i, j, good
+                        in zip(lo[rest].tolist(), hi[rest].tolist(), ok.tolist())]
+        plain[rest] &= ~np.isnan(values[rest])
+    return values, plain
+
+
+def _counts(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """How many bytes of ``mask`` are set in each range ``[lo, hi)``."""
+    total = np.cumsum(np.append(False, mask), dtype=lo.dtype)
+    return total[hi] - total[lo]
+
+
+def _float(word: bytes) -> float:
+    try:
+        return float(word)
+    except ValueError:
+        return math.nan
 
 
 def parse_libsvm(text: Union[str, bytes]) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -275,14 +262,7 @@ def _parse_block(buf: np.ndarray, line0: int):
     hi = np.concatenate((ends[label_tok], colon, f_end))
     marks = ~(space | _between(buf, ord("0"), ord("9")))
     marks[colon[colon < f_end]] = False
-    marks = np.flatnonzero(marks)
-    tok = np.searchsorted(starts, marks, side="right") - 1
-    labels_upto = np.searchsorted(label_tok, tok, side="right")
-    seg = labels_upto - 1
-    in_feat = ~is_label[tok]
-    k = tok[in_feat] - labels_upto[in_feat]
-    seg[in_feat] = n_labels + k + n_feats * (marks[in_feat] > colon[k])
-    values, is_int = _read_numbers(buf, lo, hi, marks, seg)
+    values, is_int = _read_numbers(buf, lo, hi, marks)
     labels, idx, data = np.split(values, [n_labels, n_labels + n_feats])
 
     # The first error in reading order: a malformed token, or before it an
@@ -314,23 +294,21 @@ def _parse_block(buf: np.ndarray, line0: int):
 
 def write_libsvm(features, labels: np.ndarray) -> str:
     """Serialize a dense or sparse feature matrix and labels into LIBSVM text;
-    stored zeros are left out."""
+    stored zeros are left out.  Numbers are written with 17 significant
+    digits, which ``float`` reads back exactly."""
     import scipy.sparse as sp
     a = sp.csr_matrix(features, dtype=np.float64, copy=True)
+    if len(labels) != a.shape[0]:
+        raise ValueError(f"{len(labels)} labels for {a.shape[0]} rows")
     a.sum_duplicates()
     a.eliminate_zeros()
     ptr, cols, vals = a.indptr.tolist(), (a.indices + 1).tolist(), a.data.tolist()
     lines = []
-    for i, label in zip(range(a.shape[0]), labels):
-        toks = [_format_label(label)] + [
-            f"{j}:{v:g}" for j, v in zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])]
+    for i, label in enumerate(labels):
+        toks = [f"{float(label):.17g}"] + [
+            f"{j}:{v:.17g}" for j, v in zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])]
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
-
-
-def _format_label(label) -> str:
-    f = float(label)
-    return str(int(f)) if f.is_integer() else f"{f:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +344,8 @@ class LogisticTask:
         if not self.l2_reg >= 0:
             raise ConfigError("l2_reg", "must be nonnegative")
         a = sp.csr_matrix(a, dtype=np.float64)
+        if not np.isfinite(a.data).all():
+            raise ValueError("features must be finite")
         object.__setattr__(self, "features", a)
         object.__setattr__(self, "labels", y)
         # Not dataclass fields: the uniform weights 1/n and the transposed

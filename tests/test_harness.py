@@ -388,6 +388,16 @@ class TestCli:
         path = self._write(tmp_path, raw)
         assert cli.main(["run", "--config", path]) == 3
 
+    def test_overflowing_data_value_exit_2(self, tmp_path, capsys):
+        # 1e400 parses as inf, which the task rejects before any step
+        raw = logistic_config(tmp_path)
+        raw["x0"] = [0.0] * 2
+        (tmp_path / "data.libsvm").write_text("1 1:1e400\n2 2:1\n" * 3)
+        assert cli.main(["run", "--config", self._write(tmp_path, raw),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: problem.logistic: features must be finite\n"
+
     def test_params_subcommand(self, tmp_path, capsys):
         raw = toy_config(x0=[1.0])
         path = self._write(tmp_path, raw)

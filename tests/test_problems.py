@@ -86,12 +86,9 @@ class TestToyPair:
         with np.errstate(over="ignore"):  # ||grad f||^2 as run observes it
             grad_norm_sq = float((oracle.exact_grad_f(np.array([x])) ** 2).sum())
         assert f == grad_norm_sq / 2
-        assert oracle.bias_m == 2.0 * (delta * delta)
-        assert oracle.bias_zeta_sq == 2.0 * (zeta * zeta)
 
     def test_huge_constants_give_inf(self):
         oracle = make_toy_pair(1e300, -1e300)
-        assert oracle.bias_m == oracle.bias_zeta_sq == float("inf")
         assert oracle.f_value(np.array([1e200])) == float("inf")
 
     def test_bias_bound_witness(self):
@@ -101,7 +98,7 @@ class TestToyPair:
         rng = rng_from_token(RandomToken(0))
         xs = 100.0 * rng.standard_normal(10_000)
         lhs = (zeta - delta * xs) ** 2
-        rhs = oracle.bias_m * xs**2 + oracle.bias_zeta_sq
+        rhs = 2 * delta**2 * xs**2 + 2 * zeta**2
         assert np.all(lhs <= rhs + 1e-9)
 
 
@@ -276,7 +273,7 @@ def _assert_same_parse(text):
 
 # Pieces of LIBSVM text: numbers, separators and every line break the loop
 # splits on, so that both well-formed and malformed lines come up.
-_NUMBERISH = st.text(alphabet="0123456789+-.e", min_size=0, max_size=6)
+_NUMBERISH = st.text(alphabet="0123456789+-.eE", min_size=0, max_size=6)
 _NUMBER = st.one_of(
     st.integers(-(10**20), 10**20).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -368,7 +365,7 @@ class TestLibsvmParser:
     def test_matches_loop_on_structured_text(self, text):
         _assert_same_parse(text)
 
-    @given(st.text(alphabet="0123456789+-.e: \t\n\r", max_size=40))
+    @given(st.text(alphabet="0123456789+-.eE: \t\n\r", max_size=40))
     @settings(max_examples=400, deadline=None)
     def test_matches_loop_on_raw_text(self, text):
         _assert_same_parse(text)
@@ -494,7 +491,29 @@ class TestParseMemory:
         assert peak <= 7 * 2**20, peak
 
 
+class TestWriteLibsvm:
+    def test_round_trip_is_exact(self):
+        rng = rng_from_token(RandomToken(12))
+        dense = rng.standard_normal((40, 7))
+        labels = rng.standard_normal(40)
+        features, got_labels = parse_libsvm(write_libsvm(dense, labels))
+        assert got_labels.tobytes() == labels.tobytes()
+        assert features.toarray().tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_rejects_a_label_count_that_is_not_the_row_count(self, n_labels):
+        with pytest.raises(ValueError, match=f"{n_labels} labels for 2 rows"):
+            write_libsvm(np.ones((2, 3)), np.ones(n_labels))
+
+
 class TestLogisticTask:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_features(self, value):
+        features = np.ones((2, 2))
+        features[1, 0] = value
+        with pytest.raises(ValueError, match="features must be finite"):
+            LogisticTask(sp.csr_matrix(features), np.array([1.0, -1.0]))
+
     def test_rejects_non_pm1_labels(self):
         with pytest.raises(ValueError):
             LogisticTask(np.ones((2, 2)), np.array([1.0, 2.0]))

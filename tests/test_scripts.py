@@ -1,8 +1,11 @@
 """Smoke runs of the scripts under scripts/ with tiny sizes."""
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +35,28 @@ def test_make_dataset_rejects_fewer_features_than_groups(tmp_path):
     assert proc.returncode == 2
     assert "n_features = 10 is below n_groups = 16" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("parent,change,better,want", [
+    # the median moved the wrong way by more than the bound
+    ([1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "lower", "worse"),
+    ([10.0, 10.0, 10.0, 10.0], [8.0, 8.0, 8.0, 8.0], "higher", "worse"),
+    # parent quartiles 1.5-2.5 around a median of 2: wider than the bound
+    ([1.0, 2.0, 3.0, 2.0, 1.5, 2.5], [2.0, 2.0, 2.0, 2.0], "lower", "unresolved"),
+    ([1.0, 2.0, 3.0, 2.0, 1.5, 2.5], [2.5, 2.5, 2.5, 2.5], "higher", "unresolved"),
+    # every change run reads better than every parent run
+    ([1.0, 2.0, 3.0, 2.0, 1.5, 2.5], [0.5, 0.9, 0.5, 0.5], "lower", "ok"),
+    ([1.0, 1.05, 1.0, 1.05], [1.05, 1.0, 1.05, 1.1], "lower", "ok"),
+])
+def test_bench_pairs_verdict(parent, change, better, want):
+    assert _bench_pairs().verdict(parent, change, 0.1, better) == want
 
 
 def test_bench_pairs_runs_one_pair(copy_checkout):

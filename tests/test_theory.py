@@ -247,8 +247,9 @@ class TestEstimateBias:
 
     @staticmethod
     def _toy():
-        oracle = make_toy_pair(0.5, 2.0)
-        return oracle, (oracle.bias_m, oracle.bias_zeta_sq), RandomToken(7)
+        # ||zeta - delta x||^2 <= 2 delta^2 x^2 + 2 zeta^2
+        delta, zeta = 0.5, 2.0
+        return make_toy_pair(delta, zeta), (2 * delta**2, 2 * zeta**2), RandomToken(7)
 
     @staticmethod
     def _quadratic():
