@@ -211,7 +211,7 @@ Sample = Any  # one draw of an oracle's noise; None where it draws nothing
 DrawFn = Callable[[RandomToken, int], list]
 GradFn = Callable[[Array, Sample], Array]
 ExactGradFn = Callable[[Array], Array]
-ValueFn = Callable[[Array], float]
+ValueFn = Callable[[Array], float | Array]  # a float per point
 
 
 def draw_nothing(token: RandomToken, n: int) -> list:
@@ -227,8 +227,9 @@ class OraclePair:
     drawn at ``token`` in one block, and each stochastic gradient evaluates
     at ``(x, sample)``.  The three are unbiased, and the f and h gradients
     at one sample may have correlated noise.  Every pair serves exact grad f,
-    grad h and f too.  Analytic constants (smoothness, Hessian gap) are
-    carried when the problem family knows them.
+    grad h and f too; exact grad f and f take a point or an (n, d) stack of
+    points, whose rows give the point's bits.  Analytic constants (smoothness,
+    Hessian gap) are carried when the problem family knows them.
     """
 
     dim: int

@@ -230,41 +230,44 @@ def run(
 
     metadata = {"algorithm": cfg.algorithm, "eta": cfg.eta, "a": cfg.a, "K": cfg.K, "T": cfg.T}
 
-    def observe(x: Array):
-        grad = oracle.exact_grad_f(x)
-        return oracle.f_value(x), float((grad ** 2).sum()), grad
-
-    rows = []
+    def observe(ys: Array, rows: np.ndarray) -> Array:
+        """f and ||grad f||^2 at the stack ys into ``rows``; grad f at its last row."""
+        grads = oracle.exact_grad_f(ys)  # C-ordered: each row sums as it would alone
+        rows[:, 2], rows[:, 3] = oracle.f_value(ys), (grads ** 2).sum(axis=1)
+        return grads[-1]
 
     def diverged(message: str) -> DivergenceError:
-        return DivergenceError(message, Trajectory(row_table(rows), metadata))
+        return DivergenceError(message, Trajectory(row_table(np.concatenate(blocks)), metadata))
 
     # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         m = init_momentum(x, stepper, cfg, stream)
-        f_val, g_sq, grad = observe(x)
-        rows.append((0, 0, f_val, g_sq, None, None, calls["f"], calls["h"], calls["fmh"]))
+        blocks = [np.array([[0, 0, 0, 0, np.nan, np.nan, calls["f"], calls["h"], calls["fmh"]]])]
+        grad = observe(x[None], blocks[0])
         for t in range(1, cfg.T + 1):
             m, ys = cycle(x_prev, x, m, stepper, cfg, stream.skip(t), t - 1)
-            e_t = None
+            # The cycle's rows as one block in CSV_COLUMNS order, billed as the cycle left it.
+            block = np.full((len(ys), len(CSV_COLUMNS)), np.nan)
+            block[:, 0], block[:, 1] = t, np.arange(1, len(ys) + 1)
+            block[:, 6:] = calls["f"], calls["h"], calls["fmh"]
             if track_e:  # grad is grad f(x), observed for its row
-                e_t = float(((m - oracle.exact_grad_f_minus_h(x, grad)) ** 2).sum())
-            # Per cycle, not per row: the finiteness test, the Delta sums (bit
-            # for bit the per-row sums) and the bill, which observing leaves.
+                block[:, 4] = float(((m - oracle.exact_grad_f_minus_h(x, grad)) ** 2).sum())
+            if diagnostics_on:  # bit for bit the per-row sums
+                block[:, 5] = ((ys - x) ** 2).sum(axis=1)
+            # Observe the leading finite rows; keep those before f's first blow-up.
             finite = np.isfinite(ys).all(axis=1)
             n_ok = len(ys) if finite.all() else int(finite.argmin())
-            deltas = (((ys - x) ** 2).sum(axis=1).tolist() if diagnostics_on
-                      else [None] * len(ys))
-            bill = (calls["f"], calls["h"], calls["fmh"])
-            for k in range(1, n_ok + 1):
-                f_val, g_sq, grad = observe(ys[k - 1])
-                if not f_val <= DIVERGENCE_LIMIT:
-                    raise diverged(f"f = {f_val:g} at cycle {t}, step {k} "
-                                   f"(limit {DIVERGENCE_LIMIT:g})")
-                rows.append((t, k, f_val, g_sq, e_t, deltas[k - 1], *bill))
+            if n_ok:
+                grad = observe(ys[:n_ok], block[:n_ok])
+            low = block[:n_ok, 2] <= DIVERGENCE_LIMIT
+            n_low = n_ok if low.all() else int(low.argmin())
+            blocks.append(block[:n_low])
+            if n_low < n_ok:
+                raise diverged(f"f = {block[n_low, 2]:g} at cycle {t}, step {n_low + 1} "
+                               f"(limit {DIVERGENCE_LIMIT:g})")
             if n_ok < len(ys):
                 raise diverged(f"non-finite iterate at cycle {t}, step {n_ok + 1}")
             x_prev, x = x, ys[-1]
 
     metadata["final_x"] = x.tolist()
-    return Trajectory(row_table(rows), metadata)
+    return Trajectory(row_table(np.concatenate(blocks)), metadata)

@@ -55,7 +55,7 @@ def make_toy_pair(delta: float, zeta: float, noise: NoiseSpec = NoiseSpec()) -> 
         grad_h,
         noise,
         dim=1,
-        f_value=lambda x: 0.5 * (float(x[0]) * float(x[0])),
+        f_value=np.errstate(over="ignore")(lambda x: 0.5 * (x[..., 0] * x[..., 0])),
         lipschitz=1.0 + delta,
         hessian_gap=delta,
     )
@@ -106,11 +106,11 @@ def make_quadratic_nd(
     gap = float(np.linalg.norm(gap_matrix, 2))
 
     return gaussian_oracle(
-        lambda x: a_f @ x,
+        lambda x: (a_f @ x[..., None])[..., 0],  # a gemv per row: a gemm moves the last bits
         lambda x: a_h @ x - b_h,
         noise,
         dim=dim,
-        f_value=lambda x: 0.5 * float(x @ (a_f @ x)),
+        f_value=lambda x: 0.5 * np.vecdot(x, (a_f @ x[..., None])[..., 0]),
         lipschitz=lipschitz,
         hessian_gap=gap,
     )
@@ -275,7 +275,7 @@ def _parse_block(buf: np.ndarray, line0: int):
     index_bad[np.searchsorted(feat, n_ok):] = False
     if index_bad.any():
         i = int(np.argmax(index_bad))
-        where, value = f"line {line(feat[i])}", int(idx[i])
+        where, value = f"line {line(feat[i])}", int(buf[f_start[i]:colon[i]].tobytes())
         if idx[i] < 1:
             raise LibsvmParseError(f"{where}: index {value} is not 1-based")
         if idx[i] >= _MAX_INDEX:
@@ -315,12 +315,21 @@ def write_libsvm(features, labels: np.ndarray) -> str:
 # Logistic regression tasks
 # ---------------------------------------------------------------------------
 
+def _by_chunk(rows_fn):
+    """A LogisticTask method of a stack, taken at a point or an (n, d) stack in row chunks."""
+    def method(self, x: Array):
+        xs, step = x.reshape(-1, self.dim), max(1, self._CHUNK_FLOATS // self.n_samples)
+        out = np.concatenate([rows_fn(self, xs[i:i + step]) for i in range(0, len(xs), step)])
+        return out.reshape(x.shape[:-1] + out.shape[1:])[()]
+    return method
+
+
 @dataclass(frozen=True)
 class LogisticTask:
     """Binary logistic regression over a fixed design matrix.
 
     loss(x) = (1/n) sum_i log(1 + exp(-y_i a_i'x)) + l2_reg/2 ||x||^2.  The
-    Hessian is independent of the labels.
+    Hessian is independent of the labels.  loss and grad take x or an (n, d) stack.
     ``features`` may be given dense or sparse and is kept as a CSR matrix,
     so every product over the data costs its nonzeros, not n x d.
     """
@@ -328,6 +337,7 @@ class LogisticTask:
     features: sp.csr_matrix
     labels: np.ndarray
     l2_reg: float = 0.0
+    _CHUNK_FLOATS = 1 << 17  # the most floats in one (rows, n_samples) temporary
 
     def __post_init__(self):
         import scipy.sparse as sp
@@ -350,7 +360,7 @@ class LogisticTask:
         object.__setattr__(self, "labels", y)
         # Not dataclass fields: the uniform weights 1/n and the transposed
         # design, a CSC view sharing the CSR's arrays, built once, and a
-        # one-entry memo (x copy, margins) that loss and grad share.
+        # one-entry memo (xs copy, (-margins, exp)) that loss and grad share.
         object.__setattr__(self, "_w", np.full(y.shape[0], 1.0 / y.shape[0]))
         object.__setattr__(self, "_design_t", a.T)
         object.__setattr__(self, "_margin_memo", None)
@@ -363,30 +373,36 @@ class LogisticTask:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def _margins(self, x: Array) -> np.ndarray:
-        """labels * (features @ x), reused while x keeps the same values.
+    def _margins(self, xs: Array) -> tuple[np.ndarray, np.ndarray]:
+        """-labels * (features @ y), the negated margins, of each row y of the
+        stack xs, C-ordered, and exp(-|margins|); reused while xs keeps its values.
 
-        The memo keeps its own copy of x and compares by value, so changing
+        The memo keeps its own copy of xs and compares by value, so changing
         the caller's array in place never returns stale margins.
         """
         memo = self._margin_memo
-        if memo is not None and np.array_equal(memo[0], x):
+        if memo is not None and np.array_equal(memo[0], xs):
             return memo[1]
-        margins = self.labels * (self.features @ x)
-        object.__setattr__(self, "_margin_memo", (np.array(x), margins))
-        return margins
+        neg_m = np.multiply(-self.labels, (self.features @ xs.T).T, order="C")
+        shared = neg_m, np.exp(-np.abs(neg_m))
+        object.__setattr__(self, "_margin_memo", (np.array(xs), shared))
+        return shared
 
-    def loss(self, x: Array) -> float:
-        # log(1 + exp(-m)) computed stably: exp only ever sees -|m|
-        m = self._margins(x)
-        losses = np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
-        return float(self._w @ losses) + 0.5 * self.l2_reg * float(x @ x)
+    @_by_chunk
+    def loss(self, xs: Array) -> np.ndarray:
+        # log(1 + exp(-m)) computed stably: exp only ever sees -|m|; a row
+        # sums with one dot over contiguous memory, as a single point does
+        neg_m, e = self._margins(xs)
+        losses = np.maximum(neg_m, 0.0) + np.log1p(e)
+        return np.vecdot(losses, self._w) + 0.5 * self.l2_reg * np.vecdot(xs, xs)
 
-    def grad(self, x: Array) -> Array:
+    @_by_chunk
+    def grad(self, xs: Array) -> np.ndarray:
         # the CSC product adds each entry's terms in row order, as the product
         # with a transposed CSR copy does, so it gives the same bits
-        coef = -self.labels * _sigmoid(-self._margins(x)) * self._w
-        return self._design_t @ coef + self.l2_reg * x
+        neg_m, e = self._margins(xs)
+        coef = -self.labels * _sigmoid(neg_m, e) * self._w
+        return (self._design_t @ coef.T).T + self.l2_reg * xs
 
     def grad_minibatch(self, x: Array, idx: np.ndarray) -> Array:
         """Unbiased gradient estimate from rows ``idx`` sampled uniformly.
@@ -407,10 +423,10 @@ class LogisticTask:
         return np.bincount(cols, weights=vals * coef[row], minlength=self.dim) + self.l2_reg * x
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp only ever sees -|z|."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|z| (``e`` is exp(-|z|))."""
+    e = np.exp(-np.abs(z)) if e is None else e
+    return np.maximum(e, z >= 0) / (1.0 + e)  # 1 where z >= 0, else e, which is <= 1
 
 
 def build_semisupervised(

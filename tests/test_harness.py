@@ -901,7 +901,7 @@ class TestInputErrors:
 
     def test_nan_f_exits_3_with_partial_csv(self, tmp_path, monkeypatch):
         def nan_f(cfg):
-            return replace(build_oracle(cfg), f_value=lambda x: float("nan"))
+            return replace(build_oracle(cfg), f_value=lambda x: np.full(len(x), np.nan))
 
         monkeypatch.setattr(harness, "build_oracle", nan_f)
         path = tmp_path / "cfg.json"

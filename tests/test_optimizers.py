@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -321,6 +322,41 @@ class TestRun:
         assert list(zip(rows.t, rows.k)) == [(0, 0)] + [
             (c, s) for c in range(1, t + 1) for s in range(1, cfg.K + 1) if (c, s) < (t, k)]
         assert np.isfinite(rows.Delta_t[1:]).all()
+
+    def test_f_past_the_limit_mid_cycle_ends_the_trajectory_at_its_row(self, monkeypatch):
+        # f = h, so y doubles in size at every inner step and f passes the limit
+        # inside a cycle; the partial rows are those run writes without a limit
+        oracle = make_toy_pair(0.0, 0.0)
+        cfg = OptimizerConfig("AuxMOM", eta=3.0, a=0.5, K=6, T=5)
+        with pytest.raises(DivergenceError) as err:
+            run(oracle, cfg, TOK, diagnostics_on=True)
+        monkeypatch.setattr(optimizers, "DIVERGENCE_LIMIT", np.inf)
+        rows = run(oracle, cfg, TOK, diagnostics_on=True).rows
+        i = int(np.argmax(rows.f_value > 1e12))
+        assert rows.k[i] > 1
+        assert str(err.value) == (f"f = {rows.f_value[i]:g} at cycle {rows.t[i]:g}, "
+                                  f"step {rows.k[i]:g} (limit 1e+12)")
+        partial = err.value.trajectory.rows
+        assert partial.tobytes() == rows[:i].tobytes()
+
+    def test_logistic_peak_memory_does_not_grow_with_k(self):
+        # each cycle's stack of K iterates is observed a chunk of rows at a
+        # time (8 rows at 16384 samples), so a run's (rows, n_samples)
+        # temporaries are one chunk's at K = 10 and at K = 1000 alike
+        features, labels = problems.make_synthetic_classification(16384, 4, RandomToken(2),
+                                                                   n_groups=2)
+        task = problems.LogisticTask(features, problems.map_labels_to_pm1(labels))
+        oracle = problems.logistic_oracle(task, task, batch_size=1)
+        peaks = {}
+        for K in (10, 1000):
+            tracemalloc.start()
+            try:
+                run(oracle, OptimizerConfig("AuxMOM", eta=0.1, a=0.5, K=K, T=2), TOK,
+                    x0=np.zeros(4))
+                peaks[K] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] < 1.5 * peaks[10], peaks
 
     def test_default_x0_is_ones(self):
         oracle = make_toy_pair(0.0, 0.0)

@@ -96,6 +96,14 @@ def test_probe_counts_one_noise_block_per_cycle(tmp_path):
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
+# Per traced round: a run observes x0 and then each cycle's stack with one
+# exact grad f and one f call each, 2 (cycles + runs) calls, none of them a
+# step: toy_algorithms makes 8 x 3 runs of 50 cycles, logistic_sweep 3 x 3
+# runs of 20 cycles, and only toy_algorithms' GD steps take exact gradients.
+OBSERVE_CALLS = {"toy_algorithms": 2 * (1200 + 24), "logistic_sweep": 2 * (180 + 9),
+                 "multi_helper": 0}
+EXACT_F_STEPS = {"toy_algorithms": 150, "logistic_sweep": 0, "multi_helper": 0}
+
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_workload_is_correct(workload, copy_checkout):
@@ -107,3 +115,6 @@ def test_benchmark_workload_is_correct(workload, copy_checkout):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    metrics = result["metrics"]
+    assert metrics["optimizers.observe.calls"]["value"] == OBSERVE_CALLS[workload]
+    assert metrics["problems.exact_f_steps"]["value"] == EXACT_F_STEPS[workload]

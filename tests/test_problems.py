@@ -203,6 +203,50 @@ class TestFiniteDifferenceGradients:
         self._check(logistic_oracle(f_task, h_task), h_task.loss, 5)
 
 
+def _stack_family(family: str, l2_reg: float):
+    """An oracle pair of ``family`` and its dimension; ``l2_reg`` is the
+    logistic tasks' ridge."""
+    if family == "toy":
+        return make_toy_pair(0.5, 2.0), 1
+    if family == "quadratic_nd":
+        rng = rng_from_token(RandomToken(31))
+        g = rng.standard_normal((5, 5))
+        return make_quadratic_nd(g @ g.T + np.eye(5), g @ g.T, rng.standard_normal(5)), 5
+    features, labels = make_synthetic_classification(300, 12, RandomToken(32), n_groups=4)
+    task = LogisticTask(features, map_labels_to_pm1(labels), l2_reg=l2_reg)
+    return logistic_oracle(task, task), 12
+
+
+class TestStackedOracles:
+    """``exact_grad_f`` and ``f_value`` at an (n, d) stack give, row by row,
+    the bits they give at each row alone: ``run`` observes a cycle at once."""
+
+    @staticmethod
+    def _assert_rows_are_points(oracle, ys):
+        grads, values = oracle.exact_grad_f(ys), oracle.f_value(ys)
+        assert grads.shape == ys.shape and values.shape == ys.shape[:1]
+        for y, grad, value in zip(ys, grads, values):
+            assert grad.tobytes() == oracle.exact_grad_f(y).tobytes()
+            assert value.tobytes() == np.float64(oracle.f_value(y)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    @pytest.mark.parametrize("family,l2_reg", [("toy", 0.0), ("quadratic_nd", 0.0),
+                                               ("logistic", 0.0), ("logistic", 0.05)])
+    def test_stack_rows_equal_points(self, family, l2_reg, n):
+        oracle, dim = _stack_family(family, l2_reg)
+        ys = 3.0 * rng_from_token(RandomToken(n)).standard_normal((n, dim))
+        if family == "toy":
+            ys[-1] = 1e200  # f overflows to inf, without a warning
+        self._assert_rows_are_points(oracle, ys)
+
+    @pytest.mark.parametrize("l2_reg", [0.0, 0.05])
+    def test_logistic_stack_over_several_chunks(self, monkeypatch, l2_reg):
+        oracle, dim = _stack_family("logistic", l2_reg)
+        monkeypatch.setattr(LogisticTask, "_CHUNK_FLOATS", 3 * 300)  # chunks of 3 rows
+        ys = rng_from_token(RandomToken(33)).standard_normal((10, dim))
+        self._assert_rows_are_points(oracle, ys)
+
+
 def _parse_libsvm_loop(text):
     """The per-token parser that the vectorised one replaced, kept as the
     reference: same arrays bit for bit, same error line."""
@@ -360,13 +404,20 @@ class TestLibsvmParser:
         assert np.array_equal(got_labels, labels)
 
 
+    # An index of more than 15 digits is named by its text, not its float64 value.
+    LONG_INDICES = ("1 -1234567890123456789:1\n", "1 1234567890123457:1 1234567890123456:1\n")
+
     @given(_libsvm_text())
     @settings(max_examples=400, deadline=None)
+    @example(text=LONG_INDICES[0])
+    @example(text=LONG_INDICES[1])
     def test_matches_loop_on_structured_text(self, text):
         _assert_same_parse(text)
 
     @given(st.text(alphabet="0123456789+-.eE: \t\n\r", max_size=40))
     @settings(max_examples=400, deadline=None)
+    @example(text=LONG_INDICES[0])
+    @example(text=LONG_INDICES[1])
     def test_matches_loop_on_raw_text(self, text):
         _assert_same_parse(text)
 
