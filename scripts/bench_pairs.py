@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of one benchmark workload.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload logistic_sweep \
-        [--pairs 10] [--seconds 8]
+        [--pairs 10] [--seconds 8] [--report BENCH_<pr>.json]
 
 Each directory is a checkout holding ``src/``, ``perfbench/`` and
 ``BENCHMARK.json``.  Pair i (1, 2, ...) runs ``perfbench/run.py --workload W
@@ -10,8 +10,10 @@ change first in even ones, so a drift of the machine's speed falls on both
 sides alike.  For each end-to-end metric of the parent's ``BENCHMARK.json``
 it prints both medians, the parent's quartiles, the move of the median
 against the metric's bound, in how many pairs the change read better
-(ties count for neither) and a verdict (see ``verdict``).  Exits 1 when a
-run fails or reports itself incorrect.
+(ties count for neither) and a verdict (see ``verdict``).  With ``--report``
+it also writes these figures as the workload's entry of the ``end_to_end``
+section of that JSON file, keeping what else the file holds.  Exits 1 when
+a run fails or reports itself incorrect.
 """
 from __future__ import annotations
 
@@ -64,6 +66,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--report", type=Path, help="JSON file to write the figures into")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -84,6 +87,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs "
           "(medians; parent quartiles; move against bound; change wins; verdict)")
+    entry = {}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -96,8 +100,17 @@ def main(argv=None) -> int:
         print(f"  {name}: {p_med:.6g} -> {c_med:.6g} {metric['unit']} "
               f"[parent {q1:.6g}-{q3:.6g}] {move:+.1%} (bound {metric['bound']:.0%}) "
               f"wins {wins}/{args.pairs} {said}")
+        entry[name] = {"parent_median": p_med, "change_median": c_med,
+                       "parent_quartiles": [q1, q3], "relative_change": round(move, 4),
+                       "change_wins": wins, "unit": metric["unit"], "verdict": said}
     ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
     print("every run correct with 0 failed" if ok else "some runs incorrect or failed")
+    if args.report:
+        entry["correct"] = all(r["correct"] for side in runs.values() for r in side)
+        entry["failed"] = sum(r["failed"] for side in runs.values() for r in side)
+        report = json.loads(args.report.read_text()) if args.report.exists() else {}
+        report.setdefault("end_to_end", {})[args.workload] = entry
+        args.report.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
 
 

@@ -227,7 +227,7 @@ class OraclePair:
     drawn at ``token`` in one block, and each stochastic gradient evaluates
     at ``(x, sample)``.  The three are unbiased, and the f and h gradients
     at one sample may have correlated noise.  Every pair serves exact grad f,
-    grad h and f too; exact grad f and f take a point or an (n, d) stack of
+    grad h and f too; each of the three takes a point or an (n, d) stack of
     points, whose rows give the point's bits.  Analytic constants (smoothness,
     Hessian gap) are carried when the problem family knows them.
     """
@@ -244,7 +244,8 @@ class OraclePair:
     hessian_gap: Optional[float] = None
 
     def exact_grad_f_minus_h(self, x: Array, grad_f: Optional[Array] = None) -> Array:
-        """grad f(x) - grad h(x); ``grad_f``, when given, is grad f(x) already computed."""
+        """grad f(x) - grad h(x) at a point or a stack; ``grad_f``, when given, is
+        grad f(x) already computed."""
         return (self.exact_grad_f(x) if grad_f is None else grad_f) - self.exact_grad_h(x)
 
 

@@ -20,6 +20,7 @@ from .core import MAX_DRAWS, Array, ConfigError, OraclePair, RandomToken, as_vec
 ALGORITHMS = ("Naive", "AuxMOM", "AuxMOM_V0", "AuxMVR", "SGDm", "MVR", "GD", "FineTune")
 
 DIVERGENCE_LIMIT = 1e12
+WINDOW_FLOATS = 2**17  # the most iterate floats (rows x d) that run observes in one stack
 
 
 class DivergenceError(RuntimeError):
@@ -218,6 +219,11 @@ def run(
     cycle t = 1..T at draw index t.  With diagnostics on it also records the
     momentum error E^t = ||m^t - (grad f - grad h)(x^{t-1})||^2 and the per-step
     displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
+
+    Rows are booked a window of cycles at a time: each cycle's finite iterates
+    are queued, and the queue is observed as one stack once it holds
+    ``WINDOW_FLOATS`` floats (rows x d), at a non-finite iterate and after the
+    last cycle.  x0's row leads the first window.
     """
     if x0 is None:
         x0 = np.ones(oracle.dim)
@@ -229,42 +235,61 @@ def run(
     track_e = diagnostics_on and spec is not None and spec.fmh
 
     metadata = {"algorithm": cfg.algorithm, "eta": cfg.eta, "a": cfg.a, "K": cfg.K, "T": cfg.T}
+    blocks, grad = [], None  # grad: grad f at the last booked row
 
-    def observe(ys: Array, rows: np.ndarray) -> Array:
-        """f and ||grad f||^2 at the stack ys into ``rows``; grad f at its last row."""
-        grads = oracle.exact_grad_f(ys)  # C-ordered: each row sums as it would alone
-        rows[:, 2], rows[:, 3] = oracle.f_value(ys), (grads ** 2).sum(axis=1)
-        return grads[-1]
+    def observe(ys: Array) -> tuple[Array, Array]:
+        """f and grad f at the stack ys; grad f is C-ordered, so each row sums as alone."""
+        return oracle.f_value(ys), oracle.exact_grad_f(ys)
 
     def diverged(message: str) -> DivergenceError:
         return DivergenceError(message, Trajectory(row_table(np.concatenate(blocks)), metadata))
 
+    def book(queue: list) -> None:
+        """The queued (t, iterates, snapshot, momentum, bill) cycles as one block
+        of rows in CSV_COLUMNS order, up to the first after x0 whose f is NaN or
+        past the limit."""
+        nonlocal grad
+        ts, yss, xs, ms, bills = zip(*queue)
+        n = [len(ys) for ys in yss]
+        starts, ys, xs = np.cumsum(n) - n, np.concatenate(yss), np.array(xs)
+        if not len(ys):  # a cycle whose first iterate is non-finite
+            return
+        block = np.full((len(ys), len(CSV_COLUMNS)), np.nan)
+        block[:, 0] = np.repeat(ts, n)
+        block[:, 1] = np.arange(len(ys)) - np.repeat(starts, n) + (block[:, 0] > 0)
+        block[:, 6:] = np.repeat(bills, n, axis=0)
+        block[:, 2], grads = observe(ys)
+        block[:, 3] = (grads ** 2).sum(axis=1)
+        if track_e:  # a snapshot's grad f is the one observed for the row before its cycle
+            before = grads[:1] if ts[0] == 0 else grad[None]  # x0's snapshot is its own row
+            gx = np.concatenate((before, grads))[starts]
+            e = ((np.array(ms) - oracle.exact_grad_f_minus_h(xs, gx)) ** 2).sum(axis=1)
+            block[:, 4] = np.repeat(e, n)
+        if diagnostics_on:  # bit for bit the per-row sums
+            block[:, 5] = ((ys - np.repeat(xs, n, axis=0)) ** 2).sum(axis=1)
+        if ts[0] == 0:  # x0's row has no snapshot
+            block[0, 4:6] = np.nan
+        grad = grads[-1]
+        low = (block[:, 2] <= DIVERGENCE_LIMIT) | (block[:, 0] == 0)
+        n_low = len(ys) if low.all() else int(low.argmin())
+        blocks.append(block[:n_low])
+        if n_low < len(ys):
+            t, k, f = int(block[n_low, 0]), int(block[n_low, 1]), block[n_low, 2]
+            raise diverged(f"f = {f:g} at cycle {t}, step {k} (limit {DIVERGENCE_LIMIT:g})")
+
     # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         m = init_momentum(x, stepper, cfg, stream)
-        blocks = [np.array([[0, 0, 0, 0, np.nan, np.nan, calls["f"], calls["h"], calls["fmh"]]])]
-        grad = observe(x[None], blocks[0])
+        queue, rows = [(0, x[None], x, m, (calls["f"], calls["h"], calls["fmh"]))], 1
         for t in range(1, cfg.T + 1):
             m, ys = cycle(x_prev, x, m, stepper, cfg, stream.skip(t), t - 1)
-            # The cycle's rows as one block in CSV_COLUMNS order, billed as the cycle left it.
-            block = np.full((len(ys), len(CSV_COLUMNS)), np.nan)
-            block[:, 0], block[:, 1] = t, np.arange(1, len(ys) + 1)
-            block[:, 6:] = calls["f"], calls["h"], calls["fmh"]
-            if track_e:  # grad is grad f(x), observed for its row
-                block[:, 4] = float(((m - oracle.exact_grad_f_minus_h(x, grad)) ** 2).sum())
-            if diagnostics_on:  # bit for bit the per-row sums
-                block[:, 5] = ((ys - x) ** 2).sum(axis=1)
-            # Observe the leading finite rows; keep those before f's first blow-up.
             finite = np.isfinite(ys).all(axis=1)
             n_ok = len(ys) if finite.all() else int(finite.argmin())
-            if n_ok:
-                grad = observe(ys[:n_ok], block[:n_ok])
-            low = block[:n_ok, 2] <= DIVERGENCE_LIMIT
-            n_low = n_ok if low.all() else int(low.argmin())
-            blocks.append(block[:n_low])
-            if n_low < n_ok:
-                raise diverged(f"f = {block[n_low, 2]:g} at cycle {t}, step {n_low + 1} "
-                               f"(limit {DIVERGENCE_LIMIT:g})")
+            queue.append((t, ys[:n_ok], x, m, (calls["f"], calls["h"], calls["fmh"])))
+            rows += n_ok
+            if n_ok < len(ys) or t == cfg.T or rows * oracle.dim >= WINDOW_FLOATS:
+                book(queue)
+                queue, rows = [], 0
             if n_ok < len(ys):
                 raise diverged(f"non-finite iterate at cycle {t}, step {n_ok + 1}")
             x_prev, x = x, ys[-1]

@@ -106,11 +106,11 @@ def make_quadratic_nd(
     gap = float(np.linalg.norm(gap_matrix, 2))
 
     return gaussian_oracle(
-        lambda x: (a_f @ x[..., None])[..., 0],  # a gemv per row: a gemm moves the last bits
-        lambda x: a_h @ x - b_h,
+        lambda x: np.matvec(a_f, x),  # a gemv per row: a gemm moves the last bits
+        lambda x: np.matvec(a_h, x) - b_h,
         noise,
         dim=dim,
-        f_value=lambda x: 0.5 * np.vecdot(x, (a_f @ x[..., None])[..., 0]),
+        f_value=lambda x: 0.5 * np.vecdot(x, np.matvec(a_f, x)),
         lipschitz=lipschitz,
         hessian_gap=gap,
     )
@@ -315,15 +315,6 @@ def write_libsvm(features, labels: np.ndarray) -> str:
 # Logistic regression tasks
 # ---------------------------------------------------------------------------
 
-def _by_chunk(rows_fn):
-    """A LogisticTask method of a stack, taken at a point or an (n, d) stack in row chunks."""
-    def method(self, x: Array):
-        xs, step = x.reshape(-1, self.dim), max(1, self._CHUNK_FLOATS // self.n_samples)
-        out = np.concatenate([rows_fn(self, xs[i:i + step]) for i in range(0, len(xs), step)])
-        return out.reshape(x.shape[:-1] + out.shape[1:])[()]
-    return method
-
-
 @dataclass(frozen=True)
 class LogisticTask:
     """Binary logistic regression over a fixed design matrix.
@@ -337,7 +328,7 @@ class LogisticTask:
     features: sp.csr_matrix
     labels: np.ndarray
     l2_reg: float = 0.0
-    _CHUNK_FLOATS = 1 << 17  # the most floats in one (rows, n_samples) temporary
+    _CHUNK_FLOATS = 1 << 15  # the most floats in one (rows, n_samples) temporary
 
     def __post_init__(self):
         import scipy.sparse as sp
@@ -360,10 +351,10 @@ class LogisticTask:
         object.__setattr__(self, "labels", y)
         # Not dataclass fields: the uniform weights 1/n and the transposed
         # design, a CSC view sharing the CSR's arrays, built once, and a
-        # one-entry memo (xs copy, (-margins, exp)) that loss and grad share.
+        # one-entry memo (x copy, losses, gradients) that loss and grad share.
         object.__setattr__(self, "_w", np.full(y.shape[0], 1.0 / y.shape[0]))
         object.__setattr__(self, "_design_t", a.T)
-        object.__setattr__(self, "_margin_memo", None)
+        object.__setattr__(self, "_memo", None)
 
     @property
     def n_samples(self) -> int:
@@ -373,36 +364,46 @@ class LogisticTask:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def _margins(self, xs: Array) -> tuple[np.ndarray, np.ndarray]:
-        """-labels * (features @ y), the negated margins, of each row y of the
-        stack xs, C-ordered, and exp(-|margins|); reused while xs keeps its values.
+    def _evaluate(self, x: Array) -> tuple[np.ndarray, np.ndarray]:
+        """The losses and gradients at x or at each row of an (n, d) stack,
+        computed together, one chunk of rows at a time; reused while x keeps
+        its values.
 
-        The memo keeps its own copy of xs and compares by value, so changing
-        the caller's array in place never returns stale margins.
+        The memo keeps its own copy of x and compares by value, so changing
+        the caller's array in place never returns stale outputs; the outputs
+        it returns are read-only, so no caller changes them for the next.
         """
-        memo = self._margin_memo
-        if memo is not None and np.array_equal(memo[0], xs):
-            return memo[1]
-        neg_m = np.multiply(-self.labels, (self.features @ xs.T).T, order="C")
-        shared = neg_m, np.exp(-np.abs(neg_m))
-        object.__setattr__(self, "_margin_memo", (np.array(xs), shared))
-        return shared
+        memo = self._memo
+        if memo is not None and np.array_equal(memo[0], x):
+            return memo[1:]
+        xs, step = x.reshape(-1, self.dim), max(1, self._CHUNK_FLOATS // self.n_samples)
+        losses, grads = np.empty(len(xs)), np.empty_like(xs)
+        for i in range(0, len(xs), step):
+            rows = xs[i:i + step]
+            # -labels * (features @ y), the negated margins, C-ordered; log(1 +
+            # exp(-m)) computed stably: exp only ever sees -|m|; a row sums
+            # with one dot over contiguous memory, as a single point does
+            neg_m = np.multiply(-self.labels, (self.features @ rows.T).T, order="C")
+            e = np.exp(-np.abs(neg_m))
+            loss = np.maximum(neg_m, 0.0) + np.log1p(e)
+            ridge = 0.5 * self.l2_reg * np.vecdot(rows, rows)
+            losses[i:i + step] = np.vecdot(loss, self._w) + ridge
+            # the CSC product adds each entry's terms in row order, as the
+            # product with a transposed CSR copy does, so it gives the same bits
+            coef = _sigmoid(neg_m, e)  # scaled in place: -labels * sigmoid * w
+            coef *= -self.labels
+            coef *= self._w
+            grads[i:i + step] = (self._design_t @ coef.T).T + self.l2_reg * rows
+        losses.flags.writeable = grads.flags.writeable = False
+        out = losses.reshape(x.shape[:-1])[()], grads.reshape(x.shape)
+        object.__setattr__(self, "_memo", (np.array(x), *out))
+        return out
 
-    @_by_chunk
-    def loss(self, xs: Array) -> np.ndarray:
-        # log(1 + exp(-m)) computed stably: exp only ever sees -|m|; a row
-        # sums with one dot over contiguous memory, as a single point does
-        neg_m, e = self._margins(xs)
-        losses = np.maximum(neg_m, 0.0) + np.log1p(e)
-        return np.vecdot(losses, self._w) + 0.5 * self.l2_reg * np.vecdot(xs, xs)
+    def loss(self, x: Array) -> np.ndarray:
+        return self._evaluate(x)[0]
 
-    @_by_chunk
-    def grad(self, xs: Array) -> np.ndarray:
-        # the CSC product adds each entry's terms in row order, as the product
-        # with a transposed CSR copy does, so it gives the same bits
-        neg_m, e = self._margins(xs)
-        coef = -self.labels * _sigmoid(neg_m, e) * self._w
-        return (self._design_t @ coef.T).T + self.l2_reg * xs
+    def grad(self, x: Array) -> np.ndarray:
+        return self._evaluate(x)[1]
 
     def grad_minibatch(self, x: Array, idx: np.ndarray) -> Array:
         """Unbiased gradient estimate from rows ``idx`` sampled uniformly.
@@ -426,7 +427,9 @@ class LogisticTask:
 def _sigmoid(z: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|z| (``e`` is exp(-|z|))."""
     e = np.exp(-np.abs(z)) if e is None else e
-    return np.maximum(e, z >= 0) / (1.0 + e)  # 1 where z >= 0, else e, which is <= 1
+    s = np.maximum(e, z >= 0)  # 1 where z >= 0, else e, which is <= 1
+    s /= 1.0 + e
+    return s
 
 
 def build_semisupervised(

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from auxopt import cli
+from auxopt import cli, optimizers
 from auxopt.core import NoiseSpec, RandomToken, draw_gaussian_noise, stream_fork
 from auxopt.decentralized import VARIANTS, HelperSet, run_decentralized
 from auxopt.harness import load_config, run_experiment, run_sweep
@@ -353,6 +353,45 @@ def test_cli_run_stdout(tmp_path, capsys):
 def test_cli_sweep_stdout(noisy, tmp_path, capsys):
     args = ["sweep", "--axis", "algorithm.K", "--values", ",".join(map(str, SWEEP_K))]
     assert cli_stdout_digest(args, sweep_config(noisy), tmp_path, capsys) == CLI_SWEEP[noisy]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_window_size_moves_no_byte(rows, monkeypatch, tmp_path):
+    # run books its rows a window of cycles at a time; a bound of one row
+    # books each cycle alone, one of three rows a few cycles at a time, and
+    # every digest of a run's CSVs holds as it does at the default bound
+    got, want = [], []
+
+    def out_dir(dim: int):
+        """A fresh output directory, with the window bound at ``rows`` rows of ``dim``."""
+        monkeypatch.setattr(optimizers, "WINDOW_FLOATS", rows * dim)
+        return tmp_path / f"out{len(got)}"
+
+    for algorithm in ALGORITHMS:
+        for m0_mode in M0_MODES:
+            got.append(csv_digest(toy_config(algorithm, m0_mode, NOISY), out_dir(1)))
+            want.append(NOISY_CSV[algorithm, m0_mode])
+        got.append(csv_digest(toy_config(algorithm, "single_sample", {}), out_dir(1)))
+        want.append(EXACT_CSV[algorithm])
+    for noisy in (True, False):
+        out = out_dir(1)
+        run_sweep(load_config(json.dumps(sweep_config(noisy))), "algorithm.K", SWEEP_K, str(out))
+        got.append(tree_digest(out))
+        want.append(SWEEP_FILES[noisy])
+    out = out_dir(1)
+    with pytest.raises(DivergenceError):
+        run_experiment(load_config(json.dumps(diverging_config())), str(out))
+    got.append(hashlib.sha256((out / "golden_rep0_partial.csv").read_bytes()).hexdigest())
+    want.append(DIVERGING_PARTIAL)
+    data = write_dataset(tmp_path)
+    out = out_dir(5)
+    run_sweep(load_config(json.dumps(logistic_config(data))), "algorithm.K", LOGISTIC_SWEEP_K,
+              str(out))
+    got.append(tree_digest(out))
+    want.append(LOGISTIC_SWEEP)
+    got.append(csv_digest(coreset_config(data), out_dir(5)))
+    want.append(LOGISTIC_CORESET)
+    assert got == want
 
 
 def test_stream_fork_children():

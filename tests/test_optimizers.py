@@ -340,8 +340,8 @@ class TestRun:
         assert partial.tobytes() == rows[:i].tobytes()
 
     def test_logistic_peak_memory_does_not_grow_with_k(self):
-        # each cycle's stack of K iterates is observed a chunk of rows at a
-        # time (8 rows at 16384 samples), so a run's (rows, n_samples)
+        # a window's stack of iterates is observed a chunk of rows at a time
+        # (2 rows at 16384 samples), so a run's (rows, n_samples)
         # temporaries are one chunk's at K = 10 and at K = 1000 alike
         features, labels = problems.make_synthetic_classification(16384, 4, RandomToken(2),
                                                                    n_groups=2)
@@ -366,7 +366,9 @@ class TestRun:
     @pytest.mark.parametrize("algorithm", ("AuxMOM", "AuxMVR"))
     def test_e_t_reuses_the_observed_gradient(self, monkeypatch, algorithm):
         """E_t from grad f as observed for the snapshot's row is bit for bit the
-        E_t of ``exact_grad_f_minus_h`` computing grad f at the snapshot again."""
+        E_t of ``exact_grad_f_minus_h`` computing grad f at the snapshot again,
+        with one stacked call per window: the default bound books this run at
+        once, a 5-row bound as x0 and cycle 1, then two cycles of 4 rows at a time."""
         features, labels = problems.make_synthetic_classification(120, 12, RandomToken(4),
                                                                    n_groups=4)
         task = problems.LogisticTask(features, problems.map_labels_to_pm1(labels), l2_reg=0.01)
@@ -374,18 +376,95 @@ class TestRun:
             task, (0.5, 0.25, 0.25), "coreset", RandomToken(5), fraction=0.5)
         oracle = problems.logistic_oracle(f_task, h_task, batch_size=8)
         cfg = OptimizerConfig(algorithm, eta=0.5, a=0.3, K=4, T=6)
-        got = run(oracle, cfg, TOK, diagnostics_on=True)
-        same_grad = []
+        stacked = core.OraclePair.exact_grad_f_minus_h
 
         def recomputed(self, x, grad_f=None):
             same_grad.append(np.array_equal(grad_f, self.exact_grad_f(x)))
             return self.exact_grad_f(x) - self.exact_grad_h(x)
 
-        monkeypatch.setattr(core.OraclePair, "exact_grad_f_minus_h", recomputed)
-        want = run(oracle, cfg, TOK, diagnostics_on=True)
-        assert same_grad == [True] * cfg.T
-        assert not np.isnan(got.rows.E_t[1:]).any()
-        assert harness.trajectory_to_csv(got) == harness.trajectory_to_csv(want)
+        for bound, windows in ((optimizers.WINDOW_FLOATS, 1), (5 * oracle.dim, 4)):
+            monkeypatch.setattr(optimizers, "WINDOW_FLOATS", bound)
+            monkeypatch.setattr(core.OraclePair, "exact_grad_f_minus_h", stacked)
+            got = run(oracle, cfg, TOK, diagnostics_on=True)
+            same_grad = []
+            monkeypatch.setattr(core.OraclePair, "exact_grad_f_minus_h", recomputed)
+            want = run(oracle, cfg, TOK, diagnostics_on=True)
+            assert same_grad == [True] * windows
+            assert not np.isnan(got.rows.E_t[1:]).any()
+            assert harness.trajectory_to_csv(got) == harness.trajectory_to_csv(want)
+
+
+# A window bound of one row books each cycle alone, three rows a few cycles
+# at a time and the default a whole small run at once; none moves a byte.
+WINDOW_ROWS = (1, 3, None)
+
+
+def at_each_window(monkeypatch, dim: int, fn) -> list:
+    """``fn()`` under each bound of WINDOW_ROWS, in rows of ``dim`` floats."""
+    default, results = optimizers.WINDOW_FLOATS, []
+    for rows in WINDOW_ROWS:
+        monkeypatch.setattr(optimizers, "WINDOW_FLOATS", default if rows is None else rows * dim)
+        results.append(fn())
+    return results
+
+
+def divergence(oracle, cfg, x0, **kwargs) -> tuple[str, bytes]:
+    """The message and partial rows of a run that must diverge."""
+    with pytest.raises(DivergenceError) as err:
+        run(oracle, cfg, TOK, x0=x0, **kwargs)
+    return str(err.value), err.value.trajectory.rows.tobytes()
+
+
+class TestWindows:
+    def test_noisy_logistic_run_with_diagnostics(self, monkeypatch):
+        # E_t of a window's first cycle reads grad f at the previous window's last row
+        features, labels = problems.make_synthetic_classification(90, 8, RandomToken(6),
+                                                                   n_groups=4)
+        task = problems.LogisticTask(features, problems.map_labels_to_pm1(labels), l2_reg=0.01)
+        f_task, h_task = problems.build_semisupervised(
+            task, (0.5, 0.25, 0.25), "random_labels", RandomToken(7))
+        oracle = problems.logistic_oracle(f_task, h_task, batch_size=5)
+        cfg = OptimizerConfig("AuxMVR", eta=0.5, a=0.3, K=2, T=9)
+        csvs = at_each_window(monkeypatch, oracle.dim, lambda: harness.trajectory_to_csv(
+            run(oracle, cfg, TOK, diagnostics_on=True, x0=np.zeros(oracle.dim))))
+        assert csvs[0] == csvs[1] == csvs[2]
+        rows = run(oracle, cfg, TOK, diagnostics_on=True, x0=np.zeros(oracle.dim)).rows
+        assert not np.isnan(rows.E_t[1:]).any() and not np.isnan(rows.Delta_t[1:]).any()
+
+    @pytest.mark.parametrize("x0,t", [(1.0, 4), (49.0, 3)])
+    def test_f_past_the_limit(self, monkeypatch, x0, t):
+        # GD at eta = 50 multiplies x by -49 a cycle: f passes 1e12 at row t,
+        # inside the second 3-row window at t = 4 and at its first row at t = 3
+        oracle, cfg = make_toy_pair(0.0, 0.0), OptimizerConfig("GD", eta=50.0, T=10)
+        got = at_each_window(monkeypatch, 1, lambda: divergence(
+            oracle, cfg, np.array([x0]), diagnostics_on=True))
+        assert got[0] == got[1] == got[2]
+        assert got[0][0].startswith("f = ") and got[0][0].endswith(
+            f" at cycle {t}, step 1 (limit 1e+12)")
+        assert len(got[0][1]) == t * len(optimizers.CSV_COLUMNS) * 8
+
+    @pytest.mark.parametrize("bad_call", [3, 4])
+    def test_non_finite_iterate(self, monkeypatch, bad_call):
+        # the h gradient turns NaN at its bad_call-th call, the one step of
+        # cycle bad_call: the first row of the second 3-row window at 3, the
+        # second at 4
+        oracle = make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=0.5, sigma_h=0.5))
+        cfg = OptimizerConfig("AuxMOM", eta=0.05, a=0.5, K=1, T=8)
+
+        def diverging():
+            calls = iter(range(1, 100))
+
+            def grad_h(x, sample):
+                g = oracle.grad_h(x, sample)
+                return np.full_like(g, np.nan) if next(calls) == bad_call else g
+
+            return divergence(dataclasses.replace(oracle, grad_h=grad_h), cfg,
+                              np.array([1.0]), diagnostics_on=True)
+
+        got = at_each_window(monkeypatch, 1, diverging)
+        assert got[0] == got[1] == got[2]
+        assert got[0][0] == f"non-finite iterate at cycle {bad_call}, step 1"
+        assert len(got[0][1]) == bad_call * len(optimizers.CSV_COLUMNS) * 8
 
 
 def count_forks(monkeypatch) -> Counter:

@@ -96,12 +96,11 @@ def test_probe_counts_one_noise_block_per_cycle(tmp_path):
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
-# Per traced round: a run observes x0 and then each cycle's stack with one
-# exact grad f and one f call each, 2 (cycles + runs) calls, none of them a
-# step: toy_algorithms makes 8 x 3 runs of 50 cycles, logistic_sweep 3 x 3
-# runs of 20 cycles, and only toy_algorithms' GD steps take exact gradients.
-OBSERVE_CALLS = {"toy_algorithms": 2 * (1200 + 24), "logistic_sweep": 2 * (180 + 9),
-                 "multi_helper": 0}
+# Per traced round: each run fits in one window, observed with one exact
+# grad f and one f call, none of them a step: toy_algorithms makes 8 x 3
+# runs, logistic_sweep 3 x 3, and only toy_algorithms' GD steps take exact
+# gradients.
+OBSERVE_CALLS = {"toy_algorithms": 2 * 24, "logistic_sweep": 2 * 9, "multi_helper": 0}
 EXACT_F_STEPS = {"toy_algorithms": 150, "logistic_sweep": 0, "multi_helper": 0}
 
 

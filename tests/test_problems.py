@@ -218,15 +218,18 @@ def _stack_family(family: str, l2_reg: float):
 
 
 class TestStackedOracles:
-    """``exact_grad_f`` and ``f_value`` at an (n, d) stack give, row by row,
-    the bits they give at each row alone: ``run`` observes a cycle at once."""
+    """``exact_grad_f``, ``exact_grad_h`` and ``f_value`` at an (n, d) stack
+    give, row by row, the bits they give at each row alone: ``run`` observes
+    a window of cycles at once, and takes E_t from its stacked snapshots."""
 
     @staticmethod
     def _assert_rows_are_points(oracle, ys):
         grads, values = oracle.exact_grad_f(ys), oracle.f_value(ys)
-        assert grads.shape == ys.shape and values.shape == ys.shape[:1]
-        for y, grad, value in zip(ys, grads, values):
+        grads_h = oracle.exact_grad_h(ys)
+        assert grads.shape == grads_h.shape == ys.shape and values.shape == ys.shape[:1]
+        for y, grad, grad_h, value in zip(ys, grads, grads_h, values):
             assert grad.tobytes() == oracle.exact_grad_f(y).tobytes()
+            assert grad_h.tobytes() == oracle.exact_grad_h(y).tobytes()
             assert value.tobytes() == np.float64(oracle.f_value(y)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 5, 10])
@@ -642,18 +645,71 @@ class TestLogisticTask:
         assert np.allclose(full, task.grad(x), atol=1e-12)
 
     def test_grad_after_in_place_change_is_fresh(self):
-        # loss and grad share one margin vector per x; changing the caller's
-        # array in place must not return the margins of the old values
+        # loss and grad share one memo of outputs per x, a point or a stack;
+        # changing the caller's array in place must not return the outputs of
+        # the old values, and the outputs it returns cannot be changed
         rng = rng_from_token(RandomToken(14))
         features = rng.standard_normal((30, 5))
         labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
         task = LogisticTask(features, labels, l2_reg=0.1)
-        x = rng.standard_normal(5)
-        task.loss(x)
-        x[2] += 1.0
-        fresh = LogisticTask(features, labels, l2_reg=0.1)
-        assert np.array_equal(task.grad(x), fresh.grad(x))
-        assert task.loss(x) == fresh.loss(x)
+        for shape in ((5,), (3, 5)):
+            x = rng.standard_normal(shape)
+            task.loss(x)
+            x[..., 2] += 1.0
+            fresh = LogisticTask(features, labels, l2_reg=0.1)
+            assert np.array_equal(task.grad(x), fresh.grad(x))
+            assert np.array_equal(task.loss(x), fresh.loss(x))
+            with pytest.raises(ValueError, match="read-only"):
+                task.grad(x)[..., 0] = 0.0
+
+    def test_loss_after_grad_of_a_stack_makes_no_second_product(self, monkeypatch):
+        # loss and grad of a stack come from one pass per chunk: after grad
+        # of a 10-row stack in chunks of 3 rows (four products with the
+        # transposed design), loss of the same stack makes none
+        features, labels = make_synthetic_classification(300, 12, RandomToken(32), n_groups=4)
+        task = LogisticTask(features, map_labels_to_pm1(labels), l2_reg=0.05)
+        monkeypatch.setattr(LogisticTask, "_CHUNK_FLOATS", 3 * 300)
+        products = []
+
+        class Spy:
+            def __init__(self, design):
+                self.design = design
+
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return self.design @ other
+
+        object.__setattr__(task, "_design_t", Spy(task._design_t))
+        xs = rng_from_token(RandomToken(34)).standard_normal((10, 12))
+        grads = task.grad(xs)
+        assert len(products) == 4
+        losses = task.loss(xs)
+        assert len(products) == 4
+        fresh = LogisticTask(features, map_labels_to_pm1(labels), l2_reg=0.05)
+        assert losses.tobytes() == fresh.loss(xs).tobytes()
+        assert grads.tobytes() == fresh.grad(xs).tobytes()
+
+    def test_stack_peak_memory_is_two_chunks_and_its_outputs(self):
+        # a 200-row stack at the benchmark's 2,708 samples is evaluated a
+        # chunk of rows at a time: its peak is within two chunks' temporaries,
+        # measured on a one-chunk stack, plus its outputs (the memo's copy
+        # of the stack, the losses and the gradients)
+        features, labels = make_synthetic_classification(2708, 112, RandomToken(3), n_groups=16)
+        task = LogisticTask(features, map_labels_to_pm1(labels))
+        rows = task._CHUNK_FLOATS // task.n_samples
+
+        def peak_over_outputs(n: int) -> int:
+            xs = rng_from_token(RandomToken(n)).standard_normal((n, task.dim))
+            tracemalloc.start()
+            try:
+                task.grad(xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - (2 * xs.nbytes + 8 * n)
+
+        chunk = peak_over_outputs(rows)
+        assert 0 < peak_over_outputs(200) <= 2 * chunk
 
 
 def _dense_loss(task, x):

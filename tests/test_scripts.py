@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/ with tiny sizes."""
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -59,11 +60,13 @@ def test_bench_pairs_verdict(parent, change, better, want):
     assert _bench_pairs().verdict(parent, change, 0.1, better) == want
 
 
-def test_bench_pairs_runs_one_pair(copy_checkout):
+def test_bench_pairs_runs_one_pair(copy_checkout, tmp_path):
     parent, change = copy_checkout("parent"), copy_checkout("change")
+    report = tmp_path / "BENCH.json"
+    report.write_text(json.dumps({"pr": 0, "end_to_end": {"toy_algorithms": {"kept": True}}}))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
                            str(parent), str(change), "--workload", "multi_helper",
-                           "--pairs", "1", "--seconds", "0.5"],
+                           "--pairs", "1", "--seconds", "0.5", "--report", str(report)],
                           capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -74,3 +77,17 @@ def test_bench_pairs_runs_one_pair(copy_checkout):
     assert sorted(rows) == ["peak_rss_mb", "setup_s", "target_grad_calls", "wall_s"]
     assert rows["target_grad_calls"].startswith(
         "  target_grad_calls: 1200 -> 1200 count [parent 1200-1200] +0.0% (bound 1%) wins 0/1")
+    written = json.loads(report.read_text())
+    assert written["pr"] == 0 and written["end_to_end"]["toy_algorithms"] == {"kept": True}
+    entry = written["end_to_end"]["multi_helper"]
+    assert sorted(entry) == ["correct", "failed", "peak_rss_mb", "setup_s",
+                             "target_grad_calls", "wall_s"]
+    assert (entry["correct"], entry["failed"]) == (True, 0)
+    assert entry["target_grad_calls"] == {
+        "parent_median": 1200, "change_median": 1200, "parent_quartiles": [1200, 1200],
+        "relative_change": 0.0, "change_wins": 0, "unit": "count", "verdict": "ok"}
+    for name in ("setup_s", "wall_s", "peak_rss_mb"):
+        figures = entry[name]
+        assert rows[name].startswith(f"  {name}: {figures['parent_median']:.6g} -> "
+                                     f"{figures['change_median']:.6g} {figures['unit']} ")
+        assert rows[name].endswith(f"wins {figures['change_wins']}/1 {figures['verdict']}")
