@@ -12,16 +12,19 @@ it prints both medians, the parent's quartiles, the move of the median
 against the metric's bound, in how many pairs the change read better
 (ties count for neither) and a verdict (see ``verdict``).  With ``--report``
 it also writes these figures as the workload's entry of the ``end_to_end``
-section of that JSON file, keeping what else the file holds.  Exits 1 when
+section of that JSON file, and the Python, numpy and scipy versions the runs
+use as its ``versions`` key, keeping what else the file holds.  Exits 1 when
 a run fails or reports itself incorrect.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import statistics
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 
@@ -110,6 +113,8 @@ def main(argv=None) -> int:
         entry["failed"] = sum(r["failed"] for side in runs.values() for r in side)
         report = json.loads(args.report.read_text()) if args.report.exists() else {}
         report.setdefault("end_to_end", {})[args.workload] = entry
+        report["versions"] = {"python": platform.python_version(), "numpy": version("numpy"),
+                              "scipy": version("scipy")}
         args.report.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
 

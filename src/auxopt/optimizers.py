@@ -68,7 +68,7 @@ CSV_COLUMNS = ("t", "k", "f_value", "grad_norm_sq", "E_t", "Delta_t",
 
 def row_table(rows=()) -> np.recarray:
     """Rows in ``CSV_COLUMNS`` order as a float64 record array; None becomes NaN."""
-    cells = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+    cells = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
     return cells.view([(name, np.float64) for name in CSV_COLUMNS])[:, 0].view(np.recarray)
 
 
@@ -221,9 +221,10 @@ def run(
     displacement Delta^t_k = ||y^t_k - x^{t-1}||^2.
 
     Rows are booked a window of cycles at a time: each cycle's finite iterates
-    are queued, and the queue is observed as one stack once it holds
+    are copied into a row buffer allocated once per run, after the snapshot of
+    the window's first cycle, and observed as one stack once they hold
     ``WINDOW_FLOATS`` floats (rows x d), at a non-finite iterate and after the
-    last cycle.  x0's row leads the first window.
+    last cycle.  x0's row is that snapshot, and counts, in the first window.
     """
     if x0 is None:
         x0 = np.ones(oracle.dim)
@@ -235,7 +236,7 @@ def run(
     track_e = diagnostics_on and spec is not None and spec.fmh
 
     metadata = {"algorithm": cfg.algorithm, "eta": cfg.eta, "a": cfg.a, "K": cfg.K, "T": cfg.T}
-    blocks, grad = [], None  # grad: grad f at the last booked row
+    blocks = []
 
     def observe(ys: Array) -> tuple[Array, Array]:
         """f and grad f at the stack ys; grad f is C-ordered, so each row sums as alone."""
@@ -244,35 +245,27 @@ def run(
     def diverged(message: str) -> DivergenceError:
         return DivergenceError(message, Trajectory(row_table(np.concatenate(blocks)), metadata))
 
-    def book(queue: list) -> None:
-        """The queued (t, iterates, snapshot, momentum, bill) cycles as one block
-        of rows in CSV_COLUMNS order, up to the first after x0 whose f is NaN or
-        past the limit."""
-        nonlocal grad
-        ts, yss, xs, ms, bills = zip(*queue)
-        n = [len(ys) for ys in yss]
-        starts, ys, xs = np.cumsum(n) - n, np.concatenate(yss), np.array(xs)
-        if not len(ys):  # a cycle whose first iterate is non-finite
-            return
+    def book(ys: Array, ms: Array, bills: Array, t0: int) -> None:
+        """The window ys as rows in CSV_COLUMNS order, up to the first whose f is NaN
+        or past the limit.  Row r >= 1 is of cycle t0 + c, c = (r - 1) // n, with
+        momentum ms[c] and bill bills[c + 1]; row 0 is booked in the first window."""
+        f, grads = observe(ys)
+        c = (np.arange(len(ys)) - 1) // n
+        snap = np.maximum(c, 0) * n  # the row of each row's snapshot, row 0 its own
         block = np.full((len(ys), len(CSV_COLUMNS)), np.nan)
-        block[:, 0] = np.repeat(ts, n)
-        block[:, 1] = np.arange(len(ys)) - np.repeat(starts, n) + (block[:, 0] > 0)
-        block[:, 6:] = np.repeat(bills, n, axis=0)
-        block[:, 2], grads = observe(ys)
+        block[:, 0], block[:, 1], block[:, 2] = t0 + c, np.arange(len(ys)) - snap, f
         block[:, 3] = (grads ** 2).sum(axis=1)
-        if track_e:  # a snapshot's grad f is the one observed for the row before its cycle
-            before = grads[:1] if ts[0] == 0 else grad[None]  # x0's snapshot is its own row
-            gx = np.concatenate((before, grads))[starts]
-            e = ((np.array(ms) - oracle.exact_grad_f_minus_h(xs, gx)) ** 2).sum(axis=1)
-            block[:, 4] = np.repeat(e, n)
+        block[:, 6:] = bills[c + 1]
+        if track_e:  # a snapshot's grad f is the one observed for its row
+            starts = np.arange(len(ms)) * n
+            e = ((ms - oracle.exact_grad_f_minus_h(ys[starts], grads[starts])) ** 2).sum(axis=1)
+            block[1:, 4] = e[c[1:]]
         if diagnostics_on:  # bit for bit the per-row sums
-            block[:, 5] = ((ys - np.repeat(xs, n, axis=0)) ** 2).sum(axis=1)
-        if ts[0] == 0:  # x0's row has no snapshot
-            block[0, 4:6] = np.nan
-        grad = grads[-1]
-        low = (block[:, 2] <= DIVERGENCE_LIMIT) | (block[:, 0] == 0)
+            block[1:, 5] = ((ys[1:] - ys[snap[1:]]) ** 2).sum(axis=1)
+        low = block[:, 2] <= DIVERGENCE_LIMIT
+        low[0] = True  # x0's row, or one booked before
         n_low = len(ys) if low.all() else int(low.argmin())
-        blocks.append(block[:n_low])
+        blocks.append(block[int(t0 > 1):n_low])
         if n_low < len(ys):
             t, k, f = int(block[n_low, 0]), int(block[n_low, 1]), block[n_low, 2]
             raise diverged(f"f = {f:g} at cycle {t}, step {k} (limit {DIVERGENCE_LIMIT:g})")
@@ -280,16 +273,23 @@ def run(
     # A blow-up is reported once, as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         m = init_momentum(x, stepper, cfg, stream)
-        queue, rows = [(0, x[None], x, m, (calls["f"], calls["h"], calls["fmh"]))], 1
+        bill, t0 = (calls["f"], calls["h"], calls["fmh"]), 1
         for t in range(1, cfg.T + 1):
             m, ys = cycle(x_prev, x, m, stepper, cfg, stream.skip(t), t - 1)
+            if t == 1:  # every cycle yields n iterates; a window holds at most `cycles`
+                n, d = len(ys), oracle.dim
+                cycles = min(cfg.T, -(-WINDOW_FLOATS // (n * d)))
+                buf, ms, bills = map(np.empty, [(1 + cycles * n, d), (cycles, d), (1 + cycles, 3)])
+                buf[0], bills[0] = x, bill
             finite = np.isfinite(ys).all(axis=1)
             n_ok = len(ys) if finite.all() else int(finite.argmin())
-            queue.append((t, ys[:n_ok], x, m, (calls["f"], calls["h"], calls["fmh"])))
-            rows += n_ok
-            if n_ok < len(ys) or t == cfg.T or rows * oracle.dim >= WINDOW_FLOATS:
-                book(queue)
-                queue, rows = [], 0
+            j = t - t0  # the cycle's place in the window
+            end = 1 + j * n + n_ok
+            buf[end - n_ok:end], ms[j] = ys[:n_ok], m
+            bills[j + 1] = calls["f"], calls["h"], calls["fmh"]
+            if n_ok < len(ys) or t == cfg.T or (end - (t0 > 1)) * d >= WINDOW_FLOATS:
+                book(buf[:end], ms[:j + 1], bills[:j + 2], t0)
+                buf[0], t0 = ys[-1], t + 1
             if n_ok < len(ys):
                 raise diverged(f"non-finite iterate at cycle {t}, step {n_ok + 1}")
             x_prev, x = x, ys[-1]

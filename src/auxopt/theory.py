@@ -182,14 +182,11 @@ def estimate_bias(
     (or one and the line 0) cross."""
     if len(probes) == 0:
         raise ValueError("probe set must be nonempty")
-    r, g = [], []
-    for x in probes:
-        gf = grad_f(np.asarray(x, dtype=np.float64))
-        gh = grad_h(np.asarray(x, dtype=np.float64))
-        r.append(float(np.sum((gf - gh) ** 2)))
-        g.append(float(np.sum(gf**2)))
+    xs = np.array(probes, dtype=np.float64)
+    gf = grad_f(xs)
+    r, g = ((gf - grad_h(xs)) ** 2).sum(axis=1), (gf**2).sum(axis=1)
     g_mean = float(np.mean(g))
-    r, g = np.array(r + [0.0]), np.array(g + [0.0])  # the line 0 keeps zeta^2 >= 0
+    r, g = np.append(r, 0.0), np.append(g, 0.0)  # the line 0 keeps zeta^2 >= 0
     # parallel lines cross nowhere, and a crossing or score that overflows
     # drops out of the search
     with np.errstate(all="ignore"):

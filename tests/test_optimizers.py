@@ -358,6 +358,21 @@ class TestRun:
                 tracemalloc.stop()
         assert peaks[1000] < 1.5 * peaks[10], peaks
 
+    def test_toy_run_peak_memory_is_a_few_tables(self):
+        # a window's iterates, momenta and bills fill arrays, not a Python
+        # object per cycle, so at K = 1 and d = 1 a run's peak is a few times
+        # its finished row table
+        oracle = make_toy_pair(0.1, 1.0, NoiseSpec(sigma_f=1.0, sigma_h=1.0, rho=0.5))
+        cfg = OptimizerConfig("AuxMOM", eta=0.05, a=0.5, K=1, T=2**12)
+        tracemalloc.start()
+        try:
+            traj = run(oracle, cfg, TOK, diagnostics_on=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.rows) == cfg.T + 1
+        assert peak <= 4 * traj.rows.nbytes, peak / traj.rows.nbytes
+
     def test_default_x0_is_ones(self):
         oracle = make_toy_pair(0.0, 0.0)
         traj = run(oracle, OptimizerConfig("GD", eta=0.5, T=1), TOK)

@@ -2,11 +2,14 @@
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +82,8 @@ def test_bench_pairs_runs_one_pair(copy_checkout, tmp_path):
         "  target_grad_calls: 1200 -> 1200 count [parent 1200-1200] +0.0% (bound 1%) wins 0/1")
     written = json.loads(report.read_text())
     assert written["pr"] == 0 and written["end_to_end"]["toy_algorithms"] == {"kept": True}
+    assert written["versions"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__, "scipy": scipy.__version__}
     entry = written["end_to_end"]["multi_helper"]
     assert sorted(entry) == ["correct", "failed", "peak_rss_mb", "setup_s",
                              "target_grad_calls", "wall_s"]
