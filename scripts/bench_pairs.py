@@ -10,7 +10,8 @@ change first in even ones, so a drift of the machine's speed falls on both
 sides alike.  For each end-to-end metric of the parent's ``BENCHMARK.json``
 it prints both medians, the parent's quartiles, the move of the median
 against the metric's bound, in how many pairs the change read better
-(ties count for neither) and a verdict (see ``verdict``).  With ``--report``
+(ties count for neither) and a verdict, ``worse``, ``better``,
+``unresolved`` or ``ok`` (see ``verdict``).  With ``--report``
 it also writes these figures as the workload's entry of the ``end_to_end``
 section of that JSON file, and the Python, numpy and scipy versions the runs
 use as its ``versions`` key, keeping what else the file holds.  Exits 1 when
@@ -46,16 +47,26 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """In how many pairs the change read better; ties count for neither."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
 def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
     """``worse`` when the change's median moved the wrong way by more than
-    ``bound`` of the parent's; ``unresolved`` when the parent's quartile
-    spread is wider than ``bound`` of its median and not every change run
-    reads better than every parent run; ``ok`` otherwise."""
+    ``bound`` of the parent's; ``better`` when the change won at least 9 in 10
+    of the pairs and its median beats the parent's by more than the parent's
+    quartile spread, the rule for claiming a gain; ``unresolved`` when the
+    parent's quartile spread is wider than ``bound`` of its median and not
+    every change run reads better than every parent run; ``ok`` otherwise."""
     sign = 1 if better == "lower" else -1
-    p_med = statistics.median(parent)
-    if sign * (statistics.median(change) - p_med) > bound * abs(p_med):
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    if sign * (c_med - p_med) > bound * abs(p_med):
         return "worse"
     q1, q3 = quartiles(parent)
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and sign * (p_med - c_med) > q3 - q1:
+        return "better"
     beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
     if q3 - q1 > bound * abs(p_med) and not beats_all:
         return "unresolved"
@@ -92,20 +103,20 @@ def main(argv=None) -> int:
           "(medians; parent quartiles; move against bound; change wins; verdict)")
     entry = {}
     for metric in spec["end_to_end"]:
-        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        name = metric["name"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent)
         move = (c_med - p_med) / p_med if p_med else 0.0
-        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        won = wins(parent, change, metric["better"])
         said = verdict(parent, change, metric["bound"], metric["better"])
         print(f"  {name}: {p_med:.6g} -> {c_med:.6g} {metric['unit']} "
               f"[parent {q1:.6g}-{q3:.6g}] {move:+.1%} (bound {metric['bound']:.0%}) "
-              f"wins {wins}/{args.pairs} {said}")
+              f"wins {won}/{args.pairs} {said}")
         entry[name] = {"parent_median": p_med, "change_median": c_med,
                        "parent_quartiles": [q1, q3], "relative_change": round(move, 4),
-                       "change_wins": wins, "unit": metric["unit"], "verdict": said}
+                       "change_wins": won, "unit": metric["unit"], "verdict": said}
     ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
     print("every run correct with 0 failed" if ok else "some runs incorrect or failed")
     if args.report:

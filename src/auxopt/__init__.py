@@ -57,7 +57,6 @@ from .theory import (
     auxmom_params,
     auxmvr_params,
     check_report,
-    check_weak_convexity,
     default_probe_points,
     estimate_bias,
     estimate_delta,

@@ -11,8 +11,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import harness, theory
 from .core import RandomToken, at_path
 from .optimizers import DivergenceError
@@ -40,9 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_sweep.add_argument("--out", default=None)
 
-    p_check = sub.add_parser(
-        "check", help="estimate similarity/bias constants and verify weak convexity"
-    )
+    p_check = sub.add_parser("check", help="estimate the Hessian gap delta and the bias fit")
     p_check.add_argument("--config", required=True)
 
     p_params = sub.add_parser("params", help="print theorem-prescribed eta, a (and beta)")
@@ -93,11 +89,6 @@ def _cmd_check(args) -> int:
     if oracle.hessian_gap is not None:
         print(f"analytic delta            = {oracle.hessian_gap:.6g}")
     print(f"estimated bias fit: m = {report['m']:.6g}, zeta^2 = {report['zeta_sq']:.6g}")
-    witness = report["witness"]
-    verdict = "holds" if witness is None else "VIOLATED"
-    print(f"weak convexity of f + delta*||x||^2 on random pairs: {verdict}")
-    for name, point in zip("xy", witness or ()):
-        print(f"  witness {name} = {np.array2string(point, precision=4)}")
     return EXIT_OK
 
 

@@ -433,3 +433,25 @@ def test_criterion_13_correlated_noise_benefit(tmp_path):
         assert all(a > b for a, b in zip(by_rho, by_rho[1:])), by_rho
 
     _report(13, "more correlated helper noise gives a smaller gradient norm", check)
+
+
+def test_criterion_14_delta_falls_with_coreset_fraction():
+    # the delta half of criterion 14: a coreset helper on more of f's train
+    # rows has a smaller Hessian gap, and at fraction 1 it is f.  Seeds 1-6
+    # gave delta-hat 0.41-0.46, 0.12-0.15, 0.033-0.043 and 0 at the four
+    # fractions; the ratio half (AuxMOM against SGDm) is not tested here
+    def check():
+        for seed in (1, 2, 3):
+            token = RandomToken(seed)
+            features, labels = make_synthetic_classification(2000, 112, token, n_groups=16)
+            task = LogisticTask(features, map_labels_to_pm1(labels))
+            probes = default_probe_points(task.dim, token)
+            deltas = []
+            for fraction in (0.02, 0.1, 0.5, 1.0):
+                f_task, h_task = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3), "coreset",
+                                                      token, fraction=fraction)
+                deltas.append(estimate_delta(f_task.grad, h_task.grad, probes, token=token))
+            assert all(a > b for a, b in zip(deltas, deltas[1:])), (seed, deltas)
+            assert deltas[-1] == 0.0, seed
+
+    _report(14, "delta-hat falls as the coreset helper covers more of f's rows", check)

@@ -20,7 +20,6 @@ from auxopt.decentralized import (
 )
 from auxopt.optimizers import OptimizerConfig, cycle, init_momentum
 from auxopt.problems import make_toy_pair
-from auxopt.theory import check_weak_convexity
 
 TOK = RandomToken(0)
 
@@ -220,26 +219,3 @@ class TestAveragingLemma:
             lhs = f(mean) + alpha * float((mean - x) @ (mean - x))
             rhs = np.mean([f(p) + alpha * float((p - x) @ (p - x)) for p in pts])
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-
-
-def value_only_oracle(f):
-    zero = lambda x, t: np.zeros_like(x)
-    return OraclePair(dim=1, grad_f=zero, grad_h=zero, grad_f_minus_h=zero,
-                      exact_grad_f=np.zeros_like, exact_grad_h=np.zeros_like, f_value=f)
-
-
-class TestWeakConvexity:
-    def test_convex_quadratic_true(self):
-        oracle = value_only_oracle(lambda x: 0.5 * float(x @ x))
-        for delta in (0.0, 0.5, 3.0):
-            assert check_weak_convexity(oracle, delta) is None
-
-    def test_concave_after_shift_false_with_witness(self):
-        oracle = value_only_oracle(lambda x: -float(x @ x))
-        x, y = check_weak_convexity(oracle, 0.5)
-        g = lambda z: -float(z @ z) + 0.5 * float(z @ z)
-        assert g(0.5 * (x + y)) > 0.5 * (g(x) + g(y))
-
-    def test_boundary_case_true(self):
-        oracle = value_only_oracle(lambda x: -float(x @ x))
-        assert check_weak_convexity(oracle, 1.0) is None

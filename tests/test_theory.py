@@ -1,10 +1,13 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auxopt import optimizers
 from auxopt.core import (
     ConfigError,
     NoiseSpec,
@@ -21,7 +24,10 @@ from auxopt.problems import (
     make_toy_pair,
 )
 from auxopt.theory import (
-    CONVEXITY_RADIUS,
+    DELTA_FD_SCALE,
+    DELTA_ITERS,
+    DELTA_RESTARTS,
+    DELTA_TOL,
     TheoryParams,
     auxmom_beta,
     auxmom_params,
@@ -200,6 +206,124 @@ class TestEstimateDelta:
         assert got < 1e-6
 
 
+def _one_restart_at_a_time(grad_f, grad_h, probes, token=RandomToken(0)):
+    """``estimate_delta`` as it ran before it stacked its restarts: each probe's
+    restarts, one after another, each a power iteration on one point."""
+    rng = rng_from_token(stream_fork(token, 777))
+    best = 0.0
+    for x in probes:
+        x = np.asarray(x, dtype=np.float64)
+        eps = DELTA_FD_SCALE * (1.0 + float(np.linalg.norm(x)))
+
+        def hv(v):
+            gp = grad_f(x + eps * v) - grad_h(x + eps * v)
+            gm = grad_f(x - eps * v) - grad_h(x - eps * v)
+            g = (gp - gm) / (2.0 * eps)
+            if not np.all(np.isfinite(g)):
+                raise ValueError("non-finite gradient evaluation in delta estimator")
+            return g
+
+        for _ in range(DELTA_RESTARTS):
+            v = rng.standard_normal(len(x))
+            v /= np.linalg.norm(v)
+            est = 0.0
+            for _ in range(DELTA_ITERS):
+                w = hv(v)
+                norm_w = float(np.linalg.norm(w))
+                stop = norm_w < DELTA_TOL or abs(norm_w - est) <= DELTA_TOL * max(1.0, norm_w)
+                est = norm_w
+                if stop:
+                    break
+                v = w / norm_w
+            best = max(best, est)
+    return best
+
+
+@functools.cache
+def _delta_case(name):
+    """(grad_f, grad_h, probes, delta one restart at a time) of a named pair."""
+    if name.startswith("toy"):
+        oracle = make_toy_pair(0.3 if name == "toy_0.3" else 0.0, 5.0)
+        grads, probes = (oracle.exact_grad_f, oracle.exact_grad_h), default_probe_points(
+            1, RandomToken(1))
+    elif name == "quadratic_nd_slow":  # gap eigenvalues 1 and 0.99: no restart stops early
+        oracle = make_quadratic_nd(np.diag([2.0, 1.99, 1.0]), np.eye(3), np.zeros(3))
+        grads, probes = (oracle.exact_grad_f, oracle.exact_grad_h), default_probe_points(
+            3, RandomToken(3))
+    elif name == "quadratic_nd":
+        g, d = rng_from_token(RandomToken(2)).standard_normal((2, 5, 5))
+        a_h = g @ g.T / 5.0
+        oracle = make_quadratic_nd(a_h + 0.2 * (d + d.T) + 2.0 * np.eye(5), a_h, np.zeros(5))
+        grads, probes = (oracle.exact_grad_f, oracle.exact_grad_h), default_probe_points(
+            5, RandomToken(3))
+    else:  # a logistic pair: a coreset of every train row, or random-label rows
+        rng = rng_from_token(RandomToken(4))
+        task = LogisticTask(rng.standard_normal((120, 4)),
+                            np.where(rng.random(120) < 0.5, -1.0, 1.0))
+        kind = name.removeprefix("logistic_")
+        f_task, h_task = build_semisupervised(task, (1 / 3, 1 / 3, 1 / 3), kind, RandomToken(5),
+                                              fraction=1.0 if kind == "coreset" else None)
+        grads, probes = (f_task.grad, h_task.grad), default_probe_points(4, RandomToken(6))
+    return *grads, probes, _one_restart_at_a_time(*grads, probes, token=RandomToken(8))
+
+
+class TestStackedEstimateDelta:
+    """``estimate_delta`` runs its restarts as the rows of a stack, a block of
+    rows at a time, with the bits of running them one at a time."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["1row", "3rows", "default"])
+    @pytest.mark.parametrize("name", ["toy_0.3", "toy_0", "quadratic_nd", "quadratic_nd_slow",
+                                      "logistic_coreset", "logistic_random_labels"])
+    def test_bits_of_one_restart_at_a_time(self, name, rows, monkeypatch):
+        grad_f, grad_h, probes, want = _delta_case(name)
+        if rows is not None:  # a block's x +- eps v points: 2 x rows x d floats
+            monkeypatch.setattr(optimizers, "WINDOW_FLOATS", 2 * rows * probes.shape[1])
+        got = estimate_delta(grad_f, grad_h, probes, token=RandomToken(8))
+        assert got == want
+        assert (want == 0.0) == (name in ("toy_0", "logistic_coreset"))
+
+    def test_one_evaluation_of_each_side_per_step(self, monkeypatch):
+        # 100 restarts of a d = 5 pair in blocks of 40, 40 and 20 rows
+        grad_f, grad_h, probes, _ = _delta_case("quadratic_nd")
+        monkeypatch.setattr(optimizers, "WINDOW_FLOATS", 2 * 40 * 5)
+        calls = []
+        estimate_delta(lambda x: calls.append(len(x)) or grad_f(x), grad_h, probes,
+                       token=RandomToken(8))
+        assert calls[0] == 80 and max(calls) == 80 and calls[-1] <= 40
+        assert len(calls) <= 3 * DELTA_ITERS
+
+    def test_no_probes_give_zero(self):
+        assert estimate_delta(np.zeros_like, np.zeros_like, []) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 5, 112])
+    def test_probes_are_the_points_drawn_one_at_a_time(self, dim):
+        rng = rng_from_token(RandomToken(3))
+        want = [2.5 * rng.standard_normal(dim) for _ in range(20)]
+        assert np.array_equal(default_probe_points(dim, RandomToken(3), radius=2.5), want)
+
+    def test_non_finite_difference_raises(self):
+        # 1e308 x overflows at every probe entry above 1.8 in size
+        probes = default_probe_points(2, RandomToken(1), radius=10.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^non-finite gradient evaluation in delta estimator$"):
+            estimate_delta(lambda x: 1e308 * x, np.zeros_like, probes)
+
+    def test_memory_peak_at_most_three_times_one_restart_at_a_time(self):
+        # at d = 2**16 a block is one row; the probes' (20, d) array is read in place
+        dim = 2**16
+        oracle = gaussian_oracle(lambda x: 2.0 * x, lambda x: 1.5 * x, NoiseSpec(), dim,
+                                 f_value=lambda x: 0.0)
+        probes = default_probe_points(dim, RandomToken(1))
+        peaks = []
+        for estimator in (estimate_delta, _one_restart_at_a_time):
+            tracemalloc.start()
+            assert estimator(oracle.exact_grad_f, oracle.exact_grad_h, probes) == (
+                pytest.approx(0.5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] <= 3 * peaks[1], peaks
+
+
 class TestEstimateBias:
     def _probes(self, dim, n=30):
         return default_probe_points(dim, RandomToken(10), n_points=n, radius=3.0)
@@ -286,21 +410,7 @@ class TestCheckReport:
         probes = default_probe_points(oracle.dim, token)
         delta = estimate_delta(oracle.exact_grad_f, oracle.exact_grad_h, probes, token=token)
         m, zeta_sq = estimate_bias(oracle.exact_grad_f, oracle.exact_grad_h, probes)
-        assert check_report(oracle, token) == {"delta": delta, "m": m, "zeta_sq": zeta_sq,
-                                                "witness": None}
-
-    def test_convexity_pairs_come_from_a_fork(self):
-        # f = h = -x'x: delta = 0 and every pair violates midpoint convexity, so
-        # the witness is the first pair drawn, under label 1 of the token, not
-        # the first two probe points
-        oracle = gaussian_oracle(lambda x: -2 * x, lambda x: -2 * x, NoiseSpec(), dim=2,
-                                 f_value=lambda x: -float(x @ x))
-        token = RandomToken(4)
-        rng = rng_from_token(stream_fork(token, 1))
-        first = [CONVEXITY_RADIUS * rng.standard_normal(2) for _ in range(2)]
-        report = check_report(oracle, token)
-        assert report["delta"] == 0.0
-        assert np.array_equal(np.array(report["witness"]), np.array(first))
+        assert check_report(oracle, token) == {"delta": delta, "m": m, "zeta_sq": zeta_sq}
 
 
 class TestDiagnostics:
